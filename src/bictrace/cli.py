@@ -155,11 +155,13 @@ def _clone_dir(root: Path, entry: oracle.OracleEntry) -> Path:
 
 
 def _detect_group(path: Path, entries, configs, regime, ranges):
-    """Run every preset over one repository's entries.
+    """Run every preset over one repository's entries, one shared
+    pipeline call per entry.
 
-    Returns (results, skips): results maps (repo, fix, preset name) to a
-    sorted hash tuple, skips maps (repo, fix) to a reason. A missing or
-    unreadable clone skips the whole group."""
+    Returns (results, flags, skips): results maps (repo, fix, preset name)
+    to a sorted hash tuple, flags maps (repo, fix) to the entry's flags,
+    skips maps (repo, fix) to a reason. A missing or unreadable clone skips
+    the whole group."""
     results: dict[tuple[str, str, str], tuple[str, ...]] = {}
     flags: dict[tuple[str, str], tuple[str, ...]] = {}
     skips: dict[tuple[str, str], str] = {}
@@ -173,32 +175,25 @@ def _detect_group(path: Path, entries, configs, regime, ranges):
     for e in entries:
         key = (e.repo, e.fix_commit)
         issue_dates = None
-        entry_flags: list[str] = []
         try:
             if regime == "issue-date":
-                dates = e.issue_dates
-                if dates:
-                    issue_dates = dates
-                else:
-                    entry_flags.append("no-issue-dates")
+                issue_dates = e.issue_dates
+                if not issue_dates:
+                    flags[key] = ("no-issue-dates",)
             elif regime == "best-case-date":
                 issue_dates = [
                     engine.simulate_best_case_issue_date(repo, e.true_bics)
                 ]
-            for name, cfg in configs:
-                found = engine.run_config(
-                    repo, e.fix_commit, cfg,
-                    issue_dates=issue_dates, refactorings=ranges,
-                )
-                results[(e.repo, e.fix_commit, name)] = tuple(
-                    sorted(c.commit for c in found)
-                )
+            found = engine.run_configs(
+                repo, e.fix_commit, [cfg for _, cfg in configs],
+                issue_dates=issue_dates, refactorings=ranges,
+            )
         except BictraceError as exc:
             skips[key] = f"{type(exc).__name__}: {exc}"
-            results = {k: v for k, v in results.items() if (k[0], k[1]) != key}
+            flags.pop(key, None)
             continue
-        if entry_flags:
-            flags[key] = tuple(entry_flags)
+        for (name, _), cands in zip(configs, found):
+            results[(e.repo, e.fix_commit, name)] = tuple(sorted(c.commit for c in cands))
     return results, flags, skips
 
 

@@ -14,14 +14,20 @@ those choices into the classic algorithm family:
 
 All tracing happens against the first-parent pre-image of the fix commit,
 so removed-line numbers always refer to that revision.
+
+Presets run together share their common work: ``run_configs`` extracts
+and classifies a fix's lines once and traces each distinct (fix-line
+filter, trace, depth limit) once, so the six presets cost one plain-blame
+trace and one cosmetic-skipping trace per fix. Filters and selections
+then run per preset over those read-only candidates.
 """
 
 from __future__ import annotations
 
 import csv
 import re
-from dataclasses import dataclass, field, replace
-from datetime import datetime, timedelta, timezone
+from dataclasses import dataclass, replace
+from datetime import datetime, timedelta
 from pathlib import Path
 
 from . import langfilters
@@ -33,7 +39,6 @@ DROP_BLANK = "drop-blank"
 DROP_COSMETIC_LINES = "drop-cosmetic-lines"
 
 DROP_META_CHANGES = "drop-meta-changes"
-DROP_AFTER_ISSUE_DATE = "drop-after-issue-date"
 DROP_REFACTORED_LINES = "drop-refactored-lines"
 
 PLAIN_BLAME = "plain-blame"
@@ -119,6 +124,7 @@ class FixLine:
     line_no: int
     text: str
     line_class: LineClass
+    cosmetic: bool = False  # the fix only reformatted this line
 
 
 @dataclass
@@ -126,10 +132,25 @@ class FixContext:
     fix_commit: str
     parent: str
     fix_lines: list[FixLine]
-    issue_dates: list[datetime] = field(default_factory=list)
+
+    def keep(self, line_filter: frozenset[str]) -> FixContext:
+        """The same fix with only the lines ``line_filter`` keeps."""
+        return replace(
+            self, fix_lines=[fl for fl in self.fix_lines if _keeps(line_filter, fl)]
+        )
 
 
-@dataclass
+def _keeps(line_filter: frozenset[str], fl: FixLine) -> bool:
+    if fl.cosmetic and DROP_COSMETIC_LINES in line_filter:
+        return False
+    if fl.line_class is LineClass.COMMENT and DROP_COMMENTS in line_filter:
+        return False
+    if fl.line_class is LineClass.BLANK and DROP_BLANK in line_filter:
+        return False
+    return True
+
+
+@dataclass(frozen=True)
 class BicCandidate:
     commit: str
     supporting_lines: list[FixLine]
@@ -183,56 +204,39 @@ def load_refactoring_ranges(path: str | Path) -> RefactoringRanges:
 
 
 def extract_fix_lines(
-    repo,
-    fix_commit: str,
-    config: VariantConfig,
-    issue_dates: list[datetime] | None = None,
+    repo, fix_commit: str, config: VariantConfig | None = None
 ) -> FixContext:
-    """Collect the pre-image lines a fix removed or modified, classified
-    and filtered per the variant. A fix that only adds lines yields an
-    empty context, which is a valid (empty) detection result."""
+    """Collect the pre-image lines a fix removed or modified, each with its
+    class and whether the fix only reformatted it. Every pre-image file is
+    read and classified once. With ``config``, only the lines its fix-line
+    filter keeps remain. A fix that only adds lines yields an empty
+    context, which is a valid (empty) detection result."""
     full = repo.resolve(fix_commit)
     meta = repo.commit_meta(full)
     if not meta.parents:
         raise RootCommitError(f"{full} has no parent to diff against")
     parent = meta.parents[0]
-    hunks = repo.diff_against_parent(full, parent)
 
     class_cache: dict[str, list[LineClass]] = {}
-
-    def classes_for(file: str) -> list[LineClass]:
+    fix_lines: list[FixLine] = []
+    for hunk in repo.diff_against_parent(full, parent):
+        file = hunk.file_pre
+        if file is None or not hunk.removed:
+            continue
         if file not in class_cache:
             content = repo.file_at(parent, file)
             lang = langfilters.language_for_path(file)
             class_cache[file] = langfilters.classify_lines(content, lang)
-        return class_cache[file]
-
-    fix_lines: list[FixLine] = []
-    for hunk in hunks:
-        if hunk.file_pre is None or not hunk.removed:
-            continue
-        drop: set[int] = set()
-        if DROP_COSMETIC_LINES in config.fix_line_filter:
-            drop = _cosmetic_drops(hunk)
-        classes = classes_for(hunk.file_pre)
+        classes = class_cache[file]
+        cosmetic = _cosmetic_drops(hunk)
         for line_no, text in hunk.removed:
-            if line_no in drop:
-                continue
             idx = line_no - 1
             cls = classes[idx] if 0 <= idx < len(classes) else LineClass.CODE
-            if cls is LineClass.COMMENT and DROP_COMMENTS in config.fix_line_filter:
-                continue
-            if cls is LineClass.BLANK and DROP_BLANK in config.fix_line_filter:
-                continue
-            fix_lines.append(FixLine(hunk.file_pre, line_no, text, cls))
+            fix_lines.append(FixLine(file, line_no, text, cls, line_no in cosmetic))
 
     fix_lines.sort(key=lambda fl: (fl.file, fl.line_no))
-    return FixContext(
-        fix_commit=full,
-        parent=parent,
-        fix_lines=fix_lines,
-        issue_dates=list(issue_dates or []),
-    )
+    ctx = FixContext(fix_commit=full, parent=parent, fix_lines=fix_lines)
+    return ctx if config is None else ctx.keep(config.fix_line_filter)
 
 
 def _cosmetic_drops(hunk) -> set[int]:
@@ -273,7 +277,9 @@ def trace_candidates(repo, ctx: FixContext, config: VariantConfig) -> list[BicCa
     for fl in ctx.fix_lines:
         by_file.setdefault(fl.file, {})[fl.line_no] = fl
 
-    grouped: dict[str, BicCandidate] = {}
+    support: dict[str, list[FixLine]] = {}
+    max_depth: dict[str, int] = {}
+    flagged_any: dict[str, bool] = {}
 
     for file, pending in by_file.items():
         pending = dict(pending)
@@ -281,14 +287,9 @@ def trace_candidates(repo, ctx: FixContext, config: VariantConfig) -> list[BicCa
         depth: dict[int, int] = {ln: 0 for ln in pending}
 
         def finalize(ln: int, origin: str, flagged: bool) -> None:
-            fl = pending.pop(ln)
-            cand = grouped.get(origin)
-            if cand is None:
-                cand = BicCandidate(commit=origin, supporting_lines=[])
-                grouped[origin] = cand
-            cand.supporting_lines.append(fl)
-            cand.trace_depth = max(cand.trace_depth, depth[ln])
-            cand.cosmetic_flagged = cand.cosmetic_flagged or flagged
+            support.setdefault(origin, []).append(pending.pop(ln))
+            max_depth[origin] = max(max_depth.get(origin, 0), depth[ln])
+            flagged_any[origin] = flagged_any.get(origin, False) or flagged
 
         while pending:
             records = repo.blame(ctx.parent, file, set(pending), frozenset(ignore))
@@ -314,13 +315,16 @@ def trace_candidates(repo, ctx: FixContext, config: VariantConfig) -> list[BicCa
             if pending and not progressed:
                 break  # blame yielded nothing to advance; avoid spinning
 
-    candidates = []
-    for sha in sorted(grouped):
-        cand = grouped[sha]
-        cand.supporting_lines.sort(key=lambda fl: (fl.file, fl.line_no))
-        cand.committer_time = repo.commit_meta(sha).committer_time
-        candidates.append(cand)
-    return candidates
+    return [
+        BicCandidate(
+            commit=sha,
+            supporting_lines=sorted(support[sha], key=lambda fl: (fl.file, fl.line_no)),
+            trace_depth=max_depth[sha],
+            cosmetic_flagged=flagged_any[sha],
+            committer_time=repo.commit_meta(sha).committer_time,
+        )
+        for sha in sorted(support)
+    ]
 
 
 def is_meta_change(repo, commit_id: str) -> bool:
@@ -340,14 +344,16 @@ def filter_candidates(
     ctx: FixContext,
     config: VariantConfig,
     refactorings: RefactoringRanges | None = None,
+    cutoff: datetime | None = None,
 ) -> list[BicCandidate]:
+    """Drop candidates per the variant's filters, and those committed
+    after ``cutoff`` when one is given. ``candidates`` is left as it was."""
     result = list(candidates)
 
     if DROP_META_CHANGES in config.bic_filters:
         result = [c for c in result if not is_meta_change(repo, c.commit)]
 
-    if DROP_AFTER_ISSUE_DATE in config.bic_filters and ctx.issue_dates:
-        cutoff = min(ctx.issue_dates)
+    if cutoff is not None:
         result = [c for c in result if _ctime(repo, c) <= cutoff]
 
     if DROP_REFACTORED_LINES in config.bic_filters:
@@ -364,27 +370,17 @@ def filter_candidates(
             ]
             if support:
                 if len(support) != len(cand.supporting_lines):
-                    cand = replace_support(cand, support)
+                    cand = replace(cand, supporting_lines=support)
                 kept.append(cand)
         result = kept
 
     return result
 
 
-def replace_support(cand: BicCandidate, support: list[FixLine]) -> BicCandidate:
-    return BicCandidate(
-        commit=cand.commit,
-        supporting_lines=support,
-        trace_depth=cand.trace_depth,
-        cosmetic_flagged=cand.cosmetic_flagged,
-        committer_time=cand.committer_time,
-    )
-
-
 def _ctime(repo, cand: BicCandidate) -> datetime:
-    if cand.committer_time is None:
-        cand.committer_time = repo.commit_meta(cand.commit).committer_time
-    return cand.committer_time
+    if cand.committer_time is not None:
+        return cand.committer_time
+    return repo.commit_meta(cand.commit).committer_time
 
 
 def select(candidates: list[BicCandidate], config: VariantConfig, repo=None) -> list[BicCandidate]:
@@ -396,18 +392,46 @@ def select(candidates: list[BicCandidate], config: VariantConfig, repo=None) -> 
     empty."""
     if config.selection == SELECT_ALL or not candidates:
         return list(candidates)
-    for cand in candidates:
-        if cand.committer_time is None:
-            if repo is None:
-                raise ConfigurationError("selection needs committer times")
-            _ctime(repo, cand)
+    if repo is None and any(c.committer_time is None for c in candidates):
+        raise ConfigurationError("selection needs committer times")
     if config.selection == SELECT_LARGEST:
-        key = lambda c: (-len(c.supporting_lines), -c.committer_time.timestamp(), c.commit)
+        key = lambda c: (-len(c.supporting_lines), -_ctime(repo, c).timestamp(), c.commit)
     elif config.selection == SELECT_LATEST:
-        key = lambda c: (-c.committer_time.timestamp(), c.commit)
+        key = lambda c: (-_ctime(repo, c).timestamp(), c.commit)
     else:
         raise ConfigurationError(f"unknown selection {config.selection!r}")
     return [sorted(candidates, key=key)[0]]
+
+
+def run_configs(
+    repo,
+    fix_commit: str,
+    configs: list[VariantConfig],
+    issue_dates: list[datetime] | None = None,
+    refactorings: RefactoringRanges | None = None,
+) -> list[list[BicCandidate]]:
+    """Full pipeline for one fix under several configurations, one result
+    per configuration, in order.
+
+    The work the configurations share is done once: the fix's lines are
+    extracted and classified once, and each distinct (fix-line filter,
+    trace, depth limit) is traced once. Every configuration then only
+    filters and selects from those read-only candidates.
+
+    Passing ``issue_dates`` drops candidates committed after the earliest
+    of them under every configuration (presets never include this filter;
+    it is a per-experiment regime)."""
+    ctx = extract_fix_lines(repo, fix_commit)
+    cutoff = min(issue_dates) if issue_dates else None
+    traces: dict[tuple[frozenset[str], str, int], list[BicCandidate]] = {}
+    results = []
+    for config in configs:
+        key = (config.fix_line_filter, config.trace, config.depth_limit)
+        if key not in traces:
+            traces[key] = trace_candidates(repo, ctx.keep(config.fix_line_filter), config)
+        candidates = filter_candidates(repo, traces[key], ctx, config, refactorings, cutoff)
+        results.append(select(candidates, config, repo))
+    return results
 
 
 def run_config(
@@ -417,19 +441,8 @@ def run_config(
     issue_dates: list[datetime] | None = None,
     refactorings: RefactoringRanges | None = None,
 ) -> list[BicCandidate]:
-    """Full pipeline for one fix under an explicit configuration.
-
-    Passing ``issue_dates`` turns on the issue-date candidate filter for
-    this run regardless of the configuration (presets never include it;
-    it is a per-experiment regime)."""
-    if issue_dates:
-        config = replace(
-            config, bic_filters=config.bic_filters | {DROP_AFTER_ISSUE_DATE}
-        )
-    ctx = extract_fix_lines(repo, fix_commit, config, issue_dates=issue_dates)
-    candidates = trace_candidates(repo, ctx, config)
-    candidates = filter_candidates(repo, candidates, ctx, config, refactorings)
-    return select(candidates, config, repo)
+    """``run_configs`` for a single configuration."""
+    return run_configs(repo, fix_commit, [config], issue_dates, refactorings)[0]
 
 
 def run_variant(

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 import subprocess
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -188,9 +188,6 @@ class GitRepo:
         self._meta_cache[full] = meta
         return meta
 
-    def is_merge(self, commit_id: str) -> bool:
-        return len(self.commit_meta(commit_id).parents) >= 2
-
     def file_at(self, revision: str, path: str) -> str:
         full = self.resolve(revision)
         out = self._git("show", f"{full}:{path}")
@@ -234,10 +231,6 @@ class GitRepo:
         args += [full, "--", file]
         out = self._git(*args)
         return parse_porcelain_blame(out.decode("utf-8", "replace"))
-
-
-def open_repo(path: str | Path) -> GitRepo:
-    return GitRepo(path)
 
 
 def parse_unified_diff(text: str) -> tuple[DiffHunk, ...]:

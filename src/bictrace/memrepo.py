@@ -10,7 +10,7 @@ history as an on-disk git repository so the model itself can be validated
 against the real backend.
 
 Implements the same read interface as the git facade: resolve,
-commit_meta, is_merge, diff_against_parent, blame, file_at.
+commit_meta, diff_against_parent, blame, file_at.
 """
 
 from __future__ import annotations
@@ -86,9 +86,6 @@ class InMemoryRepo:
             committer_time=c.time,
             message=c.message,
         )
-
-    def is_merge(self, commit_id: str) -> bool:
-        return len(self.commit_meta(commit_id).parents) >= 2
 
     def _chain(self, commit_id: str) -> list[MemCommit]:
         """First-parent chain from the commit back to its root."""

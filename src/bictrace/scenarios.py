@@ -21,9 +21,8 @@ from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
+from .engine import PRESET_NAMES
 from .oracle import IssueRef, OracleDataset, OracleEntry
-
-PRESET_NAMES = ("B", "AG", "MA", "L", "R", "RA-lite")
 
 _BASE_TIME = datetime(2020, 1, 1, tzinfo=timezone.utc)
 _IDENT = ("fixture", "fixture@example.invalid")

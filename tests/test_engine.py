@@ -8,6 +8,7 @@ from datetime import datetime, timedelta, timezone
 
 import pytest
 
+from bictrace import engine
 from bictrace.engine import (
     DEFAULT_DEPTH_LIMIT,
     DROP_REFACTORED_LINES,
@@ -26,6 +27,7 @@ from bictrace.engine import (
     preset,
     preset_name,
     run_config,
+    run_configs,
     run_variant,
     select,
     simulate_best_case_issue_date,
@@ -280,6 +282,78 @@ def test_best_case_date_keeps_every_true_positive(suite):
         dated = run_variant(repo, sc.fix, "MA", issue_dates=[cutoff])
         assert dated <= plain, name
         assert plain & set(sc.true_bics) <= dated, name
+
+
+# --- shared work across presets -----------------------------------------------
+
+
+def _regimes(repo, sc):
+    """(regime, issue dates) pairs as ``detect`` builds them for a scenario."""
+    yield "none", None
+    yield "issue-date", [issue.opened_at for issue in sc.issues]
+    if sc.true_bics:
+        yield "best-case-date", [simulate_best_case_issue_date(repo, sc.true_bics)]
+
+
+def test_all_presets_at_once_match_each_alone(suite, suite_ranges):
+    configs = [PRESETS[key] for key in PRESET_NAMES]
+    for name in sorted(suite):
+        sc = suite[name]
+        repo = GitRepo(sc.path)
+        for regime, dates in _regimes(repo, sc):
+            together = run_configs(repo, sc.fix, configs, dates, suite_ranges)
+            for key, got in zip(PRESET_NAMES, together):
+                alone = run_config(repo, sc.fix, PRESETS[key], dates, suite_ranges)
+                assert got == alone, f"{name} {regime} {key}"
+            # shared candidates carry no state from one preset to the next
+            backwards = run_configs(repo, sc.fix, configs[::-1], dates, suite_ranges)
+            assert backwards == together[::-1], f"{name} {regime}"
+
+
+class _CountingRepo:
+    """Passes every call through to a repository, recording blame calls
+    and file reads."""
+
+    def __init__(self, repo):
+        self._repo = repo
+        self.blames = 0
+        self.reads: list[tuple[str, str]] = []
+
+    def __getattr__(self, name):
+        return getattr(self._repo, name)
+
+    def blame(self, *args):
+        self.blames += 1
+        return self._repo.blame(*args)
+
+    def file_at(self, revision, path):
+        self.reads.append((revision, path))
+        return self._repo.file_at(revision, path)
+
+
+def test_all_presets_trace_at_most_twice(suite, suite_ranges, monkeypatch):
+    traced = []
+    real_trace = engine.trace_candidates
+
+    def counting_trace(repo, ctx, config):
+        traced.append(config)
+        return real_trace(repo, ctx, config)
+
+    monkeypatch.setattr(engine, "trace_candidates", counting_trace)
+    configs = [PRESETS[key] for key in PRESET_NAMES]
+    for name in sorted(suite):
+        sc = suite[name]
+        together = _CountingRepo(GitRepo(sc.path))
+        traced.clear()
+        run_configs(together, sc.fix, configs, refactorings=suite_ranges)
+        assert len(traced) <= 2, name
+        assert len(together.reads) == len(set(together.reads)), name
+
+        # the blame calls are exactly those of B and AG run on their own
+        plain, ag = _CountingRepo(GitRepo(sc.path)), _CountingRepo(GitRepo(sc.path))
+        run_config(plain, sc.fix, PRESETS["B"])
+        run_config(ag, sc.fix, PRESETS["AG"])
+        assert together.blames == plain.blames + ag.blames, name
 
 
 # --- selection ----------------------------------------------------------------

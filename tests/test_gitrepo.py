@@ -18,7 +18,6 @@ from bictrace.gitrepo import (
     BlameRecord,
     DiffHunk,
     GitRepo,
-    open_repo,
     parse_porcelain_blame,
     parse_unified_diff,
 )
@@ -110,8 +109,6 @@ def test_merge_parent_order(shop):
     repo, labels, _ = shop
     meta = repo.commit_meta(labels["merge"])
     assert meta.parents == (labels["pure_rename"], labels["side"])
-    assert repo.is_merge(labels["merge"])
-    assert not repo.is_merge(labels["edit"])
 
 
 def test_file_at(shop):
@@ -208,7 +205,7 @@ def test_blame_errors(shop):
 
 def test_not_a_repository(tmp_path):
     with pytest.raises(NotARepositoryError):
-        open_repo(tmp_path)
+        GitRepo(tmp_path)
 
 
 def test_corrupt_object_detected(tmp_path):

@@ -78,7 +78,6 @@ def test_meta_and_merge_flags():
     meta = repo.commit_meta(edit)
     assert meta.parents == (root,)
     assert meta.committer_time.tzinfo is timezone.utc
-    assert not repo.is_merge(edit)
 
 
 def test_file_and_diff():

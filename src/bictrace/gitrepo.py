@@ -235,60 +235,53 @@ class GitRepo:
 
 def parse_unified_diff(text: str) -> tuple[DiffHunk, ...]:
     """Parse ``git diff -U0`` output into hunks carrying 1-based pre/post
-    line numbers. Lines flagged "No newline at end of file" are markers,
+    line numbers. A hunk body is read by the line counts of its ``@@``
+    header, so a removed ``-- x`` or an added ``++ x`` is content, never a
+    file header. Lines flagged "No newline at end of file" are markers,
     not content."""
     hunks: list[DiffHunk] = []
     file_pre: str | None = None
     file_post: str | None = None
-    cur_removed: list[tuple[int, str]] = []
-    cur_added: list[tuple[int, str]] = []
-    pre_no = post_no = 0
-    in_hunk = False
-
-    def flush() -> None:
-        nonlocal in_hunk
-        if in_hunk:
-            hunks.append(
-                DiffHunk(file_pre, file_post, tuple(cur_removed), tuple(cur_added))
-            )
-            cur_removed.clear()
-            cur_added.clear()
-            in_hunk = False
-
-    for line in text.split("\n"):
+    lines = text.split("\n")
+    i = 0
+    while i < len(lines):
+        line = lines[i]
+        i += 1
         if line.startswith("diff --git "):
-            flush()
             file_pre = file_post = None
-            continue
-        if line.startswith("--- "):
+        elif line.startswith("--- "):
             file_pre = _strip_prefix(line[4:], "a/")
-            continue
-        if line.startswith("+++ "):
+        elif line.startswith("+++ "):
             file_post = _strip_prefix(line[4:], "b/")
-            continue
-        if line.startswith("rename from "):
+        elif line.startswith("rename from "):
             file_pre = _unquote_path(line[len("rename from ") :])
-            continue
-        if line.startswith("rename to "):
+        elif line.startswith("rename to "):
             file_post = _unquote_path(line[len("rename to ") :])
-            continue
-        m = _HUNK_RE.match(line)
-        if m:
-            flush()
-            in_hunk = True
-            pre_no = int(m.group(1))
-            post_no = int(m.group(3))
-            continue
-        if not in_hunk:
-            continue
-        if line.startswith("-"):
-            cur_removed.append((pre_no, line[1:]))
-            pre_no += 1
-        elif line.startswith("+"):
-            cur_added.append((post_no, line[1:]))
-            post_no += 1
-        # "\ No newline at end of file" and stray context fall through
-    flush()
+        elif m := _HUNK_RE.match(line):
+            pre_no, post_no = int(m.group(1)), int(m.group(3))
+            pre_left = int(m.group(2) or 1)
+            post_left = int(m.group(4) or 1)
+            removed: list[tuple[int, str]] = []
+            added: list[tuple[int, str]] = []
+            while (pre_left or post_left) and i < len(lines):
+                body = lines[i]
+                if body.startswith("-") and pre_left:
+                    removed.append((pre_no, body[1:]))
+                    pre_no += 1
+                    pre_left -= 1
+                elif body.startswith("+") and post_left:
+                    added.append((post_no, body[1:]))
+                    post_no += 1
+                    post_left -= 1
+                elif body.startswith(" ") and pre_left and post_left:
+                    pre_no += 1
+                    post_no += 1
+                    pre_left -= 1
+                    post_left -= 1
+                elif not body.startswith("\\"):
+                    break  # a short hunk: leave the line to the outer loop
+                i += 1
+            hunks.append(DiffHunk(file_pre, file_post, tuple(removed), tuple(added)))
     return tuple(hunks)
 
 

@@ -1,9 +1,13 @@
 """Repository facade: resolution, metadata, diffs, blame, error taxonomy."""
 
 import subprocess
+import tempfile
 from datetime import timezone
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bictrace.errors import (
     AmbiguousCommitError,
@@ -282,6 +286,105 @@ def test_parse_unified_diff_deleted_file():
     assert h.file_post is None
     assert h.removed == ((1, "one"), (2, "two"))
     assert h.added == ()
+
+
+def test_parse_unified_diff_body_lines_that_look_like_headers():
+    # a removed SQL comment "-- old" shows as "--- old", an added "++ n"
+    # as "+++ n": inside a hunk both are content, not file headers
+    text = (
+        "diff --git a/q.sql b/q.sql\n"
+        "--- a/q.sql\n"
+        "+++ b/q.sql\n"
+        "@@ -2,2 +2,3 @@\n"
+        "--- old comment\n"
+        "-select 1;\n"
+        "+-- new comment\n"
+        "+++ counter\n"
+        "+select 2;\n"
+        "@@ -9 +10 @@\n"
+        "-@@ -1 +1 @@\n"
+        "+\\ plain text\n"
+    )
+    assert parse_unified_diff(text) == (
+        DiffHunk(
+            "q.sql", "q.sql",
+            ((2, "-- old comment"), (3, "select 1;")),
+            ((2, "-- new comment"), (3, "++ counter"), (4, "select 2;")),
+        ),
+        DiffHunk("q.sql", "q.sql", ((9, "@@ -1 +1 @@"),), ((10, "\\ plain text"),)),
+    )
+
+
+def test_diff_of_sql_comment_edit(tmp_path):
+    s = GitScripter(tmp_path)
+    s.write("q.sql", "select 1;\n-- count rows\nselect 2;\n")
+    root = s.commit("add query")
+    s.write("q.sql", "select 1;\n-- count all rows\n++ tally\nselect 2;\n")
+    fix = s.commit("reword comment")
+    hunks = GitRepo(s.path).diff_against_parent(fix, root)
+    assert hunks == (
+        DiffHunk(
+            "q.sql", "q.sql",
+            ((2, "-- count rows"),),
+            ((2, "-- count all rows"), (3, "++ tally")),
+        ),
+    )
+
+
+_LOOKALIKE_HEADS = ("", "-", "+", " ", "--", "++", "---", "+++", "-- ", "++ ", "@@", "@@ -1 +1 @@", "\\")
+_file_lines = st.lists(
+    st.builds(
+        str.__add__,
+        st.sampled_from(_LOOKALIKE_HEADS),
+        st.sampled_from(("", "x", " a/x", "-1", "+1", " No newline at end of file")),
+    ),
+    max_size=8,
+)
+
+
+def _content(lines: list[str], final_newline: bool) -> str:
+    text = "".join(line + "\n" for line in lines)
+    return text if final_newline else text[:-1]
+
+
+def _lines(content: str) -> list[str]:
+    lines = content.split("\n")
+    return lines[:-1] if lines[-1] == "" else lines
+
+
+@settings(max_examples=60, deadline=None)
+@given(pre=_file_lines, post=_file_lines, pre_nl=st.booleans(), post_nl=st.booleans())
+def test_parse_unified_diff_agrees_with_git(pre, post, pre_nl, post_nl):
+    """Differential: real ``git diff -U0`` over generated files whose lines
+    look like diff syntax; the parsed edits must turn one file into the
+    other."""
+    pre_text, post_text = _content(pre, pre_nl), _content(post, post_nl)
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for side, text in (("pre", pre_text), ("post", post_text)):
+            (root / side).mkdir()
+            (root / side / "f").write_text(text, encoding="utf-8")
+        proc = subprocess.run(
+            ["git", "diff", "--no-index", "--no-ext-diff", "--no-color", "-U0", "pre/f", "post/f"],
+            cwd=root, capture_output=True,
+            env={"GIT_CONFIG_GLOBAL": "/dev/null", "GIT_CONFIG_NOSYSTEM": "1"},
+        )
+    assert proc.returncode in (0, 1), proc.stderr
+    pre_lines, post_lines = _lines(pre_text), _lines(post_text)
+
+    hunks = parse_unified_diff(proc.stdout.decode("utf-8"))
+    removed = {n: text for h in hunks for n, text in h.removed}
+    added = {n: text for h in hunks for n, text in h.added}
+    assert all((h.file_pre, h.file_post) == ("pre/f", "post/f") for h in hunks)
+    assert sum(len(h.removed) for h in hunks) == len(removed)
+    assert sum(len(h.added) for h in hunks) == len(added)
+    for n, text in removed.items():
+        assert pre_lines[n - 1] == text
+    for n, text in added.items():
+        assert post_lines[n - 1] == text
+    kept_pre = [line for n, line in enumerate(pre_lines, 1) if n not in removed]
+    kept_post = [line for n, line in enumerate(post_lines, 1) if n not in added]
+    assert kept_pre == kept_post
 
 
 def test_parse_porcelain_blame_filename_fallback():

@@ -7,12 +7,18 @@ for line attribution. Rename following is left to git itself (blame
 follows renames by default; diffs are asked for rename detection at a
 fixed 50% similarity threshold so results are reproducible).
 
+Answers depend only on the repository's objects: every call pins the
+config settings that change diff or blame output, turns off external
+diff drivers, textconv filters and ignore-revs files, and runs git in the
+C locale so that its error messages read as ``_raise_for`` expects.
+
 Snapshots never mutate the repository and are safe to share across
 threads; each subprocess call is independent.
 """
 
 from __future__ import annotations
 
+import os
 import re
 import subprocess
 from dataclasses import dataclass
@@ -30,6 +36,16 @@ from .errors import (
 )
 
 RENAME_THRESHOLD = "50%"
+
+# user or repository config that would change what git prints
+PINNED_CONFIG = (
+    "core.quotePath=false",
+    "diff.noprefix=false",
+    "diff.mnemonicPrefix=false",
+    "diff.algorithm=myers",
+    "diff.indentHeuristic=true",
+    "color.ui=never",
+)
 
 _HUNK_RE = re.compile(r"^@@ -(\d+)(?:,(\d+))? \+(\d+)(?:,(\d+))? @@")
 _BLAME_HEAD_RE = re.compile(r"^([0-9a-f]{40}) (\d+) (\d+)(?: (\d+))?$")
@@ -104,10 +120,7 @@ class GitRepo:
 
     def __init__(self, path: str | Path):
         self.path = str(path)
-        probe = subprocess.run(
-            ["git", "-C", self.path, "rev-parse", "--git-dir"],
-            capture_output=True,
-        )
+        probe = self._run("rev-parse", "--git-dir")
         if probe.returncode != 0:
             raise NotARepositoryError(
                 f"{self.path}: {probe.stderr.decode('utf-8', 'replace').strip()}"
@@ -121,12 +134,17 @@ class GitRepo:
 
     # -- plumbing ---------------------------------------------------------
 
-    def _git(self, *args: str, check: bool = True) -> bytes:
-        proc = subprocess.run(
-            ["git", "-C", self.path, "-c", "core.quotePath=false", *args],
-            capture_output=True,
+    def _run(self, *args: str) -> subprocess.CompletedProcess:
+        argv = ["git", "-C", self.path]
+        for setting in PINNED_CONFIG:
+            argv += ["-c", setting]
+        return subprocess.run(
+            [*argv, *args], capture_output=True, env={**os.environ, "LC_ALL": "C"}
         )
-        if check and proc.returncode != 0:
+
+    def _git(self, *args: str) -> bytes:
+        proc = self._run(*args)
+        if proc.returncode != 0:
             self._raise_for(proc.stderr.decode("utf-8", "replace"))
         return proc.stdout
 
@@ -205,7 +223,8 @@ class GitRepo:
         if cached is not None:
             return cached
         out = self._git(
-            "diff", "-U0", f"--find-renames={RENAME_THRESHOLD}", parent, full
+            "diff", "-U0", "--no-ext-diff", "--no-textconv", "--no-color",
+            f"--find-renames={RENAME_THRESHOLD}", parent, full,
         )
         hunks = parse_unified_diff(out.decode("utf-8", "replace"))
         self._diff_cache[key] = hunks
@@ -223,7 +242,8 @@ class GitRepo:
         they never happened; lines they would own are reattributed to the
         prior writer where one exists."""
         full = self.resolve(revision)
-        args = ["blame", "--porcelain"]
+        # an empty --ignore-revs-file drops those the config names
+        args = ["blame", "--porcelain", "--no-textconv", "--ignore-revs-file", ""]
         for ln in sorted(set(lines)):
             args += ["-L", f"{ln},{ln}"]
         for sha in sorted(ignore_commits):

@@ -225,6 +225,77 @@ def test_corrupt_object_detected(tmp_path):
         repo.commit_meta(sha)
 
 
+@pytest.fixture
+def configurable(tmp_path):
+    """A fix touching three files, each shaped so that one kind of config
+    would change its diff: a path under ``a/`` (prefixes), a pair that
+    myers and histogram split differently, and one the indent heuristic
+    slides."""
+    s = GitScripter(tmp_path / "repo")
+    s.write("a/core.c", "int one;\nint two;\nint three;\n")
+    s.write("alg.txt", "a\na\nx\n")
+    s.write("ind.txt", "\nx\nx\nc\nx\nb\na\n")
+    root = s.commit("add files")
+    s.write("a/core.c", "int one;\nint TWO;\nint three;\n")
+    s.write("alg.txt", "a\n}\nx\nb\n}\nx\na\n")
+    s.write("ind.txt", "\nx\nc\n")
+    fix = s.commit("rework files")
+    s.finish()
+    return s.path, root, fix
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("diff.noprefix", "true"),
+        ("diff.mnemonicPrefix", "true"),
+        ("diff.algorithm", "histogram"),
+        ("diff.indentHeuristic", "false"),
+        ("color.ui", "always"),
+        ("color.diff", "always"),
+        ("diff.external", "true"),
+        ("diff.shift.textconv", "sed 1d"),
+        ("blame.ignoreRevsFile", "IGNORE_REVS"),
+    ],
+)
+def test_repository_config_changes_no_answer(configurable, key, value):
+    path, root, fix = configurable
+    repo = GitRepo(path)
+    want_diff = repo.diff_against_parent(fix, root)
+    want_blame = repo.blame(fix, "a/core.c", [1, 2, 3])
+    assert want_diff[0].file_pre == "a/core.c"
+    assert [r.origin for r in want_blame] == [root, fix, root]
+
+    ignore_revs = path.parent / "ignore-revs"
+    ignore_revs.write_text(fix + "\n")
+    (path / ".git" / "info" / "attributes").write_text("*.c diff=shift\n")
+    if value == "IGNORE_REVS":
+        value = str(ignore_revs)
+    subprocess.run(["git", "-C", str(path), "config", key, value], check=True)
+
+    configured = GitRepo(path)
+    assert configured.diff_against_parent(fix, root) == want_diff
+    assert configured.blame(fix, "a/core.c", [1, 2, 3]) == want_blame
+
+
+def test_git_runs_in_the_c_locale(shop, monkeypatch):
+    monkeypatch.setenv("LC_ALL", "de_DE.UTF-8")
+    envs = []
+    real_run = subprocess.run
+
+    def spy(argv, **kwargs):
+        envs.append(kwargs.get("env"))
+        return real_run(argv, **kwargs)
+
+    monkeypatch.setattr(subprocess, "run", spy)
+    repo, labels, _ = shop
+    fresh = GitRepo(repo.path)
+    fresh.commit_meta(labels["edit"])
+    with pytest.raises(UnknownCommitError):
+        fresh.resolve("no-such-branch")
+    assert envs and all(env is not None and env["LC_ALL"] == "C" for env in envs)
+
+
 def test_parse_unified_diff_shapes():
     text = (
         "diff --git a/x.c b/x.c\n"

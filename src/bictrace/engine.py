@@ -203,13 +203,11 @@ def load_refactoring_ranges(path: str | Path) -> RefactoringRanges:
     return ranges
 
 
-def extract_fix_lines(
-    repo, fix_commit: str, config: VariantConfig | None = None
-) -> FixContext:
+def extract_fix_lines(repo, fix_commit: str) -> FixContext:
     """Collect the pre-image lines a fix removed or modified, each with its
     class and whether the fix only reformatted it. Every pre-image file is
-    read and classified once. With ``config``, only the lines its fix-line
-    filter keeps remain. A fix that only adds lines yields an empty
+    read and classified once; ``FixContext.keep`` narrows the lines to a
+    variant's fix-line filter. A fix that only adds lines yields an empty
     context, which is a valid (empty) detection result."""
     full = repo.resolve(fix_commit)
     meta = repo.commit_meta(full)
@@ -235,8 +233,7 @@ def extract_fix_lines(
             fix_lines.append(FixLine(file, line_no, text, cls, line_no in cosmetic))
 
     fix_lines.sort(key=lambda fl: (fl.file, fl.line_no))
-    ctx = FixContext(fix_commit=full, parent=parent, fix_lines=fix_lines)
-    return ctx if config is None else ctx.keep(config.fix_line_filter)
+    return FixContext(fix_commit=full, parent=parent, fix_lines=fix_lines)
 
 
 def _cosmetic_drops(hunk) -> set[int]:

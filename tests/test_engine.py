@@ -155,7 +155,7 @@ def test_load_ranges_rejects_malformed_rows(tmp_path):
 def test_extract_keeps_everything_without_filters(suite):
     sc = suite["comment_blank_extract"]
     repo = GitRepo(sc.path)
-    ctx = extract_fix_lines(repo, sc.fix, PRESETS["B"])
+    ctx = extract_fix_lines(repo, sc.fix)
     classes = {fl.line_class for fl in ctx.fix_lines}
     assert LineClass.COMMENT in classes or LineClass.BLANK in classes
     assert ctx.fix_commit == sc.fix
@@ -165,17 +165,17 @@ def test_extract_keeps_everything_without_filters(suite):
 def test_extract_drops_comment_blank_cosmetic(suite):
     sc = suite["comment_blank_extract"]
     repo = GitRepo(sc.path)
-    ctx = extract_fix_lines(repo, sc.fix, PRESETS["AG"])
+    ctx = extract_fix_lines(repo, sc.fix).keep(PRESETS["AG"].fix_line_filter)
     for fl in ctx.fix_lines:
         assert fl.line_class not in (LineClass.COMMENT, LineClass.BLANK)
-    b_ctx = extract_fix_lines(repo, sc.fix, PRESETS["B"])
+    b_ctx = extract_fix_lines(repo, sc.fix)
     assert len(ctx.fix_lines) < len(b_ctx.fix_lines)
 
 
 def test_extract_additive_fix_is_empty(suite):
     sc = suite["added_only_fix"]
     repo = GitRepo(sc.path)
-    ctx = extract_fix_lines(repo, sc.fix, PRESETS["B"])
+    ctx = extract_fix_lines(repo, sc.fix)
     assert ctx.fix_lines == []
 
 
@@ -183,7 +183,7 @@ def test_extract_rejects_root_commit(suite):
     sc = suite["plain_bug_fix"]
     repo = GitRepo(sc.path)
     with pytest.raises(RootCommitError):
-        extract_fix_lines(repo, sc.labels["root"], PRESETS["B"])
+        extract_fix_lines(repo, sc.labels["root"])
 
 
 # --- the full preset table over the scripted suite ---------------------------

@@ -1,17 +1,24 @@
-"""Full-corpus evaluation driver.
+"""Evaluation driver: detect, evaluate and report in one go.
 
-Takes a real oracle dataset plus a directory of repository clones, runs
-the detector presets over a chosen slice of it, and scores the results.
-Typical replication sequence:
+Takes an oracle dataset plus a directory of repository clones, runs the
+detector presets under each chosen regime over a slice of it, and scores
+the results. Typical replication sequence:
 
     python scripts/run_full_evaluation.py --dataset oracle.json \
         --clones-root /data/clones --subset supported --out-dir runs_all
     python scripts/run_full_evaluation.py --dataset oracle.json \
-        --clones-root /data/clones --subset issues --regime issue-date \
-        --out-dir runs_issues
+        --clones-root /data/clones --subset issues \
+        --regime none,issue-date,best-case-date --out-dir runs_issues
 
 Expect hours of wall time on the ~1,900 entry corpus; entries whose
 clone is missing are skipped and flagged in the run files.
+
+`--desk` instead builds the scripted history suite under --out-dir and
+uses its oracle, clones and refactoring ranges; every regime over it
+takes a few seconds:
+
+    python scripts/run_full_evaluation.py --desk \
+        --regime none,issue-date,best-case-date --out-dir desk_run
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from pathlib import Path
 
 from bictrace.cli import CLONES_ROOT_ENV, main as cli
 from bictrace.oracle import load_oracle, save_oracle, subset_issues, subset_language, subset_supported
+from bictrace.scenarios import build_all, suite_oracle, write_suite_refactorings
 
 DATASET_ENV = "BICTRACE_REPLICATION_DATASET"
 
@@ -41,13 +49,18 @@ def main(argv: list[str] | None = None) -> int:
         help=f"directory holding the clones (or ${CLONES_ROOT_ENV})",
     )
     ap.add_argument(
+        "--desk",
+        action="store_true",
+        help="build and use the scripted suite in place of --dataset and --clones-root",
+    )
+    ap.add_argument(
         "--subset",
         choices=("full", "supported", "issues", "language"),
         default="supported",
         help="slice of the dataset to evaluate (default: supported)",
     )
     ap.add_argument("--language", help="language name when --subset language")
-    ap.add_argument("--regime", choices=("none", "issue-date", "best-case-date"), default="none")
+    ap.add_argument("--regime", default="none", help="comma-separated date regimes")
     ap.add_argument("--presets", default="B,AG,MA,L,R")
     ap.add_argument("--refactorings", help="CSV of refactored ranges (enables RA-lite)")
     ap.add_argument("--workers", type=int, default=8)
@@ -55,14 +68,25 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--out-dir", required=True)
     args = ap.parse_args(argv)
 
-    if not args.dataset:
-        ap.error(f"--dataset is required (or set ${DATASET_ENV})")
-    if not args.clones_root:
-        ap.error(f"--clones-root is required (or set ${CLONES_ROOT_ENV})")
     if args.subset == "language" and not args.language:
         ap.error("--subset language needs --language")
+    out = Path(args.out_dir)
+    if args.desk:
+        clones = out / "clones"
+        if clones.exists():
+            ap.error(f"{clones} already exists; pick a fresh directory")
+        clones.mkdir(parents=True)
+        suite = build_all(clones)
+        dataset = suite_oracle(suite)
+        args.clones_root = str(clones)
+        args.refactorings = str(write_suite_refactorings(suite, out / "refactorings.csv"))
+    else:
+        if not args.dataset:
+            ap.error(f"--dataset is required (or set ${DATASET_ENV})")
+        if not args.clones_root:
+            ap.error(f"--clones-root is required (or set ${CLONES_ROOT_ENV})")
+        dataset = load_oracle(args.dataset)
 
-    dataset = load_oracle(args.dataset)
     print(f"loaded {len(dataset)} oracle entries")
     if args.subset != "full":
         dataset = subset_supported(dataset)
@@ -72,7 +96,6 @@ def main(argv: list[str] | None = None) -> int:
             dataset = subset_language(dataset, args.language)
         print(f"subset {args.subset}: {len(dataset)} entries")
 
-    out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     dataset_path = out / "dataset.json"
     save_oracle(dataset, dataset_path)

@@ -8,6 +8,8 @@ timestamps, making reruns byte-identical.
 Exit status: 0 when every entry was processed, 2 when some entries were
 skipped (missing clone, unresolvable commit; each skip is reported), 1 on
 hard failures such as unreadable inputs or no usable repository at all.
+A ``detect`` over several regimes exits with the worst status one call
+per regime would give.
 """
 
 from __future__ import annotations
@@ -77,7 +79,11 @@ def _build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_PRESETS,
         help=f"comma-separated preset names (default: {DEFAULT_PRESETS})",
     )
-    detect.add_argument("--regime", choices=REGIMES, default="none")
+    detect.add_argument(
+        "--regime",
+        default="none",
+        help=f"comma-separated date regimes, from {', '.join(REGIMES)} (default: none)",
+    )
     detect.add_argument(
         "--refactorings",
         help="CSV of refactored line ranges (required for RA-lite)",
@@ -154,46 +160,59 @@ def _clone_dir(root: Path, entry: oracle.OracleEntry) -> Path:
     return root / (entry.clone_path or entry.repo)
 
 
-def _detect_group(path: Path, entries, configs, regime, ranges):
-    """Run every preset over one repository's entries, one shared
-    pipeline call per entry.
+def _cutoff(repo, entry: oracle.OracleEntry, regime: str):
+    """The latest committer time ``regime`` keeps for ``entry``, or None."""
+    if regime == "issue-date" and entry.issue_dates:
+        return min(entry.issue_dates)
+    if regime == "best-case-date":
+        return engine.simulate_best_case_issue_date(repo, entry.true_bics)
+    return None
 
-    Returns (results, flags, skips): results maps (repo, fix, preset name)
-    to a sorted hash tuple, flags maps (repo, fix) to the entry's flags,
-    skips maps (repo, fix) to a reason. A missing or unreadable clone skips
-    the whole group."""
-    results: dict[tuple[str, str, str], tuple[str, ...]] = {}
-    flags: dict[tuple[str, str], tuple[str, ...]] = {}
-    skips: dict[tuple[str, str], str] = {}
+
+def _detect_group(path: Path, entries, configs, regimes, ranges):
+    """Run every preset under every regime over one repository's entries,
+    one shared pipeline call per entry.
+
+    Returns (results, flags, skips): results maps (repo, fix, preset name,
+    regime) to a sorted hash tuple, flags and skips map (repo, fix, regime)
+    to the entry's flags and to a skip reason. A missing or unreadable
+    clone, or a fix that fails, skips the entry in every regime; a
+    best-case cutoff that cannot be simulated skips it in that regime."""
+    results: dict[tuple[str, str, str, str], tuple[str, ...]] = {}
+    flags: dict[tuple[str, str, str], tuple[str, ...]] = {}
+    skips: dict[tuple[str, str, str], str] = {}
     try:
         repo = GitRepo(path)
     except BictraceError:
         for e in entries:
-            skips[(e.repo, e.fix_commit)] = "clone-missing"
+            for regime in regimes:
+                skips[(e.repo, e.fix_commit, regime)] = "clone-missing"
         return results, flags, skips
 
     for e in entries:
-        key = (e.repo, e.fix_commit)
-        issue_dates = None
+        cutoffs = []
+        for regime in regimes:
+            try:
+                cutoffs.append((regime, _cutoff(repo, e, regime)))
+            except BictraceError as exc:
+                skips[(e.repo, e.fix_commit, regime)] = f"{type(exc).__name__}: {exc}"
+        if not cutoffs:
+            continue
         try:
-            if regime == "issue-date":
-                issue_dates = e.issue_dates
-                if not issue_dates:
-                    flags[key] = ("no-issue-dates",)
-            elif regime == "best-case-date":
-                issue_dates = [
-                    engine.simulate_best_case_issue_date(repo, e.true_bics)
-                ]
             found = engine.run_configs(
-                repo, e.fix_commit, [cfg for _, cfg in configs],
-                issue_dates=issue_dates, refactorings=ranges,
+                repo, e.fix_commit,
+                [(cfg, cutoff) for _, cutoff in cutoffs for _, cfg in configs],
+                refactorings=ranges,
             )
         except BictraceError as exc:
-            skips[key] = f"{type(exc).__name__}: {exc}"
-            flags.pop(key, None)
+            for regime in regimes:
+                skips[(e.repo, e.fix_commit, regime)] = f"{type(exc).__name__}: {exc}"
             continue
-        for (name, _), cands in zip(configs, found):
-            results[(e.repo, e.fix_commit, name)] = tuple(sorted(c.commit for c in cands))
+        pairs = [(name, regime) for regime, _ in cutoffs for name, _ in configs]
+        for (name, regime), cands in zip(pairs, found):
+            results[(e.repo, e.fix_commit, name, regime)] = tuple(sorted(c.commit for c in cands))
+        if "issue-date" in regimes and not e.issue_dates:
+            flags[(e.repo, e.fix_commit, "issue-date")] = ("no-issue-dates",)
     return results, flags, skips
 
 
@@ -208,6 +227,11 @@ def cmd_detect(args) -> int:
     names = [engine.preset_name(p) for p in args.presets.split(",") if p.strip()]
     if not names:
         print("error: no presets requested", file=sys.stderr)
+        return 1
+    regimes = [r.strip() for r in args.regime.split(",") if r.strip()]
+    if not regimes or not set(regimes) <= set(REGIMES):
+        print(f"error: unknown regime in {args.regime!r}; expected some of "
+              f"{', '.join(REGIMES)}", file=sys.stderr)
         return 1
 
     ranges = None
@@ -226,41 +250,53 @@ def cmd_detect(args) -> int:
     # one task per repository keeps each clone single-reader
     with ThreadPoolExecutor(max_workers=max(1, args.workers)) as pool:
         futures = [
-            pool.submit(_detect_group, path, entries, configs, args.regime, ranges)
+            pool.submit(_detect_group, path, entries, configs, regimes, ranges)
             for path, entries in sorted(groups.items())
         ]
         outcomes = [f.result() for f in futures]
 
     runs = {
-        name: evaluate.DetectionRun(variant=name, regime=args.regime)
-        for name, _ in configs
+        (name, regime): evaluate.DetectionRun(variant=name, regime=regime)
+        for regime in regimes
+        for name in names
     }
-    all_skips: dict[tuple[str, str], str] = {}
+    all_skips: dict[tuple[str, str, str], str] = {}
     for results, flags, skips in outcomes:
         all_skips.update(skips)
-        for (repo_name, fix, preset_name_), shas in results.items():
-            runs[preset_name_].identified[(repo_name, fix)] = frozenset(shas)
-        for key, entry_flags in flags.items():
-            for run in runs.values():
-                run.entry_flags[key] = entry_flags
+        for (repo_name, fix, name, regime), shas in results.items():
+            runs[name, regime].identified[(repo_name, fix)] = frozenset(shas)
+        for (repo_name, fix, regime), entry_flags in flags.items():
+            for name in names:
+                runs[name, regime].entry_flags[(repo_name, fix)] = entry_flags
 
-    for key in sorted(all_skips):
-        print(f"skipped {key[0]} {key[1]}: {all_skips[key]}", file=sys.stderr)
-    for run in runs.values():
-        run.skipped = sorted(all_skips)
-        run.identified = dict(sorted(run.identified.items()))
-
+    for repo_name, fix, regime in sorted(all_skips):
+        where = f" under {regime}" if len(regimes) > 1 else ""
+        print(
+            f"skipped {repo_name} {fix}{where}: {all_skips[repo_name, fix, regime]}",
+            file=sys.stderr,
+        )
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name, _ in configs:
-        target = out_dir / f"{name.lower()}_{args.regime}.json"
-        evaluate.save_run(runs[name], target)
+    skipped = {
+        regime: sorted(key[:2] for key in all_skips if key[2] == regime)
+        for regime in regimes
+    }
+    for (name, regime), run in runs.items():
+        run.skipped = skipped[regime]
+        run.identified = dict(sorted(run.identified.items()))
+        target = out_dir / f"{name.lower()}_{regime}.json"
+        evaluate.save_run(run, target)
         print(f"wrote {target}", file=sys.stderr)
 
-    if all_skips and len(all_skips) == len(dataset.entries):
-        print("error: no entry could be processed", file=sys.stderr)
-        return 1
-    return 2 if all_skips else 0
+    # the worst status one call per regime would give: 1, then 2, then 0
+    status = 0
+    for regime in regimes:
+        if skipped[regime] and len(skipped[regime]) == len(dataset.entries):
+            print(f"error: no entry could be processed under {regime}", file=sys.stderr)
+            status = 1
+        elif skipped[regime] and not status:
+            status = 2
+    return status
 
 
 # -- evaluate / report ----------------------------------------------------------

@@ -15,11 +15,13 @@ those choices into the classic algorithm family:
 All tracing happens against the first-parent pre-image of the fix commit,
 so removed-line numbers always refer to that revision.
 
-Presets run together share their common work: ``run_configs`` extracts
-and classifies a fix's lines once and traces each distinct (fix-line
-filter, trace, depth limit) once, so the six presets cost one plain-blame
-trace and one cosmetic-skipping trace per fix. Filters and selections
-then run per preset over those read-only candidates.
+A date regime is a cutoff on candidate committer times, not a variant.
+Presets and regimes run together share their common work: ``run_configs``
+extracts and classifies a fix's lines once and traces each distinct
+(fix-line filter, trace, depth limit) once, so the six presets under
+every regime cost one plain-blame trace and one cosmetic-skipping trace
+per fix. Filters, cutoffs and selections then run per (preset, cutoff)
+over those read-only candidates.
 """
 
 from __future__ import annotations
@@ -154,9 +156,9 @@ def _keeps(line_filter: frozenset[str], fl: FixLine) -> bool:
 class BicCandidate:
     commit: str
     supporting_lines: list[FixLine]
+    committer_time: datetime
     trace_depth: int = 0
     cosmetic_flagged: bool = False
-    committer_time: datetime | None = None
 
 
 class RefactoringRanges:
@@ -351,7 +353,7 @@ def filter_candidates(
         result = [c for c in result if not is_meta_change(repo, c.commit)]
 
     if cutoff is not None:
-        result = [c for c in result if _ctime(repo, c) <= cutoff]
+        result = [c for c in result if c.committer_time <= cutoff]
 
     if DROP_REFACTORED_LINES in config.bic_filters:
         if refactorings is None:
@@ -374,13 +376,7 @@ def filter_candidates(
     return result
 
 
-def _ctime(repo, cand: BicCandidate) -> datetime:
-    if cand.committer_time is not None:
-        return cand.committer_time
-    return repo.commit_meta(cand.commit).committer_time
-
-
-def select(candidates: list[BicCandidate], config: VariantConfig, repo=None) -> list[BicCandidate]:
+def select(candidates: list[BicCandidate], config: VariantConfig) -> list[BicCandidate]:
     """Reduce candidates per the variant's selection rule.
 
     Largest keeps the candidate with the most supporting lines, Latest the
@@ -389,12 +385,10 @@ def select(candidates: list[BicCandidate], config: VariantConfig, repo=None) -> 
     empty."""
     if config.selection == SELECT_ALL or not candidates:
         return list(candidates)
-    if repo is None and any(c.committer_time is None for c in candidates):
-        raise ConfigurationError("selection needs committer times")
     if config.selection == SELECT_LARGEST:
-        key = lambda c: (-len(c.supporting_lines), -_ctime(repo, c).timestamp(), c.commit)
+        key = lambda c: (-len(c.supporting_lines), -c.committer_time.timestamp(), c.commit)
     elif config.selection == SELECT_LATEST:
-        key = lambda c: (-_ctime(repo, c).timestamp(), c.commit)
+        key = lambda c: (-c.committer_time.timestamp(), c.commit)
     else:
         raise ConfigurationError(f"unknown selection {config.selection!r}")
     return [sorted(candidates, key=key)[0]]
@@ -403,43 +397,27 @@ def select(candidates: list[BicCandidate], config: VariantConfig, repo=None) -> 
 def run_configs(
     repo,
     fix_commit: str,
-    configs: list[VariantConfig],
-    issue_dates: list[datetime] | None = None,
+    runs: list[tuple[VariantConfig, datetime | None]],
     refactorings: RefactoringRanges | None = None,
 ) -> list[list[BicCandidate]]:
-    """Full pipeline for one fix under several configurations, one result
-    per configuration, in order.
+    """Full pipeline for one fix under several (configuration, cutoff)
+    runs, one candidate list per run, in order.
 
-    The work the configurations share is done once: the fix's lines are
-    extracted and classified once, and each distinct (fix-line filter,
-    trace, depth limit) is traced once. Every configuration then only
-    filters and selects from those read-only candidates.
-
-    Passing ``issue_dates`` drops candidates committed after the earliest
-    of them under every configuration (presets never include this filter;
-    it is a per-experiment regime)."""
+    A cutoff drops candidates committed after it; ``None`` keeps them all.
+    The work the runs share is done once: the fix's lines are extracted
+    and classified once, and each distinct (fix-line filter, trace, depth
+    limit) is traced once, whatever the cutoffs. Every run then only
+    filters and selects from those read-only candidates."""
     ctx = extract_fix_lines(repo, fix_commit)
-    cutoff = min(issue_dates) if issue_dates else None
     traces: dict[tuple[frozenset[str], str, int], list[BicCandidate]] = {}
     results = []
-    for config in configs:
+    for config, cutoff in runs:
         key = (config.fix_line_filter, config.trace, config.depth_limit)
         if key not in traces:
             traces[key] = trace_candidates(repo, ctx.keep(config.fix_line_filter), config)
         candidates = filter_candidates(repo, traces[key], ctx, config, refactorings, cutoff)
-        results.append(select(candidates, config, repo))
+        results.append(select(candidates, config))
     return results
-
-
-def run_config(
-    repo,
-    fix_commit: str,
-    config: VariantConfig,
-    issue_dates: list[datetime] | None = None,
-    refactorings: RefactoringRanges | None = None,
-) -> list[BicCandidate]:
-    """``run_configs`` for a single configuration."""
-    return run_configs(repo, fix_commit, [config], issue_dates, refactorings)[0]
 
 
 def run_variant(
@@ -450,9 +428,10 @@ def run_variant(
     refactorings: RefactoringRanges | None = None,
 ) -> set[str]:
     """Detected bug-inducing commits (full hashes) for one fix under a
-    named preset."""
-    cfg = preset(preset_name_)
-    cands = run_config(repo, fix_commit, cfg, issue_dates, refactorings)
+    named preset; with ``issue_dates``, only those committed no later
+    than the earliest of them."""
+    cutoff = min(issue_dates) if issue_dates else None
+    [cands] = run_configs(repo, fix_commit, [(preset(preset_name_), cutoff)], refactorings)
     return {c.commit for c in cands}
 
 

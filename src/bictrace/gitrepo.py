@@ -10,7 +10,10 @@ fixed 50% similarity threshold so results are reproducible).
 Answers depend only on the repository's objects: every call pins the
 config settings that change diff or blame output, turns off external
 diff drivers, textconv filters and ignore-revs files, and runs git in the
-C locale so that its error messages read as ``_raise_for`` expects.
+C locale so that its error messages read as ``_raise_for`` expects. One
+setting cannot be undone: git opens every ``blame.ignoreRevsFile`` the
+config names before ``--ignore-revs-file ""`` resets the list, so one
+naming a missing file fails every blame with a ``ConfigurationError``.
 
 Snapshots never mutate the repository and are safe to share across
 threads; each subprocess call is independent.
@@ -27,6 +30,7 @@ from pathlib import Path
 
 from .errors import (
     AmbiguousCommitError,
+    ConfigurationError,
     CorruptRepositoryError,
     LineOutOfRangeError,
     NotAParentError,
@@ -159,6 +163,8 @@ class GitRepo:
             raise LineOutOfRangeError(msg)
         if "no such path" in low or "does not exist in" in low or "exists on disk, but not in" in low:
             raise PathMissingError(msg)
+        if "could not open object name list" in low:
+            raise ConfigurationError(f"blame.ignoreRevsFile names a missing file: {msg}")
         if "corrupt" in low or "object file" in low and "empty" in low:
             raise CorruptRepositoryError(msg)
         if (
@@ -204,6 +210,9 @@ class GitRepo:
             message=body,
         )
         self._meta_cache[full] = meta
+        # hashes git printed name commits: resolving them needs no rev-parse
+        for sha in (head, *meta.parents):
+            self._resolve_cache[sha] = sha
         return meta
 
     def file_at(self, revision: str, path: str) -> str:
@@ -250,7 +259,10 @@ class GitRepo:
             args += ["--ignore-rev", sha]
         args += [full, "--", file]
         out = self._git(*args)
-        return parse_porcelain_blame(out.decode("utf-8", "replace"))
+        records = parse_porcelain_blame(out.decode("utf-8", "replace"))
+        for rec in records:
+            self._resolve_cache[rec.origin] = rec.origin
+        return records
 
 
 def parse_unified_diff(text: str) -> tuple[DiffHunk, ...]:

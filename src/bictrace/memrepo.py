@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-import subprocess
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -30,6 +29,7 @@ from .errors import (
     UnknownCommitError,
 )
 from .gitrepo import BlameRecord, CommitMeta, DiffHunk
+from .scenarios import GitScripter
 
 MODEL_FILE = "model.c"
 _EPOCH = datetime(2021, 6, 1, tzinfo=timezone.utc)
@@ -324,55 +324,16 @@ def replay_to_git(repo: InMemoryRepo, dest: str | Path) -> dict[str, str]:
     """Materialize a model history as a real git repository.
 
     Returns a map from synthetic commit ids to the created git hashes.
-    Merge parents and timestamps are preserved via plumbing commands."""
-    dest = Path(dest)
-    dest.mkdir(parents=True, exist_ok=True)
-    env_base = {
-        "GIT_CONFIG_GLOBAL": "/dev/null",
-        "GIT_CONFIG_SYSTEM": "/dev/null",
-        "HOME": str(dest),
-    }
-
-    def run(*args, env=None, input_=None) -> str:
-        proc = subprocess.run(
-            ["git", "-C", str(dest), *args],
-            capture_output=True,
-            text=True,
-            input=input_,
-            env={**env_base, **(env or {})},
-        )
-        if proc.returncode != 0:
-            raise RuntimeError(f"git {' '.join(args)}: {proc.stderr}")
-        return proc.stdout.strip()
-
-    run("init", "-q", "-b", "main")
+    Merge parents and commit times are preserved."""
+    scripter = GitScripter(dest)
     mapping: dict[str, str] = {}
     content: dict[str, dict[int, str]] = {}
-
     for c in repo.commits():
         lines = dict(content[c.parents[0]]) if c.parents else {}
         lines.update(c.writes)
         content[c.cid] = lines
-        text = "".join(lines[i] + "\n" for i in sorted(lines))
-        (dest / repo.file).write_text(text, encoding="utf-8")
-        run("add", "-A")
-        tree = run("write-tree")
-        stamp = f"{int(c.time.timestamp())} +0000"
-        env = {
-            "GIT_AUTHOR_NAME": "model",
-            "GIT_AUTHOR_EMAIL": "model@example",
-            "GIT_COMMITTER_NAME": "model",
-            "GIT_COMMITTER_EMAIL": "model@example",
-            "GIT_AUTHOR_DATE": stamp,
-            "GIT_COMMITTER_DATE": stamp,
-        }
-        args = ["commit-tree", tree]
-        for p in c.parents:
-            args += ["-p", mapping[p]]
-        sha = run(*args, "-m", c.message, env=env)
-        mapping[c.cid] = sha
-        run("update-ref", "refs/heads/main", sha)
-        run("read-tree", sha)
-
-    run("checkout", "-q", "-f", "main")
+        scripter.write(repo.file, "".join(lines[i] + "\n" for i in sorted(lines)))
+        parents = [mapping[p] for p in c.parents]
+        mapping[c.cid] = scripter.commit(c.message, parents, when=c.time)
+    scripter.finish()
     return mapping

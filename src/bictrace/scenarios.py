@@ -71,11 +71,16 @@ class GitScripter:
     def rename(self, old: str, new: str) -> None:
         (self.path / old).rename(self.path / new)
 
-    def commit(self, message: str, parents: list[str] | None = None) -> str:
+    def commit(
+        self, message: str, parents: list[str] | None = None, when: datetime | None = None
+    ) -> str:
+        """Commit the working directory; by default on top of the last
+        commit, one minute after it."""
         if parents is None:
             parents = [self.head] if self.head else []
-        when = _BASE_TIME + timedelta(minutes=self._counter)
-        self._counter += 1
+        if when is None:
+            when = _BASE_TIME + timedelta(minutes=self._counter)
+            self._counter += 1
         stamp = f"{int(when.timestamp())} +0000"
         name, email = _IDENT
         env = {

@@ -1,8 +1,11 @@
-"""Shared fixtures: the scripted repository suite and hand-built parses."""
+"""Shared fixtures: the scripted repository suite, hand-built parses and
+a record of the git processes bictrace starts."""
+
+import subprocess
 
 import pytest
 
-from bictrace import scenarios
+from bictrace import gitrepo, scenarios
 from bictrace.engine import RefactoringRanges, load_refactoring_ranges
 from bictrace.miner import SentenceTree, Token
 
@@ -27,6 +30,27 @@ def suite_ranges_path(suite, tmp_path_factory):
 @pytest.fixture(scope="session")
 def suite_ranges(suite_ranges_path) -> RefactoringRanges:
     return load_refactoring_ranges(suite_ranges_path)
+
+
+@pytest.fixture
+def git_subcommands(monkeypatch) -> list[str]:
+    """The subcommand of every git process ``bictrace.gitrepo`` starts
+    during the test, in order."""
+    started: list[str] = []
+
+    class Spy:
+        def __getattr__(self, name):
+            return getattr(subprocess, name)
+
+        def run(self, argv, **kwargs):
+            i = 1
+            while argv[i] in ("-C", "-c"):
+                i += 2
+            started.append(argv[i])
+            return subprocess.run(argv, **kwargs)
+
+    monkeypatch.setattr(gitrepo, "subprocess", Spy())
+    return started
 
 
 def make_tree(text: str, rows: list[tuple]) -> SentenceTree:

@@ -374,6 +374,128 @@ def test_detect_rejects_empty_preset_list(corpus, tmp_path, capsys):
     assert "no presets" in capsys.readouterr().err
 
 
+ALL_REGIMES = ("none", "issue-date", "best-case-date")
+
+
+def _detect_all_presets(dataset_path, clones_root, ranges_path, regime, out_dir):
+    return main(
+        [
+            "detect",
+            "--dataset", str(dataset_path),
+            "--clones-root", str(clones_root),
+            "--presets", "B,AG,MA,L,R,RA-lite",
+            "--refactorings", str(ranges_path),
+            "--regime", regime,
+            "--workers", "1",
+            "--out-dir", str(out_dir),
+        ]
+    )
+
+
+def _worst(codes):
+    return 1 if 1 in codes else max(codes)
+
+
+def test_detect_regime_list_matches_one_call_per_regime(
+    corpus, suite, suite_dataset, suite_ranges_path, tmp_path
+):
+    _, clones_root = corpus
+    plain = suite["plain_bug_fix"]
+    unresolvable = ("plain_bug_fix", "0" * 40)
+    bic_missing = ("plain_bug_fix", plain.labels["c1"])
+    dataset = OracleDataset(
+        entries=list(suite_dataset.entries)
+        + [
+            OracleEntry(repo=repo, fix_commit=fix, true_bics=("b" * 40,), clone_path=repo)
+            for repo, fix in (unresolvable, bic_missing)
+        ],
+    )
+    dataset_path = tmp_path / "sick.json"
+    save_oracle(dataset, dataset_path)
+
+    single = tmp_path / "single"
+    codes = [
+        _detect_all_presets(dataset_path, clones_root, suite_ranges_path, regime, single)
+        for regime in ALL_REGIMES
+    ]
+    combined = tmp_path / "combined"
+    code = _detect_all_presets(
+        dataset_path, clones_root, suite_ranges_path, ",".join(ALL_REGIMES), combined
+    )
+    assert code == _worst(codes) == 2
+
+    names = sorted(p.name for p in single.glob("*.json"))
+    assert len(names) == 18
+    assert names == sorted(p.name for p in combined.glob("*.json"))
+    for name in names:
+        assert (single / name).read_bytes() == (combined / name).read_bytes(), name
+
+    # a fix that fails is skipped in every regime, a true inducer missing
+    # from the clone only where it sets the cutoff
+    assert load_run(combined / "b_none.json").skipped == [unresolvable]
+    assert load_run(combined / "b_issue-date.json").skipped == [unresolvable]
+    assert load_run(combined / "b_best-case-date.json").skipped == sorted(
+        [unresolvable, bic_missing]
+    )
+
+
+def test_detect_regime_list_exits_with_the_worst_status(suite, tmp_path, capsys):
+    plain = suite["plain_bug_fix"]
+    dataset = OracleDataset(
+        entries=[
+            OracleEntry(
+                repo="plain_bug_fix", fix_commit=fix, true_bics=("b" * 40,),
+                clone_path="plain_bug_fix",
+            )
+            for fix in (plain.labels["c1"], "0" * 40)
+        ]
+    )
+    dataset_path = tmp_path / "sick.json"
+    save_oracle(dataset, dataset_path)
+    argv = [
+        "detect",
+        "--dataset", str(dataset_path),
+        "--clones-root", str(plain.path.parent),
+        "--presets", "MA",
+        "--out-dir", str(tmp_path / "runs"),
+    ]
+    regimes = ("best-case-date", "none", "issue-date")
+    codes = [main([*argv, "--regime", regime]) for regime in regimes]
+    assert codes == [1, 2, 2]
+    capsys.readouterr()
+    assert main([*argv, "--regime", ",".join(regimes)]) == 1
+    assert "no entry could be processed under best-case-date" in capsys.readouterr().err
+
+
+def test_detect_regime_list_traces_once(corpus, suite_ranges_path, tmp_path, git_subcommands):
+    dataset_path, clones_root = corpus
+    assert _detect_all_presets(
+        dataset_path, clones_root, suite_ranges_path, "none", tmp_path / "one"
+    ) == 0
+    alone = list(git_subcommands)
+    git_subcommands.clear()
+    assert _detect_all_presets(
+        dataset_path, clones_root, suite_ranges_path, ",".join(ALL_REGIMES), tmp_path / "all"
+    ) == 0
+    assert git_subcommands.count("blame") == alone.count("blame")
+    assert len(git_subcommands) <= 170
+
+
+def test_detect_rejects_unknown_regime(corpus, tmp_path, capsys):
+    dataset_path, clones_root = corpus
+    code = main(
+        [
+            "detect",
+            "--dataset", str(dataset_path),
+            "--clones-root", str(clones_root),
+            "--regime", "none,late",
+            "--out-dir", str(tmp_path / "runs"),
+        ]
+    )
+    assert code == 1
+    assert "unknown regime in 'none,late'" in capsys.readouterr().err
+
+
 def test_detect_output_is_deterministic(corpus, tmp_path):
     dataset_path, clones_root = corpus
     dirs = [tmp_path / "one", tmp_path / "two"]

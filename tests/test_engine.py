@@ -26,7 +26,6 @@ from bictrace.engine import (
     load_refactoring_ranges,
     preset,
     preset_name,
-    run_config,
     run_configs,
     run_variant,
     select,
@@ -214,11 +213,11 @@ def test_depth_limit_flags_stuck_trace(suite):
     repo = GitRepo(sc.path)
 
     shallow = replace(PRESETS["AG"], depth_limit=1)
-    cands = run_config(repo, sc.fix, shallow)
+    [cands] = run_configs(repo, sc.fix, [(shallow, None)])
     assert {c.commit for c in cands} == {sc.notes["depth1_expected"]}
     assert all(c.cosmetic_flagged for c in cands)
 
-    deep = run_config(repo, sc.fix, PRESETS["AG"])
+    [deep] = run_configs(repo, sc.fix, [(PRESETS["AG"], None)])
     assert {c.commit for c in deep} == set(sc.expected["AG"])
     assert all(not c.cosmetic_flagged for c in deep)
     assert max(c.trace_depth for c in deep) == 2
@@ -227,7 +226,7 @@ def test_depth_limit_flags_stuck_trace(suite):
 def test_plain_blame_never_traces(suite):
     sc = suite["cosmetic_chain"]
     repo = GitRepo(sc.path)
-    cands = run_config(repo, sc.fix, PRESETS["B"])
+    [cands] = run_configs(repo, sc.fix, [(PRESETS["B"], None)])
     assert all(c.trace_depth == 0 for c in cands)
 
 
@@ -287,27 +286,28 @@ def test_best_case_date_keeps_every_true_positive(suite):
 # --- shared work across presets -----------------------------------------------
 
 
-def _regimes(repo, sc):
-    """(regime, issue dates) pairs as ``detect`` builds them for a scenario."""
-    yield "none", None
-    yield "issue-date", [issue.opened_at for issue in sc.issues]
+def _runs(repo, sc):
+    """Every preset under the cutoff of every regime, as ``detect`` works
+    them out for a scenario."""
+    cutoffs = [None]
+    if sc.issues:
+        cutoffs.append(min(issue.opened_at for issue in sc.issues))
     if sc.true_bics:
-        yield "best-case-date", [simulate_best_case_issue_date(repo, sc.true_bics)]
+        cutoffs.append(simulate_best_case_issue_date(repo, sc.true_bics))
+    return [(PRESETS[key], cutoff) for cutoff in cutoffs for key in PRESET_NAMES]
 
 
 def test_all_presets_at_once_match_each_alone(suite, suite_ranges):
-    configs = [PRESETS[key] for key in PRESET_NAMES]
     for name in sorted(suite):
         sc = suite[name]
         repo = GitRepo(sc.path)
-        for regime, dates in _regimes(repo, sc):
-            together = run_configs(repo, sc.fix, configs, dates, suite_ranges)
-            for key, got in zip(PRESET_NAMES, together):
-                alone = run_config(repo, sc.fix, PRESETS[key], dates, suite_ranges)
-                assert got == alone, f"{name} {regime} {key}"
-            # shared candidates carry no state from one preset to the next
-            backwards = run_configs(repo, sc.fix, configs[::-1], dates, suite_ranges)
-            assert backwards == together[::-1], f"{name} {regime}"
+        runs = _runs(repo, sc)
+        together = run_configs(repo, sc.fix, runs, suite_ranges)
+        for run, got in zip(runs, together):
+            assert [got] == run_configs(repo, sc.fix, [run], suite_ranges), f"{name} {run}"
+        # shared candidates carry no state from one run to the next
+        backwards = run_configs(repo, sc.fix, runs[::-1], suite_ranges)
+        assert backwards == together[::-1], name
 
 
 class _CountingRepo:
@@ -340,19 +340,20 @@ def test_all_presets_trace_at_most_twice(suite, suite_ranges, monkeypatch):
         return real_trace(repo, ctx, config)
 
     monkeypatch.setattr(engine, "trace_candidates", counting_trace)
-    configs = [PRESETS[key] for key in PRESET_NAMES]
     for name in sorted(suite):
         sc = suite[name]
         together = _CountingRepo(GitRepo(sc.path))
+        runs = _runs(together, sc)
         traced.clear()
-        run_configs(together, sc.fix, configs, refactorings=suite_ranges)
+        run_configs(together, sc.fix, runs, refactorings=suite_ranges)
         assert len(traced) <= 2, name
         assert len(together.reads) == len(set(together.reads)), name
 
-        # the blame calls are exactly those of B and AG run on their own
+        # the blame calls are exactly those of B and AG run on their own,
+        # whatever the cutoffs
         plain, ag = _CountingRepo(GitRepo(sc.path)), _CountingRepo(GitRepo(sc.path))
-        run_config(plain, sc.fix, PRESETS["B"])
-        run_config(ag, sc.fix, PRESETS["AG"])
+        run_configs(plain, sc.fix, [(PRESETS["B"], None)])
+        run_configs(ag, sc.fix, [(PRESETS["AG"], None)])
         assert together.blames == plain.blames + ag.blames, name
 
 
@@ -420,9 +421,3 @@ def test_select_all_and_empty_are_passthrough():
     cands = [_cand("a" * 40, 1, T0), _cand("b" * 40, 2, T0)]
     assert select(cands, VariantConfig(selection=SELECT_ALL)) == cands
     assert select([], VariantConfig(selection=SELECT_LARGEST)) == []
-
-
-def test_selection_without_times_needs_repo():
-    missing = BicCandidate(commit="a" * 40, supporting_lines=[])
-    with pytest.raises(ConfigurationError):
-        select([missing], VariantConfig(selection=SELECT_LATEST), repo=None)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from bictrace.errors import (
     AmbiguousCommitError,
+    ConfigurationError,
     CorruptRepositoryError,
     LineOutOfRangeError,
     NotAParentError,
@@ -276,6 +277,30 @@ def test_repository_config_changes_no_answer(configurable, key, value):
     configured = GitRepo(path)
     assert configured.diff_against_parent(fix, root) == want_diff
     assert configured.blame(fix, "a/core.c", [1, 2, 3]) == want_blame
+
+
+def test_missing_ignore_revs_file_is_a_configuration_error(configurable):
+    # git opens every configured ignore-revs file before the empty
+    # --ignore-revs-file resets the list, so this setting cannot be undone
+    path, _, fix = configurable
+    missing = path.parent / "no-such-ignore-revs"
+    subprocess.run(
+        ["git", "-C", str(path), "config", "blame.ignoreRevsFile", str(missing)], check=True
+    )
+    with pytest.raises(ConfigurationError, match="blame.ignoreRevsFile"):
+        GitRepo(path).blame(fix, "a/core.c", [1])
+
+
+def test_hashes_git_printed_need_no_rev_parse(shop, git_subcommands):
+    repo, labels, _ = shop
+    fresh = GitRepo(repo.path)
+    [record] = fresh.blame(labels["edit"], "a.txt", [2])
+    assert record.origin == labels["edit"]
+    git_subcommands.clear()
+    meta = fresh.commit_meta(record.origin)
+    assert git_subcommands == ["show"]
+    fresh.commit_meta(meta.parents[0])
+    assert git_subcommands == ["show", "show"]
 
 
 def test_git_runs_in_the_c_locale(shop, monkeypatch):

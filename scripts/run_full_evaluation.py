@@ -25,9 +25,12 @@ from __future__ import annotations
 
 import argparse
 import os
+import sys
 from pathlib import Path
 
-from bictrace.cli import CLONES_ROOT_ENV, main as cli
+from bictrace.cli import CLONES_ROOT_ENV, DEFAULT_PRESETS, main as cli
+from bictrace.engine import preset_name
+from bictrace.errors import ConfigurationError
 from bictrace.oracle import load_oracle, save_oracle, subset_issues, subset_language, subset_supported
 from bictrace.scenarios import build_all, suite_oracle, write_suite_refactorings
 
@@ -61,7 +64,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     ap.add_argument("--language", help="language name when --subset language")
     ap.add_argument("--regime", default="none", help="comma-separated date regimes")
-    ap.add_argument("--presets", default="B,AG,MA,L,R")
+    ap.add_argument("--presets", default=DEFAULT_PRESETS)
     ap.add_argument("--refactorings", help="CSV of refactored ranges (enables RA-lite)")
     ap.add_argument("--workers", type=int, default=8)
     ap.add_argument("--outlier-threshold", type=int)
@@ -101,7 +104,12 @@ def main(argv: list[str] | None = None) -> int:
     save_oracle(dataset, dataset_path)
 
     presets = args.presets
-    if args.refactorings and "RA-lite" not in presets:
+    try:
+        requested = {preset_name(p) for p in presets.split(",") if p.strip()}
+    except ConfigurationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    if args.refactorings and "RA-lite" not in requested:
         presets += ",RA-lite"
 
     runs_dir = out / "runs"

@@ -224,7 +224,10 @@ def cmd_detect(args) -> int:
         )
         return 1
     dataset = oracle.load_oracle(args.dataset)
-    names = [engine.preset_name(p) for p in args.presets.split(",") if p.strip()]
+    # a preset named twice, in any spelling, runs once
+    names = list(dict.fromkeys(
+        engine.preset_name(p) for p in args.presets.split(",") if p.strip()
+    ))
     if not names:
         print("error: no presets requested", file=sys.stderr)
         return 1

@@ -95,29 +95,23 @@ PRESETS: dict[str, VariantConfig] = {
 }
 
 PRESET_NAMES = tuple(PRESETS)
-
-
-def preset(name: str) -> VariantConfig:
-    """Look up a preset by name, case-insensitively; a trailing "-szz"
-    suffix is tolerated (``r-szz`` means ``R``)."""
-    norm = name.strip().upper()
-    if norm.endswith("-SZZ"):
-        norm = norm[: -len("-SZZ")]
-    if norm == "RA-LITE":
-        norm = "RA-lite"
-    if norm not in PRESETS:
-        raise ConfigurationError(
-            f"unknown preset {name!r}; expected one of {', '.join(PRESETS)}"
-        )
-    return PRESETS[norm]
+_PRESET_KEYS = {name.upper(): name for name in PRESETS}
 
 
 def preset_name(name: str) -> str:
-    cfg = preset(name)
-    for key, value in PRESETS.items():
-        if value == cfg:
-            return key
-    raise AssertionError  # pragma: no cover
+    """The table name of a preset, spelled case-insensitively; a trailing
+    "-szz" suffix is tolerated (``r-szz`` means ``R``)."""
+    norm = name.strip().upper().removesuffix("-SZZ")
+    if norm not in _PRESET_KEYS:
+        raise ConfigurationError(
+            f"unknown preset {name!r}; expected one of {', '.join(PRESETS)}"
+        )
+    return _PRESET_KEYS[norm]
+
+
+def preset(name: str) -> VariantConfig:
+    """Look up a preset by any spelling ``preset_name`` accepts."""
+    return PRESETS[preset_name(name)]
 
 
 @dataclass(frozen=True)

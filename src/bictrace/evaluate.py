@@ -50,109 +50,94 @@ def _f1(precision: float, recall: float) -> float:
     return 2 * precision * recall / (precision + recall)
 
 
-def _covered_entries(run: DetectionRun, oracle: OracleDataset):
-    for entry in oracle.entries:
-        key = (entry.repo, entry.fix_commit)
-        if key in run.identified:
-            yield key, entry
+@dataclass(frozen=True)
+class Score:
+    """One run scored against an oracle: its pooled and macro metrics, its
+    tagged true positives, and the entries it reports on, which two runs
+    must share for their overlap to be defined."""
+
+    variant: str
+    entries: frozenset[EntryKey]
+    pooled: Metrics
+    macro: Metrics
+    true_positives: frozenset[Tagged]
 
 
-def tagged_correct(run: DetectionRun, oracle: OracleDataset) -> set[Tagged]:
-    out = set()
-    for (repo, fix), entry in _covered_entries(run, oracle):
-        for b in entry.true_bics:
-            out.add((repo, fix, b))
-    return out
-
-
-def tagged_identified(run: DetectionRun) -> set[Tagged]:
-    out = set()
-    for (repo, fix), hashes in run.identified.items():
-        for h in hashes:
-            out.add((repo, fix, h))
-    return out
-
-
-def true_positives(run: DetectionRun, oracle: OracleDataset) -> set[Tagged]:
-    return tagged_correct(run, oracle) & tagged_identified(run)
-
-
-def pooled_metrics(run: DetectionRun, oracle: OracleDataset) -> Metrics:
-    """Micro-averaged metrics over every oracle entry the run covers."""
+def score(run: DetectionRun, oracle: OracleDataset) -> Score:
+    """Score a run in one walk over the oracle entries it covers. Pooled
+    metrics are micro-averaged over those entries; macro metrics weigh each
+    bug fix equally and are summed in oracle order. Entry keys are unique
+    in an oracle, as ``load_oracle`` checks."""
     if not oracle.entries:
         raise ValueError("cannot evaluate against an empty oracle")
-    correct = tagged_correct(run, oracle)
-    if not correct:
-        raise ValueError("run covers no oracle entries")
-    oracle_keys = {(e.repo, e.fix_commit) for e in oracle.entries}
-    identified = {t for t in tagged_identified(run) if (t[0], t[1]) in oracle_keys}
-    tp = correct & identified
-    recall = len(tp) / len(correct)
-    precision = len(tp) / len(identified) if identified else 0.0
-    return Metrics(
-        recall=recall,
-        precision=precision,
-        f1=_f1(precision, recall),
-        correct=len(correct),
-        identified=len(identified),
-        true_positives=len(tp),
-    )
-
-
-def macro_metrics(run: DetectionRun, oracle: OracleDataset) -> Metrics:
-    """Per-entry metrics averaged with equal weight per bug fix."""
+    correct = identified = 0
+    tps: set[Tagged] = set()
     recalls: list[float] = []
     precisions: list[float] = []
     f1s: list[float] = []
-    for (repo, fix), entry in _covered_entries(run, oracle):
-        correct = {(repo, fix, b) for b in entry.true_bics}
-        identified = {(repo, fix, h) for h in run.identified[(repo, fix)]}
-        tp = correct & identified
-        r = len(tp) / len(correct)
-        p = len(tp) / len(identified) if identified else 0.0
+    for entry in oracle.entries:
+        key = (entry.repo, entry.fix_commit)
+        found = run.identified.get(key)
+        if found is None:
+            continue
+        truth = set(entry.true_bics)
+        hits = truth.intersection(found)
+        correct += len(truth)
+        identified += len(found)
+        tps.update((entry.repo, entry.fix_commit, h) for h in hits)
+        r = len(hits) / len(truth)
+        p = len(hits) / len(found) if found else 0.0
         recalls.append(r)
         precisions.append(p)
         f1s.append(_f1(p, r))
     if not recalls:
         raise ValueError("run covers no oracle entries")
+    recall = len(tps) / correct
+    precision = len(tps) / identified if identified else 0.0
     n = len(recalls)
-    return Metrics(
-        recall=sum(recalls) / n,
-        precision=sum(precisions) / n,
-        f1=sum(f1s) / n,
+    return Score(
+        variant=run.variant,
+        entries=frozenset(run.identified),
+        pooled=Metrics(
+            recall=recall,
+            precision=precision,
+            f1=_f1(precision, recall),
+            correct=correct,
+            identified=identified,
+            true_positives=len(tps),
+        ),
+        macro=Metrics(
+            recall=sum(recalls) / n,
+            precision=sum(precisions) / n,
+            f1=sum(f1s) / n,
+        ),
+        true_positives=frozenset(tps),
     )
 
 
-def overlap(run_i: DetectionRun, run_j: DetectionRun, oracle: OracleDataset) -> float:
-    """Jaccard agreement of the two runs' true-positive sets; 1 when both
+def overlap(s_i: Score, s_j: Score) -> float:
+    """Jaccard agreement of two runs' true-positive sets; 1 when both
     are empty."""
-    if set(run_i.identified) != set(run_j.identified):
+    if s_i.entries != s_j.entries:
         raise ValueError(
-            f"runs {run_i.variant} and {run_j.variant} cover different entries"
+            f"runs {s_i.variant} and {s_j.variant} cover different entries"
         )
-    tp_i = true_positives(run_i, oracle)
-    tp_j = true_positives(run_j, oracle)
-    union = tp_i | tp_j
+    union = s_i.true_positives | s_j.true_positives
     if not union:
         return 1.0
-    return len(tp_i & tp_j) / len(union)
+    return len(s_i.true_positives & s_j.true_positives) / len(union)
 
 
-def exclusive_correct(
-    run_i: DetectionRun, all_runs: list[DetectionRun], oracle: OracleDataset
-) -> tuple[int, int, float]:
+def exclusive_correct(s_i: Score, scores: list[Score]) -> tuple[int, int, float]:
     """How much of the pooled truth only this run found: count of true
-    positives unique to run_i, the size of the union of everyone's true
+    positives unique to s_i, the size of the union of everyone's true
     positives, and their ratio (0 when the union is empty)."""
-    others = [r for r in all_runs if r is not run_i]
+    others = [s for s in scores if s is not s_i]
     if not others:
         raise ValueError("exclusive-correct needs at least two runs")
-    tp_i = true_positives(run_i, oracle)
-    tp_rest: set[Tagged] = set()
-    for r in others:
-        tp_rest |= true_positives(r, oracle)
-    numerator = len(tp_i - tp_rest)
-    denominator = len(tp_i | tp_rest)
+    tp_rest = frozenset().union(*(s.true_positives for s in others))
+    numerator = len(s_i.true_positives - tp_rest)
+    denominator = len(s_i.true_positives | tp_rest)
     fraction = numerator / denominator if denominator else 0.0
     return numerator, denominator, fraction
 
@@ -214,12 +199,20 @@ def save_run(run: DetectionRun, path: str | Path) -> None:
 
 def load_run(path: str | Path) -> DetectionRun:
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{path}: expected a JSON object")
     for key in ("variant", "entries"):
         if key not in doc:
             raise SchemaError(f"{path}: missing field {key!r}")
     run = DetectionRun(variant=doc["variant"], regime=doc.get("regime", "none"))
-    for rec in doc["entries"]:
+    for i, rec in enumerate(doc["entries"]):
+        for field_name in ("repo", "fix_commit", "identified"):
+            if field_name not in rec:
+                raise SchemaError(f"{path}: entry {i} missing field {field_name!r}")
         key = (rec["repo"], rec["fix_commit"])
         run.identified[key] = frozenset(rec["identified"])
         if rec.get("flags"):
@@ -266,14 +259,14 @@ def emit_report(
     if outlier_threshold is not None:
         runs = [outlier_filter(r, outlier_threshold) for r in runs]
     runs = sorted(runs, key=lambda r: (r.regime, r.variant))
+    scores = [score(run, oracle) for run in runs]
 
     metrics_path = out / "metrics.csv"
     with open(metrics_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(METRICS_COLUMNS)
-        for run in runs:
-            pooled = pooled_metrics(run, oracle)
-            macro = macro_metrics(run, oracle)
+        for run, sc in zip(runs, scores):
+            pooled, macro = sc.pooled, sc.macro
             n = len(run.identified)
             writer.writerow(
                 [
@@ -290,21 +283,20 @@ def emit_report(
             )
     written["metrics"] = metrics_path
 
-    by_regime: dict[str, list[DetectionRun]] = {}
-    for run in runs:
-        by_regime.setdefault(run.regime, []).append(run)
+    by_regime: dict[str, list[Score]] = {}
+    for run, sc in zip(runs, scores):
+        by_regime.setdefault(run.regime, []).append(sc)
 
     for regime, group in sorted(by_regime.items()):
         matrix_path = out / f"overlap_{regime}.csv"
-        names = [r.variant for r in group]
         with open(matrix_path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["variant", *names])
-            for r_i in group:
-                row = [r_i.variant]
-                for r_j in group:
+            writer.writerow(["variant", *(s.variant for s in group)])
+            for s_i in group:
+                row = [s_i.variant]
+                for s_j in group:
                     try:
-                        row.append(repr(overlap(r_i, r_j, oracle)))
+                        row.append(repr(overlap(s_i, s_j)))
                     except ValueError:
                         # outlier drops can de-align two runs' coverage;
                         # the cell is undefined then, not zero
@@ -319,9 +311,9 @@ def emit_report(
         for regime, group in sorted(by_regime.items()):
             if len(group) < 2:
                 continue
-            for run in group:
-                count, denom, fraction = exclusive_correct(run, group, oracle)
-                writer.writerow([run.variant, regime, count, denom, repr(fraction)])
+            for sc in group:
+                count, denom, fraction = exclusive_correct(sc, group)
+                writer.writerow([sc.variant, regime, count, denom, repr(fraction)])
     written["exclusive"] = exclusive_path
 
     if outlier_threshold is not None:
@@ -345,8 +337,8 @@ def emit_report(
         header = f"{'variant':<10} {'regime':<16} {'recall':>8} {'precision':>10} {'f1':>8}"
         fh.write(header + "\n")
         fh.write("-" * len(header) + "\n")
-        for run in runs:
-            m = pooled_metrics(run, oracle)
+        for run, sc in zip(runs, scores):
+            m = sc.pooled
             fh.write(
                 f"{run.variant:<10} {run.regime:<16} "
                 f"{m.recall:>8.3f} {m.precision:>10.3f} {m.f1:>8.3f}\n"
@@ -358,19 +350,3 @@ def emit_report(
     written["summary"] = summary_path
 
     return written
-
-
-def read_matrix_csv(path: str | Path) -> dict[tuple[str, str], float]:
-    """Load an overlap matrix back into {(variant_i, variant_j): value}.
-    Blank cells (pairs with mismatched coverage) stay absent."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0][0] != "variant":
-        raise SchemaError(f"{path}: not an overlap matrix")
-    names = rows[0][1:]
-    out: dict[tuple[str, str], float] = {}
-    for row in rows[1:]:
-        for name, cell in zip(names, row[1:]):
-            if cell:
-                out[(row[0], name)] = float(cell)
-    return out

@@ -25,9 +25,8 @@ from bictrace.engine import (
 from bictrace.evaluate import (
     DetectionRun,
     exclusive_correct,
-    macro_metrics,
     overlap,
-    pooled_metrics,
+    score,
 )
 from bictrace.gitrepo import GitRepo
 from bictrace.langfilters import LineClass, classify_lines
@@ -176,26 +175,27 @@ def test_criterion_4_metric_brute_force_equivalence():
                 )
             )
 
-        for run, identified in zip(runs, per_run_identified):
-            got = pooled_metrics(run, oracle)
+        scores = [score(run, oracle) for run in runs]
+        for sc, identified in zip(scores, per_run_identified):
+            got = sc.pooled
             r, p, f1 = _brute_pooled(truth, identified)
             assert abs(got.recall - float(r)) <= TOL
             assert abs(got.precision - float(p)) <= TOL
             assert abs(got.f1 - float(f1)) <= TOL
-            got = macro_metrics(run, oracle)
+            got = sc.macro
             r, p, f1 = _brute_macro(truth, identified)
             assert abs(got.recall - float(r)) <= TOL
             assert abs(got.precision - float(p)) <= TOL
             assert abs(got.f1 - float(f1)) <= TOL
 
         tps = [_brute_tp(truth, ident) for ident in per_run_identified]
-        for i, run_i in enumerate(runs):
-            for j, run_j in enumerate(runs):
+        for i, s_i in enumerate(scores):
+            for j, s_j in enumerate(scores):
                 union = tps[i] | tps[j]
                 want = Fraction(1) if not union else Fraction(len(tps[i] & tps[j]), len(union))
-                assert abs(overlap(run_i, run_j, oracle) - float(want)) <= TOL
+                assert abs(overlap(s_i, s_j) - float(want)) <= TOL
             rest = set().union(*(tps[j] for j in range(len(runs)) if j != i))
-            count, denom, fraction = exclusive_correct(runs[i], runs, oracle)
+            count, denom, fraction = exclusive_correct(s_i, scores)
             assert count == len(tps[i] - rest)
             assert denom == len(tps[i] | rest)
             want = Fraction(count, denom) if denom else Fraction(0)
@@ -242,15 +242,16 @@ def test_criterion_5_invariants_and_determinism(suite, suite_dataset, tmp_path):
             )
 
     oracle = OracleDataset(entries=entries)
-    runs = [
-        DetectionRun(variant=p, identified=plain_runs[p]) for p in sorted(plain_runs)
+    scores = [
+        score(DetectionRun(variant=p, identified=plain_runs[p]), oracle)
+        for p in sorted(plain_runs)
     ]
-    for r_i in runs:
-        for r_j in runs:
-            assert overlap(r_i, r_j, oracle) == overlap(r_j, r_i, oracle)
+    for s_i in scores:
+        for s_j in scores:
+            assert overlap(s_i, s_j) == overlap(s_j, s_i)
     for preset in plain_runs:
-        plain = pooled_metrics(DetectionRun(variant=preset, identified=plain_runs[preset]), oracle)
-        dated = pooled_metrics(DetectionRun(variant=preset, identified=dated_runs[preset]), oracle)
+        plain = score(DetectionRun(variant=preset, identified=plain_runs[preset]), oracle).pooled
+        dated = score(DetectionRun(variant=preset, identified=dated_runs[preset]), oracle).pooled
         assert dated.recall == plain.recall, preset
         assert dated.precision >= plain.precision, preset
 
@@ -379,7 +380,7 @@ def test_criterion_7_replication_metrics(tmp_path):
 
     for preset, (recall, precision) in REFERENCE_POOLED.items():
         run = load_run(runs_dir / f"{preset.lower()}_none.json")
-        m = pooled_metrics(run, dataset)
+        m = score(run, dataset).pooled
         assert abs(m.recall - recall) <= 0.05, (preset, m.recall)
         assert abs(m.precision - precision) <= 0.05, (preset, m.precision)
     print("ACCEPTANCE 7b PASS (pooled metrics within 0.05 of reference)")

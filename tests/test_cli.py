@@ -148,6 +148,40 @@ def test_detect_writes_one_run_file_per_preset(corpus, suite, tmp_path, capsys):
     assert "wrote" in capsys.readouterr().err
 
 
+
+def test_detect_repeated_preset_runs_once(corpus, tmp_path, monkeypatch):
+    import bictrace.engine as engine
+
+    dataset_path, clones_root = corpus
+    calls: list[int] = []
+    run_configs = engine.run_configs
+
+    def counting(repo, fix, runs, *args, **kwargs):
+        calls.append(len(runs))
+        return run_configs(repo, fix, runs, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "run_configs", counting)
+    outs = {}
+    for presets in ("MA", "MA,ma"):
+        out_dir = tmp_path / presets.replace(",", "_")
+        code = main(
+            [
+                "detect",
+                "--dataset", str(dataset_path),
+                "--clones-root", str(clones_root),
+                "--presets", presets,
+                "--workers", "1",
+                "--out-dir", str(out_dir),
+            ]
+        )
+        assert code == 0
+        assert [p.name for p in out_dir.glob("*.json")] == ["ma_none.json"]
+        outs[presets] = (out_dir / "ma_none.json").read_bytes()
+    assert outs["MA,ma"] == outs["MA"]
+    # one (preset, regime) pair per entry, not two
+    assert set(calls) == {1}
+
+
 def test_detect_ra_lite_with_ranges(corpus, suite, suite_ranges_path, tmp_path):
     dataset_path, clones_root = corpus
     out_dir = tmp_path / "runs"
@@ -607,6 +641,26 @@ def test_evaluate_empty_runs_dir_fails(corpus, tmp_path, capsys):
     )
     assert code == 1
     assert "no run files" in capsys.readouterr().err
+
+
+def test_evaluate_malformed_run_file_fails(corpus, tmp_path, capsys):
+    dataset_path, _ = corpus
+    runs_dir = tmp_path / "runs"
+    runs_dir.mkdir()
+    bad = runs_dir / "ma_none.json"
+    bad.write_text('{"variant": "MA", "entries": [{"repo": "r", "fix_commit": "f"}]}')
+    code = main(
+        [
+            "evaluate",
+            "--runs-dir", str(runs_dir),
+            "--dataset", str(dataset_path),
+            "--out-dir", str(tmp_path / "eval"),
+        ]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: entry 0 missing field 'identified'")
+    assert "Traceback" not in err
 
 
 def test_report_without_evaluation_fails(tmp_path, capsys):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+
 import pytest
 
 from bictrace.errors import SchemaError
@@ -10,13 +12,10 @@ from bictrace.evaluate import (
     emit_report,
     exclusive_correct,
     load_run,
-    macro_metrics,
     outlier_filter,
     overlap,
-    pooled_metrics,
-    read_matrix_csv,
     save_run,
-    true_positives,
+    score,
 )
 from bictrace.oracle import OracleDataset, OracleEntry
 
@@ -48,7 +47,7 @@ def test_pooled_formula_worked_example():
     # truth {a, c}; identified {a, b}: one hit, one miss, one false alarm
     oracle = _oracle({F1: {A, C}})
     run = _run({F1: {A, B}})
-    m = pooled_metrics(run, oracle)
+    m = score(run, oracle).pooled
     assert (m.correct, m.identified, m.true_positives) == (2, 2, 1)
     assert m.recall == 0.5
     assert m.precision == 0.5
@@ -58,7 +57,7 @@ def test_pooled_formula_worked_example():
 def test_pooled_pools_across_entries():
     oracle = _oracle({F1: {A}, F2: {B, C}})
     run = _run({F1: {A}, F2: {B}})
-    m = pooled_metrics(run, oracle)
+    m = score(run, oracle).pooled
     assert (m.correct, m.identified, m.true_positives) == (3, 2, 2)
     assert m.recall == pytest.approx(2 / 3)
     assert m.precision == 1.0
@@ -70,7 +69,7 @@ def test_same_hash_in_two_entries_counts_twice():
     # the two detections distinct
     oracle = _oracle({F1: {A}, F2: {A}})
     run = _run({F1: {A}, F2: {A}})
-    m = pooled_metrics(run, oracle)
+    m = score(run, oracle).pooled
     assert (m.correct, m.true_positives) == (2, 2)
     assert m.recall == 1.0
 
@@ -78,7 +77,7 @@ def test_same_hash_in_two_entries_counts_twice():
 def test_empty_identified_gives_zero_precision():
     oracle = _oracle({F1: {A}})
     run = _run({F1: set()})
-    m = pooled_metrics(run, oracle)
+    m = score(run, oracle).pooled
     assert m.recall == 0.0
     assert m.precision == 0.0
     assert m.f1 == 0.0
@@ -88,7 +87,7 @@ def test_identified_outside_oracle_is_ignored():
     oracle = _oracle({F1: {A}})
     run = _run({F1: {A}})
     run.identified[("org/other", F2)] = frozenset({B})
-    m = pooled_metrics(run, oracle)
+    m = score(run, oracle).pooled
     assert m.identified == 1
     assert m.precision == 1.0
 
@@ -97,17 +96,30 @@ def test_pooled_only_counts_covered_entries():
     # truth for entries the run never attempted stays out of the denominator
     oracle = _oracle({F1: {A}, F2: {B}})
     run = _run({F1: {A}})
-    m = pooled_metrics(run, oracle)
+    m = score(run, oracle).pooled
     assert m.correct == 1
     assert m.recall == 1.0
 
 
 def test_pooled_rejects_disjoint_run():
     oracle = _oracle({F1: {A}})
-    with pytest.raises(ValueError):
-        pooled_metrics(_run({F2: {A}}), oracle)
-    with pytest.raises(ValueError):
-        pooled_metrics(_run({F1: {A}}), OracleDataset(entries=[]))
+    with pytest.raises(ValueError, match="covers no oracle entries"):
+        score(_run({F2: {A}}), oracle)
+    with pytest.raises(ValueError, match="empty oracle"):
+        score(_run({F1: {A}}), OracleDataset(entries=[]))
+
+
+def test_duplicate_true_inducing_hash_counts_once():
+    # an entry naming the same inducing commit twice has one truth, not two
+    oracle = OracleDataset(
+        entries=[OracleEntry(repo="org/app", fix_commit=F1, true_bics=(A, A, B))]
+    )
+    found = score(_run({F1: {A}}, variant="I"), oracle)
+    both = score(_run({F1: {A, B}}, variant="J"), oracle)
+    assert found.pooled.correct == 2
+    assert found.pooled.recall == 0.5
+    assert found.macro.recall == 0.5
+    assert overlap(found, both) == 0.5
 
 
 # --- macro metrics -----------------------------------------------------------
@@ -116,7 +128,7 @@ def test_pooled_rejects_disjoint_run():
 def test_macro_weights_entries_equally():
     oracle = _oracle({F1: {A}, F2: {B, C}})
     run = _run({F1: {A}, F2: {B}})
-    m = macro_metrics(run, oracle)
+    m = score(run, oracle).macro
     # entry one scores 1/1, entry two scores r=0.5 p=1
     assert m.recall == pytest.approx((1.0 + 0.5) / 2)
     assert m.precision == pytest.approx(1.0)
@@ -126,7 +138,7 @@ def test_macro_weights_entries_equally():
 def test_macro_empty_identified_entry_scores_zero():
     oracle = _oracle({F1: {A}, F2: {B}})
     run = _run({F1: {A}, F2: set()})
-    m = macro_metrics(run, oracle)
+    m = score(run, oracle).macro
     assert m.recall == 0.5
     assert m.precision == 0.5
     assert m.f1 == 0.5
@@ -137,38 +149,38 @@ def test_macro_empty_identified_entry_scores_zero():
 
 def test_overlap_jaccard():
     oracle = _oracle({F1: {A, B, C}})
-    run_i = _run({F1: {A, B}}, variant="I")
-    run_j = _run({F1: {B, C}}, variant="J")
+    s_i = score(_run({F1: {A, B}}, variant="I"), oracle)
+    s_j = score(_run({F1: {B, C}}, variant="J"), oracle)
     # TPs: {a,b} vs {b,c}; intersection 1, union 3
-    assert overlap(run_i, run_j, oracle) == pytest.approx(1 / 3)
-    assert overlap(run_i, run_i, oracle) == 1.0
+    assert overlap(s_i, s_j) == pytest.approx(1 / 3)
+    assert overlap(s_i, s_i) == 1.0
 
 
 def test_overlap_is_one_when_both_found_nothing():
     oracle = _oracle({F1: {A}})
-    run_i = _run({F1: {B}}, variant="I")  # false positive only
-    run_j = _run({F1: set()}, variant="J")
-    assert overlap(run_i, run_j, oracle) == 1.0
+    s_i = score(_run({F1: {B}}, variant="I"), oracle)  # false positive only
+    s_j = score(_run({F1: set()}, variant="J"), oracle)
+    assert overlap(s_i, s_j) == 1.0
 
 
 def test_overlap_requires_equal_coverage():
     oracle = _oracle({F1: {A}, F2: {B}})
-    run_i = _run({F1: {A}}, variant="I")
-    run_j = _run({F1: {A}, F2: {B}}, variant="J")
-    with pytest.raises(ValueError):
-        overlap(run_i, run_j, oracle)
+    s_i = score(_run({F1: {A}}, variant="I"), oracle)
+    s_j = score(_run({F1: {A}, F2: {B}}, variant="J"), oracle)
+    with pytest.raises(ValueError, match="runs I and J cover different entries"):
+        overlap(s_i, s_j)
 
 
 def test_overlap_symmetry():
     oracle = _oracle({F1: {A, B}, F2: {C}})
-    runs = [
-        _run({F1: {A}, F2: {C}}, variant="1"),
-        _run({F1: {B}, F2: {C}}, variant="2"),
-        _run({F1: {A, B}, F2: set()}, variant="3"),
+    scores = [
+        score(_run({F1: {A}, F2: {C}}, variant="1"), oracle),
+        score(_run({F1: {B}, F2: {C}}, variant="2"), oracle),
+        score(_run({F1: {A, B}, F2: set()}, variant="3"), oracle),
     ]
-    for r_i in runs:
-        for r_j in runs:
-            assert overlap(r_i, r_j, oracle) == overlap(r_j, r_i, oracle)
+    for s_i in scores:
+        for s_j in scores:
+            assert overlap(s_i, s_j) == overlap(s_j, s_i)
 
 
 # --- exclusive correct -----------------------------------------------------------
@@ -176,22 +188,25 @@ def test_overlap_symmetry():
 
 def test_exclusive_correct_counts_unique_finds():
     oracle = _oracle({F1: {A, B, C}})
-    run_1 = _run({F1: {A, B}}, variant="1")
-    run_2 = _run({F1: {B}}, variant="2")
-    all_runs = [run_1, run_2]
-    count, union, fraction = exclusive_correct(run_1, all_runs, oracle)
+    s_1 = score(_run({F1: {A, B}}, variant="1"), oracle)
+    s_2 = score(_run({F1: {B}}, variant="2"), oracle)
+    scores = [s_1, s_2]
+    count, union, fraction = exclusive_correct(s_1, scores)
     assert (count, union) == (1, 2)  # a is unique, union {a, b}
     assert fraction == 0.5
-    count, union, fraction = exclusive_correct(run_2, all_runs, oracle)
+    count, union, fraction = exclusive_correct(s_2, scores)
     assert (count, union, fraction) == (0, 2, 0.0)
 
 
 def test_exclusive_correct_empty_union():
     oracle = _oracle({F1: {A}})
-    runs = [_run({F1: set()}, variant="1"), _run({F1: {B}}, variant="2")]
-    assert exclusive_correct(runs[0], runs, oracle) == (0, 0, 0.0)
-    with pytest.raises(ValueError):
-        exclusive_correct(runs[0], [runs[0]], oracle)
+    scores = [
+        score(_run({F1: set()}, variant="1"), oracle),
+        score(_run({F1: {B}}, variant="2"), oracle),
+    ]
+    assert exclusive_correct(scores[0], scores) == (0, 0, 0.0)
+    with pytest.raises(ValueError, match="at least two runs"):
+        exclusive_correct(scores[0], [scores[0]])
 
 
 # --- outlier filter ----------------------------------------------------------------
@@ -214,8 +229,8 @@ def test_outlier_filter_drops_strictly_above_threshold():
 def test_outlier_filter_shrinks_denominators():
     oracle = _oracle({F1: {A}, F2: {B}})
     run = _run({F1: {A}, F2: {B, C, "d" * 40}})
-    before = pooled_metrics(run, oracle)
-    after = pooled_metrics(outlier_filter(run, 2), oracle)
+    before = score(run, oracle).pooled
+    after = score(outlier_filter(run, 2), oracle).pooled
     assert before.correct == 2 and after.correct == 1
     assert after.precision >= before.precision
 
@@ -243,14 +258,48 @@ def test_run_round_trip(tmp_path):
     assert again.read_bytes() == path.read_bytes()
 
 
+BAD_RUN_FILES = [
+    ('{"regime": "none"}', "missing field 'variant'"),
+    ('{"variant": "MA", "entries": [', "not valid JSON"),
+    ("[]", "expected a JSON object"),
+    (
+        '{"variant": "MA", "entries": [{"fix_commit": "f", "identified": []}]}',
+        "entry 0 missing field 'repo'",
+    ),
+    (
+        '{"variant": "MA", "entries": [{"repo": "r", "identified": []}]}',
+        "entry 0 missing field 'fix_commit'",
+    ),
+    (
+        '{"variant": "MA", "entries": [{"repo": "r", "fix_commit": "f"}]}',
+        "entry 0 missing field 'identified'",
+    ),
+]
+
+
 def test_load_run_rejects_missing_fields(tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text('{"regime": "none"}')
-    with pytest.raises(SchemaError):
-        load_run(path)
+    for text, message in BAD_RUN_FILES:
+        path.write_text(text)
+        with pytest.raises(SchemaError, match=message) as info:
+            load_run(path)
+        assert str(path) in str(info.value)
 
 
 # --- report emission --------------------------------------------------------------------
+
+
+def _read_matrix(path) -> dict[tuple[str, str], float]:
+    """An overlap matrix as {(variant_i, variant_j): value}; blank cells
+    (pairs with mismatched coverage) stay absent."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    return {
+        (row[0], name): float(cell)
+        for row in rows
+        for name, cell in zip(header[1:], row[1:])
+        if cell
+    }
 
 
 def _report_fixture():
@@ -274,7 +323,7 @@ def test_emit_report_files_and_contents(tmp_path):
     assert metrics[2].startswith("B,none,macro,2,")
     assert metrics[3].startswith("MA,none,pooled,2,3,2,2,")
 
-    matrix = read_matrix_csv(tmp_path / "overlap_none.csv")
+    matrix = _read_matrix(tmp_path / "overlap_none.csv")
     assert matrix[("B", "B")] == 1.0
     assert matrix[("B", "MA")] == matrix[("MA", "B")]
     # TPs are {a,b} and {a,c}: one shared out of three
@@ -308,7 +357,7 @@ def test_emit_report_with_outlier_threshold(tmp_path):
 
     # the drop de-aligned MA's coverage from B's, so their overlap cells
     # are undefined: blank in the file, absent after parsing
-    matrix = read_matrix_csv(tmp_path / "overlap_none.csv")
+    matrix = _read_matrix(tmp_path / "overlap_none.csv")
     assert ("B", "MA") not in matrix and ("MA", "B") not in matrix
     assert matrix[("B", "B")] == 1.0 and matrix[("MA", "MA")] == 1.0
 
@@ -322,15 +371,8 @@ def test_emit_report_groups_overlap_by_regime(tmp_path):
     written = emit_report(runs, oracle, tmp_path)
     assert "overlap_none" in written and "overlap_issue-date" in written
     # coverage differs across regimes, but never inside one matrix
-    matrix = read_matrix_csv(tmp_path / "overlap_issue-date.csv")
+    matrix = _read_matrix(tmp_path / "overlap_issue-date.csv")
     assert matrix == {("MA", "MA"): 1.0}
-
-
-def test_read_matrix_rejects_other_csvs(tmp_path):
-    path = tmp_path / "other.csv"
-    path.write_text("a,b\n1,2\n")
-    with pytest.raises(SchemaError):
-        read_matrix_csv(path)
 
 
 def test_float_cells_round_trip_exactly(tmp_path):
@@ -340,6 +382,6 @@ def test_float_cells_round_trip_exactly(tmp_path):
         _run({F1: {A, B}}, variant="2"),
     ]
     emit_report(runs, oracle, tmp_path)
-    matrix = read_matrix_csv(tmp_path / "overlap_none.csv")
+    matrix = _read_matrix(tmp_path / "overlap_none.csv")
     assert matrix[("1", "2")] == 0.5  # repr() cells parse back to the same float
     assert matrix[("1", "1")] == 1.0

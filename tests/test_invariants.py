@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from bictrace.engine import run_variant, simulate_best_case_issue_date
-from bictrace.evaluate import DetectionRun, overlap, pooled_metrics
+from bictrace.evaluate import DetectionRun, overlap, score
 from bictrace.gitrepo import GitRepo
 from bictrace.memrepo import random_history
 from bictrace.oracle import OracleDataset, OracleEntry
@@ -110,15 +110,15 @@ def test_best_case_metrics_monotonicity():
 
     oracle = OracleDataset(entries=entries)
     for preset in plain_runs:
-        plain = pooled_metrics(
+        plain = score(
             DetectionRun(variant=preset, identified=plain_runs[preset]), oracle
-        )
-        dated = pooled_metrics(
+        ).pooled
+        dated = score(
             DetectionRun(
                 variant=preset, regime="best-case-date", identified=dated_runs[preset]
             ),
             oracle,
-        )
+        ).pooled
         assert dated.recall == plain.recall, preset
         assert dated.precision >= plain.precision, preset
 
@@ -137,18 +137,18 @@ def test_overlap_symmetry_on_random_runs():
         for i in range(6)
     ]
     oracle = OracleDataset(entries=entries)
-    runs = []
+    scores = []
     for v in range(5):
         identified = {
             (e.repo, e.fix_commit): frozenset(rng.sample(hashes, rng.randint(0, 4)))
             for e in entries
         }
-        runs.append(DetectionRun(variant=str(v), identified=identified))
+        scores.append(score(DetectionRun(variant=str(v), identified=identified), oracle))
 
-    for r_i in runs:
-        for r_j in runs:
-            assert overlap(r_i, r_j, oracle) == overlap(r_j, r_i, oracle)
-        assert overlap(r_i, r_i, oracle) == 1.0
+    for s_i in scores:
+        for s_j in scores:
+            assert overlap(s_i, s_j) == overlap(s_j, s_i)
+        assert overlap(s_i, s_i) == 1.0
 
 
 def test_metric_bounds_on_random_runs():
@@ -171,7 +171,7 @@ def test_metric_bounds_on_random_runs():
             for e in entries
         }
         run = DetectionRun(variant="X", identified=identified)
-        m = pooled_metrics(run, oracle)
+        m = score(run, oracle).pooled
         assert 0.0 <= m.recall <= 1.0
         assert 0.0 <= m.precision <= 1.0
         assert 0.0 <= m.f1 <= 1.0

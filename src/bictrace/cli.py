@@ -22,7 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import engine, evaluate, miner, oracle
-from .errors import BictraceError
+from .errors import BictraceError, NotARepositoryError
 from .gitrepo import GitRepo
 
 CLONES_ROOT_ENV = "BICTRACE_CLONES_ROOT"
@@ -183,36 +183,42 @@ def _detect_group(path: Path, entries, configs, regimes, ranges):
     skips: dict[tuple[str, str, str], str] = {}
     try:
         repo = GitRepo(path)
-    except BictraceError:
+    except BictraceError as exc:
+        reason = "clone-missing"
+        if not isinstance(exc, NotARepositoryError):  # a git that did not answer in time
+            reason = f"{type(exc).__name__}: {exc}"
         for e in entries:
             for regime in regimes:
-                skips[(e.repo, e.fix_commit, regime)] = "clone-missing"
+                skips[(e.repo, e.fix_commit, regime)] = reason
         return results, flags, skips
 
-    for e in entries:
-        cutoffs = []
-        for regime in regimes:
-            try:
-                cutoffs.append((regime, _cutoff(repo, e, regime)))
-            except BictraceError as exc:
-                skips[(e.repo, e.fix_commit, regime)] = f"{type(exc).__name__}: {exc}"
-        if not cutoffs:
-            continue
-        try:
-            found = engine.run_configs(
-                repo, e.fix_commit,
-                [(cfg, cutoff) for _, cutoff in cutoffs for _, cfg in configs],
-                refactorings=ranges,
-            )
-        except BictraceError as exc:
+    with repo:  # waits for the batch process before the task ends
+        for e in entries:
+            cutoffs = []
             for regime in regimes:
-                skips[(e.repo, e.fix_commit, regime)] = f"{type(exc).__name__}: {exc}"
-            continue
-        pairs = [(name, regime) for regime, _ in cutoffs for name, _ in configs]
-        for (name, regime), cands in zip(pairs, found):
-            results[(e.repo, e.fix_commit, name, regime)] = tuple(sorted(c.commit for c in cands))
-        if "issue-date" in regimes and not e.issue_dates:
-            flags[(e.repo, e.fix_commit, "issue-date")] = ("no-issue-dates",)
+                try:
+                    cutoffs.append((regime, _cutoff(repo, e, regime)))
+                except BictraceError as exc:
+                    skips[(e.repo, e.fix_commit, regime)] = f"{type(exc).__name__}: {exc}"
+            if not cutoffs:
+                continue
+            try:
+                found = engine.run_configs(
+                    repo, e.fix_commit,
+                    [(cfg, cutoff) for _, cutoff in cutoffs for _, cfg in configs],
+                    refactorings=ranges,
+                )
+            except BictraceError as exc:
+                for regime in regimes:
+                    skips[(e.repo, e.fix_commit, regime)] = f"{type(exc).__name__}: {exc}"
+                continue
+            pairs = [(name, regime) for regime, _ in cutoffs for name, _ in configs]
+            for (name, regime), cands in zip(pairs, found):
+                results[(e.repo, e.fix_commit, name, regime)] = tuple(
+                    sorted(c.commit for c in cands)
+                )
+            if "issue-date" in regimes and not e.issue_dates:
+                flags[(e.repo, e.fix_commit, "issue-date")] = ("no-issue-dates",)
     return results, flags, skips
 
 

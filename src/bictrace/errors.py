@@ -33,6 +33,10 @@ class LineOutOfRangeError(BictraceError):
     """A requested line number exceeds the file length at the revision."""
 
 
+class GitTimeoutError(BictraceError):
+    """A git process ran longer than the time it is allowed."""
+
+
 class RootCommitError(BictraceError):
     """The operation needs a parent commit and the commit has none."""
 

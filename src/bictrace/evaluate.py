@@ -131,10 +131,17 @@ def overlap(s_i: Score, s_j: Score) -> float:
 def exclusive_correct(s_i: Score, scores: list[Score]) -> tuple[int, int, float]:
     """How much of the pooled truth only this run found: count of true
     positives unique to s_i, the size of the union of everyone's true
-    positives, and their ratio (0 when the union is empty)."""
+    positives, and their ratio (0 when the union is empty). Like
+    ``overlap``, it refuses runs that cover different entries: a true
+    positive on an entry another run dropped is not exclusive."""
     others = [s for s in scores if s is not s_i]
     if not others:
         raise ValueError("exclusive-correct needs at least two runs")
+    for s_j in others:
+        if s_j.entries != s_i.entries:
+            raise ValueError(
+                f"runs {s_i.variant} and {s_j.variant} cover different entries"
+            )
     tp_rest = frozenset().union(*(s.true_positives for s in others))
     numerator = len(s_i.true_positives - tp_rest)
     denominator = len(s_i.true_positives | tp_rest)
@@ -312,8 +319,12 @@ def emit_report(
             if len(group) < 2:
                 continue
             for sc in group:
-                count, denom, fraction = exclusive_correct(sc, group)
-                writer.writerow([sc.variant, regime, count, denom, repr(fraction)])
+                try:
+                    count, denom, fraction = exclusive_correct(sc, group)
+                    writer.writerow([sc.variant, regime, count, denom, repr(fraction)])
+                except ValueError:
+                    # undefined when outlier drops de-align coverage, as overlap
+                    writer.writerow([sc.variant, regime, "", "", ""])
     written["exclusive"] = exclusive_path
 
     if outlier_threshold is not None:

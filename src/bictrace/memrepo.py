@@ -79,13 +79,7 @@ class InMemoryRepo:
 
     def commit_meta(self, commit_id: str) -> CommitMeta:
         c = self._commits[self.resolve(commit_id)]
-        return CommitMeta(
-            id=c.cid,
-            parents=c.parents,
-            author_time=c.time,
-            committer_time=c.time,
-            message=c.message,
-        )
+        return CommitMeta(id=c.cid, parents=c.parents, committer_time=c.time)
 
     def _chain(self, commit_id: str) -> list[MemCommit]:
         """First-parent chain from the commit back to its root."""

@@ -35,19 +35,47 @@ def suite_ranges(suite_ranges_path) -> RefactoringRanges:
 @pytest.fixture
 def git_subcommands(monkeypatch) -> list[str]:
     """The subcommand of every git process ``bictrace.gitrepo`` starts
-    during the test, in order."""
+    during the test, in order: one-shot ones (``subprocess.run``) and the
+    batch process (``subprocess.Popen``, recorded as ``cat-file``)."""
     started: list[str] = []
+
+    def record(argv):
+        i = 1
+        while argv[i] in ("-C", "-c"):
+            i += 2
+        started.append(argv[i])
 
     class Spy:
         def __getattr__(self, name):
             return getattr(subprocess, name)
 
         def run(self, argv, **kwargs):
-            i = 1
-            while argv[i] in ("-C", "-c"):
-                i += 2
-            started.append(argv[i])
+            record(argv)
             return subprocess.run(argv, **kwargs)
+
+        def Popen(self, argv, **kwargs):
+            record(argv)
+            return subprocess.Popen(argv, **kwargs)
+
+    monkeypatch.setattr(gitrepo, "subprocess", Spy())
+    return started
+
+
+@pytest.fixture
+def batch_processes(monkeypatch) -> list[subprocess.Popen]:
+    """Every batch process ``bictrace.gitrepo`` starts during the test, in
+    order. One-shot processes go through ``subprocess.run``, which waits
+    for them."""
+    started: list[subprocess.Popen] = []
+
+    class Spy:
+        def __getattr__(self, name):
+            return getattr(subprocess, name)
+
+        def Popen(self, argv, **kwargs):
+            proc = subprocess.Popen(argv, **kwargs)
+            started.append(proc)
+            return proc
 
     monkeypatch.setattr(gitrepo, "subprocess", Spy())
     return started

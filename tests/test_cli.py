@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from bictrace import cli, gitrepo
 from bictrace.cli import main
 from bictrace.evaluate import load_run
 from bictrace.oracle import OracleDataset, OracleEntry, save_oracle
@@ -327,6 +328,56 @@ def test_detect_skips_unresolvable_fix(corpus, suite_dataset, tmp_path, capsys):
     assert "UnknownCommitError" in capsys.readouterr().err
     run = load_run(out_dir / "b_none.json")
     assert ("plain_bug_fix", "0" * 40) in run.skipped
+
+
+def test_detect_waits_for_every_git_process(
+    corpus, suite, tmp_path, monkeypatch, batch_processes
+):
+    dataset_path, clones_root = corpus
+    kept = []
+
+    class Kept(gitrepo.GitRepo):
+        # outlives detect, so only close() can have stopped its process
+        def __init__(self, path):
+            super().__init__(path)
+            kept.append(self)
+
+    monkeypatch.setattr(cli, "GitRepo", Kept)
+    argv = ["detect", "--dataset", str(dataset_path), "--clones-root", str(clones_root)]
+    assert main([*argv, "--workers", "2", "--out-dir", str(tmp_path / "runs")]) == 0
+    # one batch process per repository, each reaped before detect returns
+    assert len(kept) == len(batch_processes) == len(suite)
+    assert all(proc.returncode is not None for proc in batch_processes)
+
+
+def test_detect_skips_an_entry_whose_git_times_out(
+    corpus, suite_dataset, tmp_path, monkeypatch, capsys
+):
+    dataset_path, clones_root = corpus
+    real_blame = gitrepo.GitRepo.blame
+
+    def blame(self, *args, **kwargs):
+        if Path(self.path).name != "plain_bug_fix":
+            return real_blame(self, *args, **kwargs)
+        with monkeypatch.context() as m:
+            m.setattr(gitrepo, "GIT_TIMEOUT_S", 1e-6)
+            return real_blame(self, *args, **kwargs)
+
+    monkeypatch.setattr(gitrepo.GitRepo, "blame", blame)
+    argv = ["detect", "--dataset", str(dataset_path), "--clones-root", str(clones_root),
+            "--presets", "B", "--workers", "1"]
+    assert main([*argv, "--out-dir", str(tmp_path / "hung")]) == 2
+    err = capsys.readouterr().err
+    assert "skipped plain_bug_fix" in err and "GitTimeoutError: git blame" in err
+    run = load_run(tmp_path / "hung" / "b_none.json")
+    assert [key[0] for key in run.skipped] == ["plain_bug_fix"]
+    assert len(run.identified) == len(suite_dataset.entries) - 1
+
+    # a probe that does not answer is no missing clone
+    monkeypatch.setattr(gitrepo, "GIT_TIMEOUT_S", 1e-6)
+    assert main([*argv, "--out-dir", str(tmp_path / "all")]) == 1
+    err = capsys.readouterr().err
+    assert "GitTimeoutError: git rev-parse" in err and "clone-missing" not in err
 
 
 def test_detect_all_missing_is_hard_failure(tmp_path, capsys):

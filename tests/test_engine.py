@@ -310,6 +310,17 @@ def test_all_presets_at_once_match_each_alone(suite, suite_ranges):
         assert backwards == together[::-1], name
 
 
+def test_entries_need_no_show_or_rev_parse(suite, suite_ranges, git_subcommands):
+    # one rev-parse probes the clone, one cat-file answers every resolve,
+    # metadata and file read; show and rev-parse only stand in for errors
+    for name, sc in sorted(suite.items()):
+        git_subcommands.clear()
+        with GitRepo(sc.path) as repo:
+            run_configs(repo, sc.fix, [(PRESETS[n], None) for n in PRESET_NAMES], suite_ranges)
+        assert git_subcommands[:2] == ["rev-parse", "cat-file"], name
+        assert set(git_subcommands[2:]) <= {"blame", "diff"}, name
+
+
 class _CountingRepo:
     """Passes every call through to a repository, recording blame calls
     and file reads."""

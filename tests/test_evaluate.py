@@ -209,6 +209,15 @@ def test_exclusive_correct_empty_union():
         exclusive_correct(scores[0], [scores[0]])
 
 
+def test_exclusive_correct_requires_equal_coverage():
+    # a find on an entry the other run dropped is not exclusive
+    oracle = _oracle({F1: {A}, F2: {B}})
+    s_i = score(_run({F1: {A}, F2: {B}}, variant="I"), oracle)
+    s_j = score(_run({F1: {A}}, variant="J"), oracle)
+    with pytest.raises(ValueError, match="runs I and J cover different entries"):
+        exclusive_correct(s_i, [s_i, s_j])
+
+
 # --- outlier filter ----------------------------------------------------------------
 
 
@@ -360,6 +369,9 @@ def test_emit_report_with_outlier_threshold(tmp_path):
     matrix = _read_matrix(tmp_path / "overlap_none.csv")
     assert ("B", "MA") not in matrix and ("MA", "B") not in matrix
     assert matrix[("B", "B")] == 1.0 and matrix[("MA", "MA")] == 1.0
+    # exclusive-correct is undefined for that group too
+    exclusive = (tmp_path / "exclusive.csv").read_text().splitlines()
+    assert exclusive[1:] == ["B,none,,,", "MA,none,,,"]
 
 
 def test_emit_report_groups_overlap_by_regime(tmp_path):

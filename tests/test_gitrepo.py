@@ -1,7 +1,10 @@
 """Repository facade: resolution, metadata, diffs, blame, error taxonomy."""
 
+import os
 import subprocess
+import sys
 import tempfile
+import threading
 from datetime import timezone
 from pathlib import Path
 
@@ -9,17 +12,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bictrace import gitrepo
+from bictrace.engine import extract_fix_lines
 from bictrace.errors import (
     AmbiguousCommitError,
     ConfigurationError,
     CorruptRepositoryError,
+    GitTimeoutError,
     LineOutOfRangeError,
     NotAParentError,
     NotARepositoryError,
     PathMissingError,
+    RootCommitError,
     UnknownCommitError,
 )
 from bictrace.gitrepo import (
+    PINNED_CONFIG,
     BlameRecord,
     DiffHunk,
     GitRepo,
@@ -104,10 +112,8 @@ def test_commit_meta_fields(shop):
     meta = repo.commit_meta(labels["edit"])
     assert meta.id == labels["edit"]
     assert meta.parents == (labels["root"],)
-    assert meta.message.rstrip("\n") == "sharpen beta entry"
     assert meta.committer_time == s.times[labels["edit"]]
     assert meta.committer_time.tzinfo == timezone.utc
-    assert meta.author_time == meta.committer_time
 
 
 def test_merge_parent_order(shop):
@@ -296,29 +302,182 @@ def test_hashes_git_printed_need_no_rev_parse(shop, git_subcommands):
     fresh = GitRepo(repo.path)
     [record] = fresh.blame(labels["edit"], "a.txt", [2])
     assert record.origin == labels["edit"]
+    assert git_subcommands == ["rev-parse", "cat-file", "blame"]
     git_subcommands.clear()
     meta = fresh.commit_meta(record.origin)
-    assert git_subcommands == ["show"]
     fresh.commit_meta(meta.parents[0])
-    assert git_subcommands == ["show", "show"]
+    assert git_subcommands == []
+    fresh.close()
 
 
 def test_git_runs_in_the_c_locale(shop, monkeypatch):
     monkeypatch.setenv("LC_ALL", "de_DE.UTF-8")
-    envs = []
-    real_run = subprocess.run
+    envs = {}
+    real_popen = subprocess.Popen
 
     def spy(argv, **kwargs):
-        envs.append(kwargs.get("env"))
-        return real_run(argv, **kwargs)
+        subcommand = argv[3 + 2 * len(PINNED_CONFIG)]  # after git -C <path> -c ...
+        envs.setdefault(subcommand, []).append(kwargs.get("env"))
+        return real_popen(argv, **kwargs)
 
-    monkeypatch.setattr(subprocess, "run", spy)
+    # subprocess.run starts its process through Popen too
+    monkeypatch.setattr(subprocess, "Popen", spy)
     repo, labels, _ = shop
-    fresh = GitRepo(repo.path)
-    fresh.commit_meta(labels["edit"])
-    with pytest.raises(UnknownCommitError):
-        fresh.resolve("no-such-branch")
-    assert envs and all(env is not None and env["LC_ALL"] == "C" for env in envs)
+    with GitRepo(repo.path) as fresh:
+        fresh.commit_meta(labels["edit"])
+        with pytest.raises(UnknownCommitError):
+            fresh.resolve("no-such-branch")
+    # the probe and the rev-parse fallback, and the batch process
+    assert sorted((sub, len(e)) for sub, e in envs.items()) == [("cat-file", 1), ("rev-parse", 2)]
+    assert all(env is not None and env["LC_ALL"] == "C" for e in envs.values() for env in e)
+
+
+def _git_out(path, *args: str) -> bytes:
+    return subprocess.run(["git", "-C", str(path), *args], capture_output=True, check=True).stdout
+
+
+def _assert_batch_matches_one_shot(path) -> None:
+    """commit_meta and file_at of every commit and every path in it,
+    directories included, give what the one-shot ``git show`` prints."""
+    with GitRepo(path) as repo:
+        for sha in _git_out(path, "rev-list", "--all").decode().split():
+            shown = _git_out(path, "show", "-s", "--format=%H%n%P%n%ct", sha).decode()
+            head, parents, ct = shown.split("\n")[:3]
+            meta = repo.commit_meta(sha)
+            assert meta.id == head
+            assert meta.parents == tuple(parents.split()), sha
+            assert meta.committer_time.timestamp() == int(ct)
+            listing = _git_out(path, "ls-tree", "-r", "-t", "-z", "--name-only", sha)
+            for raw in listing.split(b"\0")[:-1]:
+                file = os.fsdecode(raw)
+                want = _git_out(path, "show", f"{sha}:{file}").decode("utf-8", "replace")
+                assert repo.file_at(sha, file) == want, (sha, file)
+
+
+def test_batch_answers_equal_one_shot_commands(suite):
+    for sc in suite.values():
+        _assert_batch_matches_one_shot(sc.path)
+
+
+def test_batch_reads_odd_paths_headers_and_grafts(tmp_path):
+    # a newline in the name is sent to show: cat-file's answer line
+    # could not be told apart from it
+    s = GitScripter(tmp_path)
+    for name in ("dir with space/a b.txt", "naïve.py", "new\nline.txt"):
+        s.write(name, f"first {name}\n")
+    root = s.commit("add odd paths")
+    s.write("naïve.py", "second\n")
+    s.commit("edit odd path")
+    s.finish()
+    # author and committer times that differ, a zone offset and an
+    # encoding header
+    env = {
+        **os.environ,
+        "GIT_AUTHOR_NAME": "A", "GIT_AUTHOR_EMAIL": "a@example.org",
+        "GIT_AUTHOR_DATE": "1000000000 +0000",
+        "GIT_COMMITTER_NAME": "C", "GIT_COMMITTER_EMAIL": "c@example.org",
+        "GIT_COMMITTER_DATE": "1100000000 -0730",
+    }
+    tree = _git_out(tmp_path, "rev-parse", "HEAD^{tree}").decode().strip()
+    sha = subprocess.run(
+        ["git", "-C", str(tmp_path), "-c", "i18n.commitEncoding=ISO-8859-1",
+         "commit-tree", tree, "-p", "HEAD", "-m", "r\xe9sum\xe9"],
+        capture_output=True, check=True, env=env,
+    ).stdout.decode().strip()
+    _git_out(tmp_path, "update-ref", "refs/heads/main", sha)
+    assert b"\nencoding " in _git_out(tmp_path, "cat-file", "commit", sha)
+    # and a graft that show honours and the commit object does not know
+    (tmp_path / ".git" / "info" / "grafts").write_text(f"# skip one\n{sha} {root}\n")
+    _assert_batch_matches_one_shot(tmp_path)
+    with GitRepo(tmp_path) as repo:
+        meta = repo.commit_meta(sha)
+        assert meta.parents == (root,)
+        assert meta.committer_time.timestamp() == 1100000000
+
+
+def test_shallow_boundary_has_no_parents(suite, tmp_path):
+    sc = suite["cosmetic_chain"]
+    clone = tmp_path / "shallow"
+    subprocess.run(
+        ["git", "clone", "-q", "--depth", "2", f"file://{sc.path}", str(clone)],
+        capture_output=True, check=True,
+    )
+    boundary = _git_out(clone, "rev-parse", "HEAD~1").decode().strip()
+    # the object still names the parent that show hides
+    assert b"\nparent " in _git_out(clone, "cat-file", "commit", boundary)
+    _assert_batch_matches_one_shot(clone)
+    with GitRepo(clone) as repo:
+        assert repo.commit_meta(boundary).parents == ()
+        with pytest.raises(RootCommitError):
+            extract_fix_lines(repo, boundary)
+
+
+def test_names_with_nul_or_newline(shop, batch_processes):
+    repo, labels, _ = shop
+    with GitRepo(repo.path) as fresh:
+        with pytest.raises(UnknownCommitError):
+            fresh.resolve("HEAD\0")
+        with pytest.raises(PathMissingError):
+            fresh.file_at(labels["root"], "a.txt\0")
+        # a newline would let the echoed name pass for an answer line
+        with pytest.raises(UnknownCommitError):
+            fresh.resolve(f"{labels['edit']} commit 1\nx")
+        assert fresh.file_at(labels["root"], "a.txt") == "alpha\nbeta\ngamma\n"
+        assert fresh.file_at(labels["edit"], "a.txt") == "alpha\nbeta2\ngamma\n"
+    assert len(batch_processes) == 1
+
+
+def test_dead_batch_process_is_replaced(shop, batch_processes):
+    repo, labels, _ = shop
+    with GitRepo(repo.path) as fresh:
+        assert fresh.file_at(labels["root"], "a.txt") == "alpha\nbeta\ngamma\n"
+        [first] = batch_processes
+        first.kill()
+        first.wait()
+        # the request that finds it dead falls back to show, the next starts anew
+        assert fresh.file_at(labels["edit"], "a.txt") == "alpha\nbeta2\ngamma\n"
+        assert fresh.commit_meta(labels["side"]).parents == (labels["root"],)
+        assert len(batch_processes) == 2
+    assert all(proc.returncode is not None for proc in batch_processes)
+
+
+def test_threads_share_one_batch_process(shop, batch_processes):
+    repo, labels, _ = shop
+    want = {
+        label: _git_out(repo.path, "show", f"{sha}:keep.c").decode()
+        for label, sha in labels.items()
+    }
+    errors = []
+    with GitRepo(repo.path) as shared:
+
+        def read():
+            for _ in range(20):
+                for label, sha in labels.items():
+                    if shared.file_at(sha, "keep.c") != want[label]:
+                        errors.append(label)
+
+        threads = [threading.Thread(target=read) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(batch_processes) == 1
+
+
+def test_git_past_its_time_raises(shop, monkeypatch):
+    repo, labels, _ = shop
+    monkeypatch.setattr(gitrepo, "GIT_TIMEOUT_S", 1e-6)
+    with pytest.raises(GitTimeoutError, match="git blame .* ran longer than 1e-06 s"):
+        repo.blame(labels["edit"], "a.txt", [2])
+    with pytest.raises(GitTimeoutError, match="git rev-parse"):
+        GitRepo(repo.path)
 
 
 def test_parse_unified_diff_shapes():

@@ -1,19 +1,31 @@
 """Read-only facade over on-disk git repositories.
 
 Everything here drives the git CLI and parses its plumbing output. Each
-``GitRepo`` keeps one ``git cat-file --batch -z`` process, started on
-first use, that answers resolution (``<name>^{commit}``), commit metadata
-(parsed from the raw commit object) and file content (``<commit>:<path>``).
-Only a hit is served from it: when it says ``missing`` or ``ambiguous``,
-when a path names no blob, or when the process has died, the call falls
-back to the one-shot command (``rev-parse --verify``, ``show``) and takes
-its answer or its error, so every answer and error is what that command
-gives. A dead batch process is replaced on the next request. ``diff``
-with zero context (changed lines) and ``blame --porcelain`` (line
-attribution) are one-shot processes, each cut off after
-``GIT_TIMEOUT_S``. Rename following is left to git itself (blame follows
-renames by default; diffs are asked for rename detection at a fixed 50%
-similarity threshold so results are reproducible).
+``GitRepo`` keeps two batch processes, each started on first use:
+
+- ``git cat-file --batch -z`` answers resolution (``<name>^{commit}``),
+  commit metadata (parsed from the raw commit object) and file content
+  (``<commit>:<path>``). Only a hit is served from it: on ``missing`` or
+  ``ambiguous``, or a path that names no blob, the call falls back to the
+  one-shot ``rev-parse --verify`` or ``show`` and takes its answer or its
+  error.
+- ``git diff-tree --stdin -p -U0`` answers zero-context diffs of a commit
+  against one parent with exactly the bytes the one-shot ``git diff``
+  prints. A line after each request that diff-tree echoes, and no diff
+  line can equal, ends the answer.
+
+A batch process that dies or answers out of step is stopped, the call
+falls back to the one-shot command, and the next request starts a new
+process. So every answer and error is what the one-shot command gives.
+``blame --porcelain`` (line attribution) and the ``rev-parse`` probe that
+opens a repository are one-shot processes.
+
+One watchdog thread per ``GitRepo`` kills any of its git processes, one-shot
+or batch, that runs a request past ``GIT_TIMEOUT_S``; the call then raises
+``GitTimeoutError`` and a batch request does not fall back. Rename
+following is left to git itself (blame follows renames by default; diffs
+are asked for rename detection at a fixed 50% similarity threshold so
+results are reproducible).
 
 Answers depend only on the repository's objects: every call pins the
 config settings that change diff or blame output, turns off external
@@ -27,22 +39,25 @@ every ``blame.ignoreRevsFile`` the config names before
 fails every blame with a ``ConfigurationError``.
 
 Snapshots never mutate the repository and are safe to share across
-threads: batch requests are serialised. ``close()`` (or leaving a
-``with`` block) stops the batch process; a forgotten one is stopped when
-the ``GitRepo`` is collected.
+threads: requests to one batch process are serialised. ``close()`` (or
+leaving a ``with`` block) stops the batch processes and the watchdog; a
+forgotten ``GitRepo`` stops them when it is collected.
 """
 
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import re
 import subprocess
 import threading
+import time
 import weakref
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import IO, Callable, TypeVar
 
 from .errors import (
     AmbiguousCommitError,
@@ -58,7 +73,7 @@ from .errors import (
 
 RENAME_THRESHOLD = "50%"
 
-# seconds a one-shot git process may run before its entry is given up
+# seconds a git process may spend on one request before its entry is given up
 GIT_TIMEOUT_S = 600
 
 # user or repository config that would change what git prints
@@ -71,9 +86,24 @@ PINNED_CONFIG = (
     "color.ui=never",
 )
 
+_DIFF_ARGS = (
+    "-U0", "--no-ext-diff", "--no-textconv", "--no-color", f"--find-renames={RENAME_THRESHOLD}",
+)
+# diff-tree echoes a line that names no object; no line of -p output starts
+# with "~": headers start with a word or a hash, hunk lines with "@", "+",
+# "-", " " or "\\"
+_DIFF_END = b"~ end of diff\n"
+
 _HUNK_RE = re.compile(r"^@@ -(\d+)(?:,(\d+))? \+(\d+)(?:,(\d+))? @@")
 _BLAME_HEAD_RE = re.compile(r"^([0-9a-f]{40}) (\d+) (\d+)(?: (\d+))?$")
 _BATCH_HEAD_RE = re.compile(rb"([0-9a-f]+) ([a-z]+) (\d+)\n")
+# the escapes git's C-quoting uses besides octal ones
+_C_ESCAPES = {
+    "a": "\a", "b": "\b", "f": "\f", "n": "\n", "r": "\r", "t": "\t", "v": "\v",
+    "\\": "\\", '"': '"',
+}
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -115,9 +145,8 @@ def _unquote_path(raw: str) -> str:
         ch = body[i]
         if ch == "\\" and i + 1 < len(body):
             nxt = body[i + 1]
-            simple = {"n": "\n", "t": "\t", "\\": "\\", '"': '"', "r": "\r"}
-            if nxt in simple:
-                out.append(simple[nxt])
+            if nxt in _C_ESCAPES:
+                out.append(_C_ESCAPES[nxt])
                 i += 2
                 continue
             if nxt.isdigit() and i + 3 < len(body) + 1:
@@ -142,22 +171,88 @@ def _utc(timestamp: int) -> datetime:
     return datetime.fromtimestamp(timestamp, tz=timezone.utc)
 
 
-class _CatFile:
-    """One ``git cat-file --batch -z`` process, started by the first
-    request after construction, ``close()`` or its death."""
+def _too_slow(argv: list[str]) -> GitTimeoutError:
+    subcommand = argv[3 + 2 * len(PINNED_CONFIG)]  # after git -C <path> -c ...
+    return GitTimeoutError(f"git {subcommand} in {argv[2]} ran longer than {GIT_TIMEOUT_S} s")
 
-    def __init__(self, argv: list[str], env: dict[str, str]):
+
+@dataclass(eq=False)
+class _Deadline:
+    proc: subprocess.Popen
+    at: float
+    killed: bool = False
+
+
+class _Watchdog:
+    """Kills each armed git process that is still armed ``GIT_TIMEOUT_S``
+    after it was armed. One thread watches them all; the first ``arm()``
+    after construction or ``close()`` starts it."""
+
+    def __init__(self) -> None:
+        self._cond = threading.Condition()
+        self._armed: set[_Deadline] = set()
+        self._thread: threading.Thread | None = None
+        self._wake_at = math.inf
+
+    def arm(self, proc: subprocess.Popen) -> _Deadline:
+        deadline = _Deadline(proc, time.monotonic() + GIT_TIMEOUT_S)
+        with self._cond:
+            self._armed.add(deadline)
+            if self._thread is None:
+                self._thread = threading.Thread(target=self._watch, daemon=True)
+                self._thread.start()
+            elif deadline.at < self._wake_at:
+                self._cond.notify()
+        return deadline
+
+    def disarm(self, deadline: _Deadline) -> bool:
+        """Stop watching; True when the process ran past its deadline."""
+        with self._cond:
+            self._armed.discard(deadline)
+        return deadline.killed or time.monotonic() >= deadline.at
+
+    def close(self) -> None:
+        with self._cond:
+            thread, self._thread = self._thread, None
+            self._cond.notify()
+        # a collection in the watchdog thread may close its own GitRepo
+        if thread is not None and thread is not threading.current_thread():
+            thread.join()
+
+    def _watch(self) -> None:
+        me = threading.current_thread()
+        with self._cond:
+            while self._thread is me:
+                now = time.monotonic()
+                for deadline in [d for d in self._armed if d.at <= now]:
+                    self._armed.discard(deadline)
+                    deadline.killed = True
+                    deadline.proc.kill()
+                self._wake_at = min((d.at for d in self._armed), default=math.inf)
+                self._cond.wait(self._wake_at - now if self._armed else None)
+
+
+class _OutOfStep(Exception):
+    """A batch process's answer is cut short or is not the one asked for."""
+
+
+class _Batch:
+    """One long-lived git process that answers requests written to its
+    stdin, started by the first request after construction, ``close()``,
+    its death or an answer out of step."""
+
+    def __init__(self, argv: list[str], env: dict[str, str], watchdog: _Watchdog):
         self._argv = argv
         self._env = env
+        self._watchdog = watchdog
         self._proc: subprocess.Popen | None = None
         self._lock = threading.Lock()
 
-    def request(self, name: str) -> tuple[str, str, bytes] | None:
-        """``(object id, type, content)`` of the object ``name`` names, or
-        None when git says it is missing or ambiguous or gives no answer."""
-        raw = os.fsencode(name)
-        if b"\n" in raw:
-            return None  # git's "<name> missing" line would end early
+    def request(self, payload: bytes, read: Callable[[IO[bytes]], _T]) -> _T | None:
+        """What ``read`` makes of the answer to ``payload``, or None when the
+        process died or ``read`` raised ``_OutOfStep``; the process is then
+        stopped. An answer later than ``GIT_TIMEOUT_S`` stops it too and
+        raises ``GitTimeoutError``."""
         with self._lock:
             if self._proc is None:
                 self._proc = subprocess.Popen(
@@ -165,23 +260,23 @@ class _CatFile:
                     stderr=subprocess.DEVNULL, env=self._env,
                 )
             proc = self._proc
+            deadline = self._watchdog.arm(proc)
             try:
-                proc.stdin.write(raw + b"\0")
+                proc.stdin.write(payload)
                 proc.stdin.flush()
-                header = proc.stdout.readline()
-            except OSError:
-                header = b""
-            if header in (raw + b" missing\n", raw + b" ambiguous\n"):
-                return None
-            m = _BATCH_HEAD_RE.fullmatch(header)
-            if m:
-                size = int(m[3])
-                body = proc.stdout.read(size + 1)
-                if len(body) == size + 1:
-                    return m[1].decode("ascii"), m[2].decode("ascii"), body[:size]
-            # died (a corrupt object is fatal to cat-file) or out of step
-            self._stop()
-            return None
+                answer = read(proc.stdout)
+            except (OSError, _OutOfStep):
+                answer = None
+                self._stop()
+            except BaseException:
+                self._stop()  # the next answer would be this one's rest
+                raise
+            finally:
+                late = self._watchdog.disarm(deadline)
+            if late:
+                self._stop()
+                raise _too_slow(self._argv)
+            return answer
 
     def close(self) -> None:
         with self._lock:
@@ -198,12 +293,53 @@ class _CatFile:
                 pipe.close()
 
 
+def _read_object(stdout: IO[bytes], name: bytes) -> tuple[str, str, bytes] | None:
+    """cat-file's ``(object id, type, content)`` for ``name``, or None when
+    it says the name is missing or ambiguous."""
+    header = stdout.readline()
+    if header in (name + b" missing\n", name + b" ambiguous\n"):
+        return None
+    m = _BATCH_HEAD_RE.fullmatch(header)
+    if not m:
+        raise _OutOfStep  # died (a corrupt object is fatal to cat-file)
+    size = int(m[3])
+    body = stdout.read(size + 1)
+    if len(body) != size + 1:
+        raise _OutOfStep
+    return m[1].decode("ascii"), m[2].decode("ascii"), body[:size]
+
+
+def _read_diff(stdout: IO[bytes], head: bytes) -> bytes:
+    """diff-tree's answer up to ``_DIFF_END`` without its ``head`` line: what
+    one-shot ``git diff`` prints. An empty diff has no head line."""
+    lines = []
+    while (line := stdout.readline()) != _DIFF_END:
+        if not line:
+            raise _OutOfStep
+        lines.append(line)
+    if lines and lines[0] != head:
+        raise _OutOfStep
+    return b"".join(lines[1:])
+
+
+def _close_all(parts: tuple[_Batch | _Watchdog, ...]) -> None:
+    for part in parts:
+        part.close()
+
+
 class GitRepo:
     """Snapshot handle for one local clone."""
 
     def __init__(self, path: str | Path):
         self.path = str(path)
         self._env = {**os.environ, "LC_ALL": "C"}
+        self._watchdog = _Watchdog()
+        self._cat_file = _Batch(self._argv("cat-file", "--batch", "-z"), self._env, self._watchdog)
+        self._diff_tree = _Batch(
+            self._argv("diff-tree", "--stdin", "-r", "-p", *_DIFF_ARGS), self._env, self._watchdog
+        )
+        self._parts = (self._cat_file, self._diff_tree, self._watchdog)
+        weakref.finalize(self, _close_all, self._parts)
         probe = self._run(
             "rev-parse", "--git-dir", "--git-path", "info/grafts", "--git-path", "shallow"
         )
@@ -223,8 +359,6 @@ class GitRepo:
         self._resolve_cache: dict[str, str] = {}
         self._meta_cache: dict[str, CommitMeta] = {}
         self._diff_cache: dict[tuple[str, str], tuple[DiffHunk, ...]] = {}
-        self._batch = _CatFile(self._argv("cat-file", "--batch", "-z"), self._env)
-        weakref.finalize(self, self._batch.close)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"GitRepo({self.path!r})"
@@ -236,8 +370,9 @@ class GitRepo:
         self.close()
 
     def close(self) -> None:
-        """Stop the batch process; a later query starts a new one."""
-        self._batch.close()
+        """Stop the batch processes and the watchdog; a later query starts
+        them anew."""
+        _close_all(self._parts)
 
     # -- plumbing ---------------------------------------------------------
 
@@ -253,14 +388,21 @@ class GitRepo:
         return [*argv, *args]
 
     def _run(self, *args: str) -> subprocess.CompletedProcess:
-        try:
-            return subprocess.run(
-                self._argv(*args), capture_output=True, env=self._env, timeout=GIT_TIMEOUT_S
-            )
-        except subprocess.TimeoutExpired:
-            raise GitTimeoutError(
-                f"git {args[0]} in {self.path} ran longer than {GIT_TIMEOUT_S} s"
-            ) from None
+        argv = self._argv(*args)
+        with subprocess.Popen(
+            argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=self._env
+        ) as proc:
+            deadline = self._watchdog.arm(proc)
+            try:
+                out, err = proc.communicate()
+            except BaseException:
+                proc.kill()
+                raise
+            finally:
+                late = self._watchdog.disarm(deadline)
+        if late:
+            raise _too_slow(argv)
+        return subprocess.CompletedProcess(argv, proc.returncode, out, err)
 
     def _git(self, *args: str) -> bytes:
         proc = self._run(*args)
@@ -292,6 +434,13 @@ class GitRepo:
         ):
             raise UnknownCommitError(msg)
         raise CorruptRepositoryError(msg)
+
+    def _object(self, name: str) -> tuple[str, str, bytes] | None:
+        """cat-file's ``(object id, type, content)`` for ``name``, or None."""
+        raw = os.fsencode(name)
+        if b"\n" in raw:
+            return None  # git's "<name> missing" line would end early
+        return self._cat_file.request(raw + b"\0", lambda stdout: _read_object(stdout, raw))
 
     def _commit_from(self, answer: tuple[str, str, bytes] | None) -> CommitMeta | None:
         """The metadata of a batch answer holding a commit, cached, or None."""
@@ -332,7 +481,7 @@ class GitRepo:
         cached = self._resolve_cache.get(commit_id)
         if cached is not None:
             return cached
-        meta = self._commit_from(self._batch.request(f"{commit_id}^{{commit}}"))
+        meta = self._commit_from(self._object(f"{commit_id}^{{commit}}"))
         if meta is not None:
             full = meta.id
         else:
@@ -345,7 +494,7 @@ class GitRepo:
         full = self.resolve(commit_id)
         meta = self._meta_cache.get(full)
         if meta is None:
-            meta = self._commit_from(self._batch.request(full))
+            meta = self._commit_from(self._object(full))
         if meta is None:
             out = self._git("show", "-s", "--format=%H%n%P%n%ct", full)
             head, parent_line, ct = out.decode("ascii").split("\n")[:3]
@@ -356,7 +505,7 @@ class GitRepo:
         full = self.resolve(revision)
         if "\0" in path:
             raise PathMissingError(f"invalid path: {path!r}")
-        answer = self._batch.request(f"{full}:{path}")
+        answer = self._object(f"{full}:{path}")
         if answer is not None and answer[1] == "blob":
             out = answer[2]
         else:
@@ -374,10 +523,13 @@ class GitRepo:
         cached = self._diff_cache.get(key)
         if cached is not None:
             return cached
-        out = self._git(
-            "diff", "-U0", "--no-ext-diff", "--no-textconv", "--no-color",
-            f"--find-renames={RENAME_THRESHOLD}", parent, full,
+        head = f"{full}\n".encode("ascii")
+        out = self._diff_tree.request(
+            f"{full} {parent}\n".encode("ascii") + _DIFF_END,
+            lambda stdout: _read_diff(stdout, head),
         )
+        if out is None:
+            out = self._git("diff", *_DIFF_ARGS, parent, full)
         hunks = parse_unified_diff(out.decode("utf-8", "replace"))
         self._diff_cache[key] = hunks
         return hunks

@@ -39,6 +39,7 @@ FIX_STEMS = ("fix", "solv")
 BUG_STEMS = ("bug", "issue", "problem", "error", "misfeature")
 EXCLUDE_STEMS = ("merg",)
 
+# word-bounded lowercase hex runs of 6 to 40 characters
 HASH_RE = re.compile(r"(?<![0-9a-zA-Z_])[0-9a-f]{6,40}(?![0-9a-zA-Z_])")
 
 PREFILTER = "prefilter"
@@ -159,12 +160,6 @@ def word_prefilter(message: str) -> bool:
         has_fix = has_fix or tok.startswith(FIX_STEMS)
         has_bug = has_bug or tok.startswith(BUG_STEMS)
     return has_fix and has_bug
-
-
-def extract_hashes(sentence: str) -> list[str]:
-    """All word-bounded lowercase hex runs of 6 to 40 characters, in
-    order of appearance."""
-    return HASH_RE.findall(sentence)
 
 
 def _starts_with_hash(text: str) -> bool:

@@ -32,52 +32,53 @@ def suite_ranges(suite_ranges_path) -> RefactoringRanges:
     return load_refactoring_ranges(suite_ranges_path)
 
 
-@pytest.fixture
-def git_subcommands(monkeypatch) -> list[str]:
-    """The subcommand of every git process ``bictrace.gitrepo`` starts
-    during the test, in order: one-shot ones (``subprocess.run``) and the
-    batch process (``subprocess.Popen``, recorded as ``cat-file``)."""
-    started: list[str] = []
+class _Spy:
+    """Stands in for ``subprocess`` in ``bictrace.gitrepo``. Every git
+    process it starts, one-shot or batch, goes through ``Popen``; each
+    recorder gets ``(subcommand, process)``."""
 
-    def record(argv):
+    def __init__(self):
+        self.recorders = []
+
+    def __getattr__(self, name):
+        return getattr(subprocess, name)
+
+    def Popen(self, argv, **kwargs):
+        proc = subprocess.Popen(argv, **kwargs)
         i = 1
         while argv[i] in ("-C", "-c"):
             i += 2
-        started.append(argv[i])
+        for record in self.recorders:
+            record(argv[i], proc)
+        return proc
 
-    class Spy:
-        def __getattr__(self, name):
-            return getattr(subprocess, name)
 
-        def run(self, argv, **kwargs):
-            record(argv)
-            return subprocess.run(argv, **kwargs)
+def _spy_on_git(monkeypatch, record) -> None:
+    if not isinstance(gitrepo.subprocess, _Spy):
+        monkeypatch.setattr(gitrepo, "subprocess", _Spy())
+    gitrepo.subprocess.recorders.append(record)
 
-        def Popen(self, argv, **kwargs):
-            record(argv)
-            return subprocess.Popen(argv, **kwargs)
 
-    monkeypatch.setattr(gitrepo, "subprocess", Spy())
+@pytest.fixture
+def git_subcommands(monkeypatch) -> list[str]:
+    """The subcommand of every git process ``bictrace.gitrepo`` starts
+    during the test, in order, one-shot and batch alike."""
+    started: list[str] = []
+    _spy_on_git(monkeypatch, lambda subcommand, _: started.append(subcommand))
     return started
 
 
 @pytest.fixture
 def batch_processes(monkeypatch) -> list[subprocess.Popen]:
-    """Every batch process ``bictrace.gitrepo`` starts during the test, in
-    order. One-shot processes go through ``subprocess.run``, which waits
-    for them."""
+    """Every batch process (``cat-file`` or ``diff-tree``) that
+    ``bictrace.gitrepo`` starts during the test, in order."""
     started: list[subprocess.Popen] = []
 
-    class Spy:
-        def __getattr__(self, name):
-            return getattr(subprocess, name)
-
-        def Popen(self, argv, **kwargs):
-            proc = subprocess.Popen(argv, **kwargs)
+    def record(subcommand, proc):
+        if subcommand in ("cat-file", "diff-tree"):
             started.append(proc)
-            return proc
 
-    monkeypatch.setattr(gitrepo, "subprocess", Spy())
+    _spy_on_git(monkeypatch, record)
     return started
 
 

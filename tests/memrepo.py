@@ -21,15 +21,15 @@ from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
-from .errors import (
+from bictrace.errors import (
     AmbiguousCommitError,
     LineOutOfRangeError,
     NotAParentError,
     PathMissingError,
     UnknownCommitError,
 )
-from .gitrepo import BlameRecord, CommitMeta, DiffHunk
-from .scenarios import GitScripter
+from bictrace.gitrepo import BlameRecord, CommitMeta, DiffHunk
+from bictrace.scenarios import GitScripter
 
 MODEL_FILE = "model.c"
 _EPOCH = datetime(2021, 6, 1, tzinfo=timezone.utc)

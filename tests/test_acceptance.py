@@ -30,7 +30,6 @@ from bictrace.evaluate import (
 )
 from bictrace.gitrepo import GitRepo
 from bictrace.langfilters import LineClass, classify_lines
-from bictrace.memrepo import random_history
 from bictrace.miner import analyze_with_trees
 from bictrace.oracle import (
     OracleDataset,
@@ -42,6 +41,7 @@ from bictrace.oracle import (
     subset_supported,
 )
 from lexfixtures import FIXTURE_LANGUAGES, load_fixture
+from memrepo import random_history
 
 TOL = 1e-12
 

@@ -345,16 +345,21 @@ def test_detect_waits_for_every_git_process(
     monkeypatch.setattr(cli, "GitRepo", Kept)
     argv = ["detect", "--dataset", str(dataset_path), "--clones-root", str(clones_root)]
     assert main([*argv, "--workers", "2", "--out-dir", str(tmp_path / "runs")]) == 0
-    # one batch process per repository, each reaped before detect returns
-    assert len(kept) == len(batch_processes) == len(suite)
+    # one batch process of each kind per repository, each reaped before
+    # detect returns
+    assert len(kept) == len(suite)
+    for kind in ("cat-file", "diff-tree"):
+        started = [proc.args[2] for proc in batch_processes if kind in proc.args]
+        assert sorted(started) == sorted(repo.path for repo in kept), kind
     assert all(proc.returncode is not None for proc in batch_processes)
 
 
 def test_detect_skips_an_entry_whose_git_times_out(
-    corpus, suite_dataset, tmp_path, monkeypatch, capsys
+    corpus, suite_dataset, tmp_path, monkeypatch, capsys, git_subcommands
 ):
     dataset_path, clones_root = corpus
     real_blame = gitrepo.GitRepo.blame
+    real_diff = gitrepo.GitRepo.diff_against_parent
 
     def blame(self, *args, **kwargs):
         if Path(self.path).name != "plain_bug_fix":
@@ -363,15 +368,26 @@ def test_detect_skips_an_entry_whose_git_times_out(
             m.setattr(gitrepo, "GIT_TIMEOUT_S", 1e-6)
             return real_blame(self, *args, **kwargs)
 
+    def diff_against_parent(self, commit_id, parent_id):
+        if Path(self.path).name != "cosmetic_chain":
+            return real_diff(self, commit_id, parent_id)
+        self.commit_meta(commit_id)  # only the diff-tree request runs late
+        with monkeypatch.context() as m:
+            m.setattr(gitrepo, "GIT_TIMEOUT_S", 1e-6)
+            return real_diff(self, commit_id, parent_id)
+
     monkeypatch.setattr(gitrepo.GitRepo, "blame", blame)
+    monkeypatch.setattr(gitrepo.GitRepo, "diff_against_parent", diff_against_parent)
     argv = ["detect", "--dataset", str(dataset_path), "--clones-root", str(clones_root),
             "--presets", "B", "--workers", "1"]
     assert main([*argv, "--out-dir", str(tmp_path / "hung")]) == 2
     err = capsys.readouterr().err
     assert "skipped plain_bug_fix" in err and "GitTimeoutError: git blame" in err
+    assert "skipped cosmetic_chain" in err and "GitTimeoutError: git diff-tree" in err
+    assert "diff" not in git_subcommands  # no one-shot diff waits as long again
     run = load_run(tmp_path / "hung" / "b_none.json")
-    assert [key[0] for key in run.skipped] == ["plain_bug_fix"]
-    assert len(run.identified) == len(suite_dataset.entries) - 1
+    assert sorted(key[0] for key in run.skipped) == ["cosmetic_chain", "plain_bug_fix"]
+    assert len(run.identified) == len(suite_dataset.entries) - 2
 
     # a probe that does not answer is no missing clone
     monkeypatch.setattr(gitrepo, "GIT_TIMEOUT_S", 1e-6)

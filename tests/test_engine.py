@@ -312,13 +312,14 @@ def test_all_presets_at_once_match_each_alone(suite, suite_ranges):
 
 def test_entries_need_no_show_or_rev_parse(suite, suite_ranges, git_subcommands):
     # one rev-parse probes the clone, one cat-file answers every resolve,
-    # metadata and file read; show and rev-parse only stand in for errors
+    # metadata and file read, one diff-tree every diff; show, rev-parse and
+    # diff only stand in for errors, so blame is all that runs one-shot
     for name, sc in sorted(suite.items()):
         git_subcommands.clear()
         with GitRepo(sc.path) as repo:
             run_configs(repo, sc.fix, [(PRESETS[n], None) for n in PRESET_NAMES], suite_ranges)
-        assert git_subcommands[:2] == ["rev-parse", "cat-file"], name
-        assert set(git_subcommands[2:]) <= {"blame", "diff"}, name
+        assert git_subcommands[:3] == ["rev-parse", "cat-file", "diff-tree"], name
+        assert set(git_subcommands[3:]) <= {"blame"}, name
 
 
 class _CountingRepo:

@@ -1,15 +1,18 @@
 """Repository facade: resolution, metadata, diffs, blame, error taxonomy."""
 
+import ast
 import os
+import signal
 import subprocess
 import sys
 import tempfile
 import threading
+import time
 from datetime import timezone
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bictrace import gitrepo
@@ -265,7 +268,7 @@ def configurable(tmp_path):
         ("blame.ignoreRevsFile", "IGNORE_REVS"),
     ],
 )
-def test_repository_config_changes_no_answer(configurable, key, value):
+def test_repository_config_changes_no_answer(configurable, key, value, git_subcommands):
     path, root, fix = configurable
     repo = GitRepo(path)
     want_diff = repo.diff_against_parent(fix, root)
@@ -283,6 +286,8 @@ def test_repository_config_changes_no_answer(configurable, key, value):
     configured = GitRepo(path)
     assert configured.diff_against_parent(fix, root) == want_diff
     assert configured.blame(fix, "a/core.c", [1, 2, 3]) == want_blame
+    # the batch answered every diff: no one-shot diff stood in for it
+    assert "diff-tree" in git_subcommands and "diff" not in git_subcommands
 
 
 def test_missing_ignore_revs_file_is_a_configuration_error(configurable):
@@ -451,10 +456,17 @@ def test_threads_share_one_batch_process(shop, batch_processes):
     with GitRepo(repo.path) as shared:
 
         def read():
+            # diff-tree's first requests race, and one-shot blames share
+            # the watchdog with the batch requests
+            for commit, parent in (("edit", "root"), ("tail_edit", "tail")):
+                if len(shared.diff_against_parent(labels[commit], labels[parent])) != 1:
+                    errors.append(commit)
             for _ in range(20):
                 for label, sha in labels.items():
                     if shared.file_at(sha, "keep.c") != want[label]:
                         errors.append(label)
+            if shared.blame(labels["edit"], "a.txt", [2])[0].origin != labels["edit"]:
+                errors.append("blame")
 
         threads = [threading.Thread(target=read) for _ in range(4)]
         interval = sys.getswitchinterval()
@@ -468,7 +480,7 @@ def test_threads_share_one_batch_process(shop, batch_processes):
             sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
-    assert len(batch_processes) == 1
+    assert len(batch_processes) == 2  # one cat-file, one diff-tree
 
 
 def test_git_past_its_time_raises(shop, monkeypatch):
@@ -478,6 +490,80 @@ def test_git_past_its_time_raises(shop, monkeypatch):
         repo.blame(labels["edit"], "a.txt", [2])
     with pytest.raises(GitTimeoutError, match="git rev-parse"):
         GitRepo(repo.path)
+
+
+def test_batch_request_past_its_deadline_raises(
+    shop, monkeypatch, git_subcommands, batch_processes
+):
+    repo, labels, _ = shop
+    with GitRepo(repo.path) as fresh:
+        fresh.commit_meta(labels["edit"])  # resolves the commit and its parent
+        with monkeypatch.context() as m:
+            m.setattr(gitrepo, "GIT_TIMEOUT_S", 1e-6)
+            with pytest.raises(GitTimeoutError, match="git diff-tree .* ran longer than 1e-06 s"):
+                fresh.diff_against_parent(labels["edit"], labels["root"])
+        [hunk] = fresh.diff_against_parent(labels["edit"], labels["root"])
+        assert hunk.removed == ((2, "beta"),)
+    diff_trees = [proc for proc in batch_processes if "diff-tree" in proc.args]
+    assert len(diff_trees) == 2
+    assert all(proc.returncode is not None for proc in diff_trees)
+    # a late batch answer is no reason to wait as long again for git diff
+    assert "diff" not in git_subcommands
+
+
+def test_watchdog_kills_git_that_stops_answering(shop, monkeypatch):
+    repo, labels, _ = shop
+    real_popen = subprocess.Popen
+    hung = []
+
+    def popen(argv, **kwargs):
+        if argv[3 + 2 * len(PINNED_CONFIG)] in ("blame", "diff-tree"):
+            hung.append(real_popen([sys.executable, "-c", "import time; time.sleep(60)"], **kwargs))
+            return hung[-1]
+        return real_popen(argv, **kwargs)
+
+    monkeypatch.setattr(subprocess, "Popen", popen)
+    with GitRepo(repo.path) as fresh:
+        fresh.commit_meta(labels["edit"])
+        monkeypatch.setattr(gitrepo, "GIT_TIMEOUT_S", 0.5)
+        calls = {
+            "blame": lambda: fresh.blame(labels["edit"], "a.txt", [2]),
+            "diff-tree": lambda: fresh.diff_against_parent(labels["edit"], labels["root"]),
+        }
+        for subcommand, call in calls.items():
+            began = time.monotonic()
+            with pytest.raises(GitTimeoutError, match=f"git {subcommand} .* ran longer than 0.5 s"):
+                call()
+            assert 0.5 <= time.monotonic() - began < 30, subcommand
+    assert len(hung) == 2
+    assert all(proc.returncode == -signal.SIGKILL for proc in hung)
+
+
+def test_no_git_process_waits_with_a_timeout():
+    # Popen.wait(timeout=...) sleep-polls until git exits; the watchdog kills
+    # a late process instead, so every wait blocks
+    tree = ast.parse(Path(gitrepo.__file__).read_text())
+    keywords = [node for node in ast.walk(tree) if isinstance(node, ast.keyword)]
+    assert [node.lineno for node in keywords if node.arg == "timeout"] == []
+
+
+def test_paths_with_escaped_control_characters(tmp_path):
+    # git C-quotes \a, \b, \f and \v even with core.quotePath=false, in
+    # diff headers and in blame's porcelain filename lines
+    name = "a\bb\fc\vd\ae"
+    s = GitScripter(tmp_path)
+    s.write(name, "one\ntwo\n")
+    root = s.commit("add file")
+    s.write(name, "one\nTWO\n")
+    fix = s.commit("fix file")
+    s.finish()
+    assert b'"a/a\\bb\\fc\\vd\\ae"' in _git_out(tmp_path, "diff", root, fix)
+    with GitRepo(tmp_path) as repo:
+        [hunk] = repo.diff_against_parent(fix, root)
+        assert hunk == DiffHunk(name, name, ((2, "two"),), ((2, "TWO"),))
+        assert repo.file_at(root, hunk.file_pre) == "one\ntwo\n"
+        records = repo.blame(fix, hunk.file_post, [1, 2])
+    assert [(r.file, r.origin) for r in records] == [(name, root), (name, fix)]
 
 
 def test_parse_unified_diff_shapes():
@@ -640,6 +726,123 @@ def test_parse_unified_diff_agrees_with_git(pre, post, pre_nl, post_nl):
     kept_pre = [line for n, line in enumerate(pre_lines, 1) if n not in removed]
     kept_post = [line for n, line in enumerate(post_lines, 1) if n not in added]
     assert kept_pre == kept_post
+
+
+# the line that ends each diff-tree answer: content lines that equal it, or
+# would print as it with a "-" or "+" in front, or with its first
+# character swapped for one
+_DIFF_END = gitrepo._DIFF_END.decode("ascii").rstrip("\n")
+_text_lines = st.lists(
+    st.one_of(
+        st.builds(
+            str.__add__,
+            st.sampled_from(_LOOKALIKE_HEADS),
+            st.sampled_from(("", "x", " a/x", "-1", "+1", " No newline at end of file")),
+        ),
+        st.sampled_from((
+            _DIFF_END, _DIFF_END[1:], "-" + _DIFF_END[1:], "+" + _DIFF_END[1:],
+            "diff --git a/x b/x", "Binary files a/x and b/x differ", "0" * 40,
+        )),
+    ),
+    min_size=1,
+    max_size=6,
+)
+_contents = st.one_of(
+    st.builds(_content, _text_lines, st.booleans()).map(str.encode),
+    st.binary(max_size=6).map(lambda raw: b"\0" + raw),  # binary files
+)
+_PATHS = ("plain.txt", "dir/sub.c", "a\bb\fc\vd\ae", "tab\tname", 'quo"te', "back\\slash",
+          "naïve.py", "new\nline")
+
+
+def test_batch_diff_of_lines_like_its_end_line(tmp_path, git_subcommands):
+    lines = [_DIFF_END, _DIFF_END[1:], "-" + _DIFF_END[1:], "+" + _DIFF_END[1:]]
+    body = "".join(f"{line}\n" for line in lines)
+    s = GitScripter(tmp_path)
+    s.write("gone.txt", body)
+    s.write("came.txt", "x\n")
+    root = s.commit("add")
+    s.write("gone.txt", "x\n")
+    s.write("came.txt", body)
+    fix = s.commit("swap")
+    s.finish()
+    with GitRepo(tmp_path) as repo:
+        came, gone = repo.diff_against_parent(fix, root)
+    assert [text for _, text in gone.removed] == [text for _, text in came.added] == lines
+    assert "diff" not in git_subcommands
+
+
+def _evolve(data, files: dict[str, tuple[bytes, bool]]) -> dict[str, tuple[bytes, bool]]:
+    """The next version of a tree: each file kept, edited, deleted, renamed
+    or flipped executable, and perhaps one file added."""
+    free = [path for path in _PATHS if path not in files]
+    out = {}
+    for path, (content, executable) in files.items():
+        op = data.draw(st.sampled_from(("keep", "edit", "delete", "rename", "chmod")))
+        if op == "edit":
+            content = data.draw(_contents)
+        elif op == "chmod":
+            executable = not executable
+        elif op == "rename" and free:
+            path = free.pop()
+        if op != "delete":
+            out[path] = (content, executable)
+    if free and data.draw(st.booleans()):
+        out[free.pop()] = (data.draw(_contents), data.draw(st.booleans()))
+    return out
+
+
+def _check_out(root: Path, old: dict, new: dict) -> None:
+    for path in old.keys() - new.keys():
+        (root / path).unlink()
+    for path, (content, executable) in new.items():
+        (root / path).parent.mkdir(exist_ok=True)
+        (root / path).write_bytes(content)
+        (root / path).chmod(0o755 if executable else 0o644)
+
+
+@settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(data=st.data())
+def test_batch_diff_equals_one_shot_diff(data, git_subcommands, monkeypatch):
+    """Differential: every diff-tree answer is the bytes one-shot ``git
+    diff`` prints, over renames, deletions, mode changes, binary files,
+    control characters in paths, lines that look like diff syntax or like
+    the line that ends an answer, empty diffs and a merge."""
+    files = st.tuples(_contents, st.booleans())
+    versions = [data.draw(st.dictionaries(st.sampled_from(_PATHS), files, max_size=3))]
+    versions.append(_evolve(data, versions[0]))
+    versions.append(versions[1])  # an empty diff, then a non-empty one
+    versions.append(_evolve(data, versions[1]))
+    parsed = []
+    monkeypatch.setattr(
+        gitrepo, "parse_unified_diff", lambda text: parsed.append(text) or parse_unified_diff(text)
+    )
+    git_subcommands.clear()
+    with tempfile.TemporaryDirectory() as tmp:
+        s = GitScripter(Path(tmp))
+        commits = []
+        for old, new in zip([{}, *versions], versions):
+            _check_out(s.path, old, new)
+            commits.append(s.commit(f"version {len(commits)}"))
+        merge = s.commit("merge", parents=[commits[3], commits[1]])
+        s.finish()
+        pairs = [*zip(commits[1:], commits), (merge, commits[3]), (merge, commits[1])]
+        pinned = [arg for setting in PINNED_CONFIG for arg in ("-c", setting)]
+        want = [
+            subprocess.run(
+                ["git", "-C", tmp, *pinned, "diff", *gitrepo._DIFF_ARGS, parent, commit],
+                capture_output=True, check=True, env={**os.environ, "LC_ALL": "C"},
+            ).stdout.decode("utf-8", "replace")
+            for commit, parent in pairs
+        ]
+        with GitRepo(tmp) as repo:
+            for commit, parent in pairs:
+                repo.diff_against_parent(commit, parent)
+    assert parsed == want
+    assert want[1] == "" and git_subcommands.count("diff-tree") == 1
+    assert "diff" not in git_subcommands
 
 
 def test_parse_porcelain_blame_filename_fallback():

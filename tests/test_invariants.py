@@ -13,8 +13,8 @@ import pytest
 from bictrace.engine import run_variant, simulate_best_case_issue_date
 from bictrace.evaluate import DetectionRun, overlap, score
 from bictrace.gitrepo import GitRepo
-from bictrace.memrepo import random_history
 from bictrace.oracle import OracleDataset, OracleEntry
+from memrepo import random_history
 
 N_RANDOM = 100
 

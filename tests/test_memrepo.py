@@ -20,7 +20,7 @@ from bictrace.errors import (
     UnknownCommitError,
 )
 from bictrace.gitrepo import GitRepo
-from bictrace.memrepo import (
+from memrepo import (
     MODEL_FILE,
     InMemoryRepo,
     MemCommit,

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from bictrace.errors import SchemaError
 from bictrace.miner import (
+    HASH_RE,
     HEURISTICS_FAILED,
     NO_HASH,
     PREFILTER,
@@ -19,7 +20,6 @@ from bictrace.miner import (
     analyze_with_trees,
     dedupe,
     events_from_gharchive,
-    extract_hashes,
     h1_filter,
     h2_filter,
     h3_filter,
@@ -78,7 +78,7 @@ def test_prefilter_matches_stems_not_substrings():
     ],
 )
 def test_extract_hashes(sentence, hashes):
-    assert extract_hashes(sentence) == hashes
+    assert HASH_RE.findall(sentence) == hashes
 
 
 def test_starts_with_hash():
@@ -486,7 +486,7 @@ def test_prefilter_never_crashes(message):
 
 @given(st.text(alphabet="0123456789abcdefx _.,", max_size=80))
 def test_extracted_hashes_are_well_formed(sentence):
-    for h in extract_hashes(sentence):
+    for h in HASH_RE.findall(sentence):
         assert 6 <= len(h) <= 40
         assert all(c in "0123456789abcdef" for c in h)
         assert h in sentence

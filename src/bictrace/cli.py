@@ -111,13 +111,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _iter_events(path: str, layout: str):
     if layout == "plain":
-        yield from miner.read_events(path)
-        return
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            yield from miner.events_from_gharchive(json.loads(line))
+        return miner.read_events(path)
+    return miner.read_gharchive(path)
 
 
 def cmd_mine(args) -> int:

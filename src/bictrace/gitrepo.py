@@ -83,6 +83,8 @@ PINNED_CONFIG = (
     "diff.mnemonicPrefix=false",
     "diff.algorithm=myers",
     "diff.indentHeuristic=true",
+    "diff.interHunkContext=0",
+    "diff.orderFile=/dev/null",  # an empty value makes git fail to read it
     "color.ui=never",
 )
 

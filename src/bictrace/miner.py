@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from .errors import SchemaError
@@ -41,6 +42,9 @@ EXCLUDE_STEMS = ("merg",)
 
 # word-bounded lowercase hex runs of 6 to 40 characters
 HASH_RE = re.compile(r"(?<![0-9a-zA-Z_])[0-9a-f]{6,40}(?![0-9a-zA-Z_])")
+_HEX_RE = re.compile(r"[0-9a-f]{6,40}")
+_WORD_RE = re.compile(r"[a-z0-9]+")
+_SENTENCE_BREAK_RE = re.compile(r"(?<=[.!?])\s+|\n+")
 
 PREFILTER = "prefilter"
 PARSE_UNAVAILABLE = "parse-unavailable"
@@ -77,6 +81,7 @@ class SentenceTree:
         self.text = text
         self.tokens = tokens
         self._by_index = {t.index: t for t in tokens}
+        self._children: dict[int, list[int]] | None = None
         self._validate()
 
     def _validate(self) -> None:
@@ -93,15 +98,18 @@ class SentenceTree:
                 raise SchemaError(f"token {t.index} has out-of-range head {t.head}")
         if roots != 1:
             raise SchemaError(f"expected exactly one root, found {roots}")
-        for t in self.tokens:
-            seen = set()
+        # each token's head chain stops at the first index an earlier chain
+        # reached, as that one is known to reach the root; meeting its own
+        # chain again is a cycle
+        walk = {0: -1}  # token index -> the chain that reached it first
+        for n, t in enumerate(self.tokens):
             cur = t.index
-            while cur != 0:
-                if cur in seen:
-                    raise SchemaError("dependency tree contains a cycle")
-                seen.add(cur)
+            while cur not in walk:
+                walk[cur] = n
                 head = self._by_index[cur].head
                 cur = 0 if head == cur else head
+            if walk[cur] == n:
+                raise SchemaError("dependency tree contains a cycle")
 
     def token(self, index: int) -> Token:
         return self._by_index[index]
@@ -123,10 +131,12 @@ class SentenceTree:
     def descendants(self, index: int) -> list[Token]:
         """Every token in the subtree below the token (its dependents,
         transitively)."""
-        children: dict[int, list[int]] = {}
-        for t in self.tokens:
-            head = 0 if t.head == t.index else t.head
-            children.setdefault(head, []).append(t.index)
+        children = self._children
+        if children is None:
+            children = self._children = {}
+            for t in self.tokens:
+                head = 0 if t.head == t.index else t.head
+                children.setdefault(head, []).append(t.index)
         out: list[Token] = []
         stack = list(children.get(index, ()))
         while stack:
@@ -152,7 +162,7 @@ def _matches(token: Token, words: frozenset[str]) -> bool:
 def word_prefilter(message: str) -> bool:
     """Cheap gate: a fix-related and a bug-related word must both occur,
     and nothing merge-related may."""
-    tokens = re.findall(r"[a-z0-9]+", message.lower())
+    tokens = _WORD_RE.findall(message.lower())
     has_fix = has_bug = False
     for tok in tokens:
         if tok.startswith(EXCLUDE_STEMS):
@@ -167,7 +177,7 @@ def _starts_with_hash(text: str) -> bool:
     if not first:
         return False
     token = first[0].strip("\"'`([{<.,:;!?)]}>")
-    return bool(re.fullmatch(r"[0-9a-f]{6,40}", token))
+    return bool(_HEX_RE.fullmatch(token))
 
 
 def h1_filter(tree: SentenceTree) -> tuple[bool, str | None]:
@@ -287,7 +297,7 @@ def analyze_with_trees(trees: list[SentenceTree]) -> tuple[list[SentenceMatch], 
 
 
 def split_sentences(message: str) -> list[str]:
-    parts = re.split(r"(?<=[.!?])\s+|\n+", message.strip())
+    parts = _SENTENCE_BREAK_RE.split(message.strip())
     return [p.strip() for p in parts if p.strip()]
 
 
@@ -303,7 +313,7 @@ def proximity_matches(sentence: str, window: int = 6) -> tuple[list[str], str]:
     tokens = [t for t in tokens if t]
     if not tokens:
         return [], NO_HASH
-    if re.fullmatch(r"[0-9a-f]{6,40}", tokens[0]):
+    if _HEX_RE.fullmatch(tokens[0]):
         return [], STARTS_WITH_HASH
     if any(t.startswith("revert") for t in tokens):
         return [], REVERT
@@ -311,7 +321,7 @@ def proximity_matches(sentence: str, window: int = 6) -> tuple[list[str], str]:
     saw_hash = False
     stop_stems = tuple(H3_STOPWORDS)
     for i, tok in enumerate(tokens):
-        if not re.fullmatch(r"[0-9a-f]{6,40}", tok):
+        if not _HEX_RE.fullmatch(tok):
             continue
         saw_hash = True
         win = tokens[max(0, i - window) : i]
@@ -356,7 +366,7 @@ class RunSummary:
 
 def mine_stream(
     events,
-    parses: "dict[str, list[SentenceTree] | None] | None" = None,
+    parses: "Mapping[str, list[SentenceTree] | None] | None" = None,
     proximity: bool = False,
     fork_index: dict[str, str] | None = None,
 ) -> tuple[list[MessageAnalysis], RunSummary]:
@@ -450,15 +460,48 @@ def dedupe(
 # -- input formats ----------------------------------------------------------
 
 
-def load_parses(path) -> dict[str, "list[SentenceTree] | None"]:
+# one token row of a parse file: index, form, lemma, head, relation
+_Row = tuple[int, str, str, int, str]
+
+
+class Parses(Mapping):
+    """Dependency parses by commit, as ``load_parses`` read them. Looking a
+    commit up builds its sentence trees in file order, or gives None when
+    one of them fails validation, so a message that never reaches the
+    tree heuristics never costs a tree."""
+
+    def __init__(self, sentences: dict[str, list[tuple[str, list[_Row]]]]):
+        self._sentences = sentences
+
+    def __getitem__(self, commit: str) -> list[SentenceTree] | None:
+        trees = []
+        for text, rows in self._sentences[commit]:
+            try:
+                trees.append(SentenceTree(text, [Token(*row) for row in rows]))
+            except SchemaError:
+                return None
+        return trees
+
+    def __contains__(self, commit: object) -> bool:
+        return commit in self._sentences
+
+    def __iter__(self):
+        return iter(self._sentences)
+
+    def __len__(self) -> int:
+        return len(self._sentences)
+
+
+def load_parses(path) -> Parses:
     """Read dependency parses: blocks of tab-separated token rows
     (index, form, lemma, head, relation) introduced by ``# commit =`` and
-    ``# text =`` lines and separated by blank lines. A commit whose block
-    fails validation maps to None so callers can report it as unparsed."""
-    result: dict[str, list[SentenceTree] | None] = {}
+    ``# text =`` lines and separated by blank lines. Every row is checked
+    here; a commit whose block fails tree validation maps to None so
+    callers can report it as unparsed."""
+    sentences: dict[str, list[tuple[str, list[_Row]]]] = {}
     commit: str | None = None
     text = ""
-    rows: list[Token] = []
+    rows: list[_Row] = []
 
     def flush() -> None:
         nonlocal rows, text
@@ -466,12 +509,7 @@ def load_parses(path) -> dict[str, "list[SentenceTree] | None"]:
             return
         if commit is None:
             raise SchemaError("token rows before any '# commit =' line")
-        if result.get(commit, []) is not None:
-            try:
-                tree = SentenceTree(text, rows)
-                result.setdefault(commit, []).append(tree)
-            except SchemaError:
-                result[commit] = None
+        sentences.setdefault(commit, []).append((text, rows))
         rows = []
         text = ""
 
@@ -492,19 +530,18 @@ def load_parses(path) -> dict[str, "list[SentenceTree] | None"]:
             cols = line.split("\t")
             if len(cols) != 5:
                 raise SchemaError(f"{path}:{line_no}: expected 5 tab-separated columns")
+            index, form, lemma, head, rel = cols
             try:
-                rows.append(
-                    Token(int(cols[0]), cols[1], cols[2], int(cols[3]), cols[4])
-                )
+                rows.append((int(index), form, lemma, int(head), rel))
             except ValueError as exc:
                 raise SchemaError(f"{path}:{line_no}: {exc}") from None
     flush()
-    return result
+    return Parses(sentences)
 
 
-def read_events(path):
-    """Yield events from a newline-delimited JSON file with ``repo``,
-    ``sha`` and ``message`` fields."""
+def _json_objects(path):
+    """Yield the object on each non-blank line of a newline-delimited JSON
+    file, with its line number."""
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
@@ -513,10 +550,26 @@ def read_events(path):
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise SchemaError(f"{path}:{line_no}: {exc}") from None
-            for key in ("repo", "sha", "message"):
-                if key not in obj:
-                    raise SchemaError(f"{path}:{line_no}: missing field {key!r}")
-            yield obj
+            if not isinstance(obj, dict):
+                raise SchemaError(f"{path}:{line_no}: expected a JSON object")
+            yield line_no, obj
+
+
+def read_events(path):
+    """Yield events from a newline-delimited JSON file with ``repo``,
+    ``sha`` and ``message`` fields."""
+    for line_no, obj in _json_objects(path):
+        for key in ("repo", "sha", "message"):
+            if key not in obj:
+                raise SchemaError(f"{path}:{line_no}: missing field {key!r}")
+        yield obj
+
+
+def read_gharchive(path):
+    """Yield the commit events of a newline-delimited file of
+    GH-Archive-style events."""
+    for _, obj in _json_objects(path):
+        yield from events_from_gharchive(obj)
 
 
 def events_from_gharchive(payload: dict) -> list[dict]:

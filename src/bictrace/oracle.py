@@ -126,13 +126,19 @@ def entry_from_dict(obj: dict, index: int) -> OracleEntry:
 
 
 def load_oracle(path: str | Path) -> OracleDataset:
+    """Read a dataset document, or a non-empty list of replication-style
+    flat records (see ``from_legacy_records``)."""
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"{path}: not valid JSON: {exc}") from None
+    if isinstance(doc, list) and doc:
+        return from_legacy_records(doc)
     if not isinstance(doc, dict) or "entries" not in doc:
-        raise SchemaError(f"{path}: expected an object with an 'entries' list")
+        raise SchemaError(
+            f"{path}: expected an object with an 'entries' list or a non-empty list of records"
+        )
     version = doc.get("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise SchemaError(f"{path}: unsupported schema version {version}")
@@ -232,6 +238,8 @@ def from_legacy_records(records: list[dict], provenance: str = "imported") -> Or
     """
     merged: dict[tuple[str, str], dict] = {}
     for i, rec in enumerate(records):
+        if not isinstance(rec, dict):
+            raise SchemaError(f"record {i}: expected an object")
         repo = rec.get("repo_name") or rec.get("repo")
         fix = rec.get("fix_commit_hash") or rec.get("fix_commit")
         if not repo or not fix:

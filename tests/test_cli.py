@@ -111,6 +111,39 @@ def test_mine_missing_file_fails(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "layout, line",
+    [
+        ("plain", "{not json"),
+        ("plain", '"repo sha message"'),
+        ("plain", "[1]"),
+        ("gharchive", "{not json"),
+        ("gharchive", "[1]"),
+        ("gharchive", '"PushEvent"'),
+    ],
+)
+def test_mine_rejects_a_malformed_event_line(tmp_path, capsys, layout, line):
+    first = EVENTS[0] if layout == "plain" else {"type": "WatchEvent"}
+    events = tmp_path / "events.ndjson"
+    events.write_text(json.dumps(first) + "\n" + line + "\n")
+    args = ["mine", str(events), "--format", layout, "--proximity", "--out", str(tmp_path / "o")]
+    assert main(args) == 1
+    errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
+    assert len(errors) == 1 and errors[0].startswith(f"error: {events}:2: ")
+
+
+def test_mine_fails_on_a_bad_parse_row_of_a_prefiltered_message(tmp_path, capsys):
+    # rows are checked when the file is read, not when a tree is wanted:
+    # "bbl" never passes the prefilter, yet its malformed row ends the run
+    events = _write_events(tmp_path / "events.ndjson")
+    parses = tmp_path / "parses.txt"
+    parses.write_text(PARSES + "\n# commit = bbl\n# text = merge\n1\tmerge\tmerge\t0\n")
+    out = tmp_path / "mined.ndjson"
+    assert main(["mine", str(events), "--parses", str(parses), "--out", str(out)]) == 1
+    assert f"error: {parses}:13: expected 5 tab-separated columns" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --- detect -------------------------------------------------------------------
 
 
@@ -417,6 +450,40 @@ def test_detect_all_missing_is_hard_failure(tmp_path, capsys):
     )
     assert code == 1
     assert "no entry could be processed" in capsys.readouterr().err
+
+
+def test_detect_reads_a_list_of_flat_records(corpus, suite_dataset, tmp_path):
+    dataset_path, clones_root = corpus
+    records = []
+    for e in suite_dataset.entries:
+        base = {
+            "repo_name": e.repo, "fix_commit_hash": e.fix_commit,
+            "languages": list(e.languages), "clone_path": e.clone_path,
+        }
+        records += [{**base, "inducing_commit_hash": b} for b in e.true_bics]
+        records += [
+            {**base, "earliest_issue_date": i.opened_at.isoformat(), "issue_url": i.url}
+            for i in e.issues
+        ]
+    flat_path = tmp_path / "flat.json"
+    flat_path.write_text(json.dumps(records))
+
+    for dataset, out in ((dataset_path, "doc"), (flat_path, "flat")):
+        code = main(
+            [
+                "detect",
+                "--dataset", str(dataset),
+                "--clones-root", str(clones_root),
+                "--presets", "B,MA",
+                "--regime", "none,issue-date",
+                "--out-dir", str(tmp_path / out),
+            ]
+        )
+        assert code == 0
+    names = sorted(p.name for p in (tmp_path / "doc").glob("*.json"))
+    assert len(names) == 4
+    for name in names:
+        assert (tmp_path / "flat" / name).read_bytes() == (tmp_path / "doc" / name).read_bytes()
 
 
 def test_detect_needs_clones_root(corpus, tmp_path, monkeypatch, capsys):

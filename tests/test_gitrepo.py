@@ -261,6 +261,8 @@ def configurable(tmp_path):
         ("diff.mnemonicPrefix", "true"),
         ("diff.algorithm", "histogram"),
         ("diff.indentHeuristic", "false"),
+        ("diff.interHunkContext", "5"),
+        ("diff.orderFile", "ORDER_FILE"),
         ("color.ui", "always"),
         ("color.diff", "always"),
         ("diff.external", "true"),
@@ -279,8 +281,12 @@ def test_repository_config_changes_no_answer(configurable, key, value, git_subco
     ignore_revs = path.parent / "ignore-revs"
     ignore_revs.write_text(fix + "\n")
     (path / ".git" / "info" / "attributes").write_text("*.c diff=shift\n")
+    order_file = path.parent / "order"
+    order_file.write_text("ind.txt\nalg.txt\n")
     if value == "IGNORE_REVS":
         value = str(ignore_revs)
+    elif value == "ORDER_FILE":
+        value = str(order_file)
     subprocess.run(["git", "-C", str(path), "config", key, value], check=True)
 
     configured = GitRepo(path)
@@ -288,6 +294,36 @@ def test_repository_config_changes_no_answer(configurable, key, value, git_subco
     assert configured.blame(fix, "a/core.c", [1, 2, 3]) == want_blame
     # the batch answered every diff: no one-shot diff stood in for it
     assert "diff-tree" in git_subcommands and "diff" not in git_subcommands
+
+
+def test_one_shot_diff_fallback_ignores_hunk_merging_and_file_order(
+    tmp_path, monkeypatch, git_subcommands
+):
+    # one-shot git diff honours both settings where diff-tree ignores them,
+    # so a fallback answer would otherwise merge hunks and reorder files
+    s = GitScripter(tmp_path / "repo")
+    s.write("a", "1\n2\n3\n4\n5\n")
+    s.write("b", "x\n")
+    root = s.commit("add")
+    s.write("a", "1\nTWO\n3\nFOUR\n5\n")
+    s.write("b", "y\n")
+    fix = s.commit("edit")
+    s.finish()
+    order_file = tmp_path / "order"
+    order_file.write_text("b\n")
+    for key, value in (("diff.interHunkContext", "5"), ("diff.orderFile", str(order_file))):
+        subprocess.run(["git", "-C", str(s.path), "config", key, value], check=True)
+
+    with GitRepo(s.path) as repo:
+        batch = repo.diff_against_parent(fix, root)
+    with GitRepo(s.path) as repo:
+        monkeypatch.setattr(repo._diff_tree, "request", lambda payload, read: None)
+        fallback = repo.diff_against_parent(fix, root)
+    assert git_subcommands.count("diff") == 1
+    assert [(h.file_post, h.removed) for h in batch] == [
+        ("a", ((2, "2"),)), ("a", ((4, "4"),)), ("b", ((1, "x"),)),
+    ]
+    assert fallback == batch
 
 
 def test_missing_ignore_revs_file_is_a_configuration_error(configurable):

@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import json
+import tempfile
+from pathlib import Path
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bictrace import miner
+from bictrace.cli import main
 from bictrace.errors import SchemaError
 from bictrace.miner import (
     HASH_RE,
@@ -452,6 +458,213 @@ def test_load_parses_non_numeric_index(tmp_path):
     path.write_text("# commit = x\none\ta\ta\t0\troot\n")
     with pytest.raises(SchemaError):
         load_parses(path)
+
+
+def test_trees_are_built_only_for_messages_past_the_prefilter(tmp_path, monkeypatch):
+    built = []
+
+    class Spy(SentenceTree):
+        def __init__(self, text, tokens):
+            built.append(text)
+            super().__init__(text, tokens)
+
+    monkeypatch.setattr(miner, "SentenceTree", Spy)
+    path = tmp_path / "parses.txt"
+    path.write_text(GOOD_PARSE)
+    parses = load_parses(path)
+    assert built == []
+    events = [
+        _event("org/app", "bbl", "second message, no fix word"),
+        _event("org/app", "aal", "fixes a bug introduced by 2508e12"),
+    ]
+    analyses, _ = mine_stream(events, parses=parses)
+    assert built == ["fixes a bug introduced by 2508e12"]
+    assert [a.verdict for a in analyses] == ["rejected", "accepted"]
+
+
+# --- lazy parses against eagerly built trees ---------------------------------------------
+
+
+class _EagerTree(SentenceTree):
+    """The tree as first written: one fresh head walk per token to find a
+    cycle, and the children map rebuilt on every ``descendants`` call."""
+
+    def _validate(self) -> None:
+        if not self.tokens:
+            raise SchemaError("empty sentence")
+        roots = 0
+        for t in self.tokens:
+            head = 0 if t.head == t.index else t.head
+            if head == 0:
+                roots += 1
+            elif head not in self._by_index:
+                raise SchemaError("out-of-range head")
+        if roots != 1:
+            raise SchemaError("not one root")
+        for t in self.tokens:
+            seen = set()
+            cur = t.index
+            while cur != 0:
+                if cur in seen:
+                    raise SchemaError("cycle")
+                seen.add(cur)
+                head = self._by_index[cur].head
+                cur = 0 if head == cur else head
+
+    def descendants(self, index):
+        children = {}
+        for t in self.tokens:
+            children.setdefault(0 if t.head == t.index else t.head, []).append(t.index)
+        out = []
+        stack = list(children.get(index, ()))
+        while stack:
+            i = stack.pop()
+            out.append(self._by_index[i])
+            stack.extend(children.get(i, ()))
+        return sorted(out, key=lambda t: t.index)
+
+
+def _eager_parses(path) -> dict:
+    """``load_parses`` as first written: every tree is built and validated
+    while the file is read, and a commit maps to None from its first
+    failing sentence on."""
+    result = {}
+    commit, text, rows = None, "", []
+
+    def flush():
+        nonlocal text, rows
+        if not rows:
+            return
+        if commit is None:
+            raise SchemaError("token rows before any '# commit =' line")
+        if result.get(commit, []) is not None:
+            try:
+                result.setdefault(commit, []).append(_EagerTree(text, rows))
+            except SchemaError:
+                result[commit] = None
+        text, rows = "", []
+
+    with open(path, encoding="utf-8") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            line = raw.rstrip("\n")
+            if not line.strip():
+                flush()
+            elif line.startswith("#"):
+                body = line.lstrip("#").strip()
+                if body.startswith("commit"):
+                    flush()
+                    commit = body.split("=", 1)[1].strip()
+                elif body.startswith("text"):
+                    text = body.split("=", 1)[1].strip()
+            else:
+                cols = line.split("\t")
+                if len(cols) != 5:
+                    raise SchemaError(f"{path}:{line_no}: expected 5 tab-separated columns")
+                try:
+                    rows.append(Token(int(cols[0]), cols[1], cols[2], int(cols[3]), cols[4]))
+                except ValueError as exc:
+                    raise SchemaError(f"{path}:{line_no}: {exc}") from None
+    flush()
+    return result
+
+
+_WORDS = (
+    "fixes", "fix", "solve", "bug", "error", "introduced", "by", "the", "revert",
+    "was", "attempt", "a1b2c3d4", "2508e12", "deadbeef",
+)
+_LEMMAS = {"fixes": "fix", "introduced": "introduce"}
+_SHAS = ("c0", "c1", "c2", "c3", "c4")
+
+
+@st.composite
+def _sentence_rows(draw) -> tuple[str, list[tuple], bool]:
+    """A sentence's text, its token rows and whether a ``# text`` line
+    gives the text. The rows form a tree over shuffled indices, perhaps
+    with a self-loop root, or one broken by a second root, a dangling
+    head, a cycle or a repeated row."""
+    n = draw(st.integers(1, 7))
+    forms = draw(st.lists(st.sampled_from(_WORDS), min_size=n, max_size=n))
+    heads = [0] + [draw(st.integers(1, i)) for i in range(1, n)]
+    if draw(st.booleans()):
+        heads[0] = 1
+    fault = draw(st.sampled_from(("none", "none", "two-roots", "dangling", "cycle", "repeat")))
+    if fault == "two-roots" and n > 1:
+        heads[draw(st.integers(1, n - 1))] = 0
+    elif fault == "dangling":
+        heads[draw(st.integers(0, n - 1))] = n + draw(st.integers(1, 3))
+    elif fault == "cycle" and n > 2:
+        j = draw(st.integers(2, n - 1))
+        k = draw(st.integers(j + 1, n))
+        heads[j - 1], heads[k - 1] = k, j
+    index = [0, *draw(st.permutations(range(1, n + 1)))]
+    rows = [
+        (index[i], forms[i - 1], _LEMMAS.get(forms[i - 1], forms[i - 1]),
+         index[heads[i - 1]] if heads[i - 1] <= n else heads[i - 1], "dep")
+        for i in range(1, n + 1)
+    ]
+    if fault == "repeat":
+        rows.append(draw(st.sampled_from(rows)))
+    rows = draw(st.permutations(rows))
+    return " ".join(forms), rows, draw(st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    blocks=st.lists(
+        st.tuples(st.sampled_from(_SHAS), st.lists(_sentence_rows(), min_size=1, max_size=3)),
+        max_size=8,
+    ),
+    pushes=st.lists(
+        st.tuples(
+            st.sampled_from(("org/app", "fork/app")),
+            st.sampled_from((*_SHAS, "c5")),
+            st.sampled_from(("fix the bug:", "merge the bug fix:", "docs:")),
+        ),
+        max_size=12,
+    ),
+    proximity=st.booleans(),
+)
+def test_lazy_parses_mine_like_eager_trees(blocks, pushes, proximity):
+    """Differential: the same commit may come back in a later block, so a
+    failing later sentence turns a commit whose first trees were good
+    into None; forks push the same messages again."""
+    texts: dict[str, list[str]] = {}
+    parse_text = ""
+    for sha, sentences in blocks:
+        parse_text += f"# commit = {sha}\n"
+        for text, rows, with_text in sentences:
+            texts.setdefault(sha, []).append(text)
+            parse_text += f"# text = {text}\n" * with_text
+            parse_text += "".join("\t".join(map(str, row)) + "\n" for row in rows) + "\n"
+    events = [
+        _event(repo, sha, " ".join([prefix, *texts.get(sha, ["a1b2c3d4"])]))
+        for repo, sha, prefix in pushes
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        parses_path = Path(tmp, "parses.txt")
+        parses_path.write_text(parse_text)
+        events_path = Path(tmp, "events.ndjson")
+        events_path.write_text("".join(json.dumps(e) + "\n" for e in events))
+
+        lazy, eager = load_parses(parses_path), _eager_parses(parses_path)
+        assert lazy.keys() == eager.keys()
+        for sha, trees in eager.items():
+            got = lazy[sha]
+            assert (got is None) == (trees is None)
+            for tree, want in zip(got or (), trees or ()):
+                assert (tree.text, tree.tokens) == (want.text, want.tokens)
+                for t in tree.tokens:
+                    assert tree.ancestors(t.index) == want.ancestors(t.index)
+                    assert tree.descendants(t.index) == want.descendants(t.index)
+        assert mine_stream(events, lazy, proximity) == mine_stream(events, eager, proximity)
+
+        argv = ["mine", str(events_path), "--parses", str(parses_path)]
+        argv += ["--proximity"] * proximity
+        assert main([*argv, "--out", str(Path(tmp, "lazy"))]) == 0
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(miner, "load_parses", _eager_parses)
+            assert main([*argv, "--out", str(Path(tmp, "eager"))]) == 0
+        assert Path(tmp, "lazy").read_bytes() == Path(tmp, "eager").read_bytes()
 
 
 # --- gharchive events ------------------------------------------------------------------

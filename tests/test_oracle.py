@@ -227,6 +227,8 @@ def test_legacy_records_need_identifiers():
         from_legacy_records([{"fix_commit_hash": "f" * 40}])
     with pytest.raises(SchemaError):
         from_legacy_records([{"repo_name": "org/app"}])
+    with pytest.raises(SchemaError, match="record 1: expected an object"):
+        from_legacy_records([{"repo_name": "org/app", "fix_commit_hash": "f" * 40}, "x"])
 
 
 def test_legacy_list_fields():

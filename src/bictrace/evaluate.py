@@ -204,6 +204,25 @@ def save_run(run: DetectionRun, path: str | Path) -> None:
         fh.write("\n")
 
 
+# the type of each field of a run-file record; the lists hold strings
+_RECORD_FIELDS = dict(repo=str, fix_commit=str, identified=list, flags=list, identified_count=int)
+
+
+def _record(rec, names: tuple[str, ...], path, what: str, i: int) -> list:
+    """The fields ``names`` of record ``i`` of a run file's ``what`` list,
+    each of its type. The error names the record."""
+    if not isinstance(rec, dict):
+        raise SchemaError(f"{path}: {what} {i}: expected a JSON object")
+    values = [*map(rec.get, names)]
+    for name, value in zip(names, values):
+        kind = _RECORD_FIELDS[name]
+        if type(value) is not kind or kind is list and not {str}.issuperset(map(type, value)):
+            if name not in rec:
+                raise SchemaError(f"{path}: {what} {i} missing field {name!r}")
+            raise SchemaError(f"{path}: {what} {i}: field {name!r} holds {value!r}")
+    return values
+
+
 def load_run(path: str | Path) -> DetectionRun:
     with open(path, encoding="utf-8") as fh:
         try:
@@ -215,19 +234,24 @@ def load_run(path: str | Path) -> DetectionRun:
     for key in ("variant", "entries"):
         if key not in doc:
             raise SchemaError(f"{path}: missing field {key!r}")
+    lists = {key: doc.get(key, []) for key in ("entries", "skipped", "outliers_removed")}
+    if not all(isinstance(value, list) for value in lists.values()):
+        raise SchemaError(f"{path}: entries, skipped and outliers_removed must be lists")
     run = DetectionRun(variant=doc["variant"], regime=doc.get("regime", "none"))
-    for i, rec in enumerate(doc["entries"]):
-        for field_name in ("repo", "fix_commit", "identified"):
-            if field_name not in rec:
-                raise SchemaError(f"{path}: entry {i} missing field {field_name!r}")
-        key = (rec["repo"], rec["fix_commit"])
-        run.identified[key] = frozenset(rec["identified"])
+    if not isinstance(run.variant, str) or not isinstance(run.regime, str):
+        raise SchemaError(f"{path}: variant and regime must be strings")
+    for i, rec in enumerate(lists["entries"]):
+        repo, fix, identified = _record(rec, ("repo", "fix_commit", "identified"), path, "entry", i)
+        run.identified[(repo, fix)] = frozenset(identified)
         if rec.get("flags"):
-            run.entry_flags[key] = tuple(rec["flags"])
-    run.skipped = [(s["repo"], s["fix_commit"]) for s in doc.get("skipped", [])]
+            run.entry_flags[(repo, fix)] = tuple(_record(rec, ("flags",), path, "entry", i)[0])
+    run.skipped = [
+        tuple(_record(s, ("repo", "fix_commit"), path, "skipped entry", i))
+        for i, s in enumerate(lists["skipped"])
+    ]
     run.outliers_removed = [
-        (o["repo"], o["fix_commit"], o["identified_count"])
-        for o in doc.get("outliers_removed", [])
+        tuple(_record(o, ("repo", "fix_commit", "identified_count"), path, "outlier", i))
+        for i, o in enumerate(lists["outliers_removed"])
     ]
     return run
 

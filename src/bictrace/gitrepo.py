@@ -5,27 +5,26 @@ Everything here drives the git CLI and parses its plumbing output. Each
 
 - ``git cat-file --batch -z`` answers resolution (``<name>^{commit}``),
   commit metadata (parsed from the raw commit object) and file content
-  (``<commit>:<path>``). Only a hit is served from it: on ``missing`` or
-  ``ambiguous``, or a path that names no blob, the call falls back to the
-  one-shot ``rev-parse --verify`` or ``show`` and takes its answer or its
-  error.
+  (``<commit>:<path>``).
 - ``git diff-tree --stdin -p -U0`` answers zero-context diffs of a commit
-  against one parent with exactly the bytes the one-shot ``git diff``
-  prints. A line after each request that diff-tree echoes, and no diff
-  line can equal, ends the answer.
+  against one parent. A line after each request that diff-tree echoes,
+  and no diff line can equal, ends the answer. Submodule pointer changes
+  are left out: the commits they name are not in the repository.
 
-A batch process that dies or answers out of step is stopped, the call
-falls back to the one-shot command, and the next request starts a new
-process. So every answer and error is what the one-shot command gives.
-``blame --porcelain`` (line attribution) and the ``rev-parse`` probe that
-opens a repository are one-shot processes.
+A batch process found dead or answering out of step is replaced and asked
+once more; when the new one fails too, metadata and diffs raise
+``CorruptRepositoryError``. One-shot processes run only where cat-file
+cannot give git's answer: ``rev-parse --verify`` resolves a name cat-file
+calls missing or ambiguous (only it can raise ``AmbiguousCommitError``),
+and ``show`` reads a path that names no blob or holds a newline. The
+``rev-parse`` probe that opens a repository and ``blame --porcelain``
+(line attribution) are one-shot too.
 
-One watchdog thread per ``GitRepo`` kills any of its git processes, one-shot
-or batch, that runs a request past ``GIT_TIMEOUT_S``; the call then raises
-``GitTimeoutError`` and a batch request does not fall back. Rename
-following is left to git itself (blame follows renames by default; diffs
-are asked for rename detection at a fixed 50% similarity threshold so
-results are reproducible).
+One watchdog thread per Python process kills any git process, one-shot or
+batch, that runs a request past ``GIT_TIMEOUT_S``; the call then raises
+``GitTimeoutError``. Rename following is left to git itself (blame
+follows renames by default; diffs are asked for rename detection at a
+fixed 50% similarity threshold so results are reproducible).
 
 Answers depend only on the repository's objects: every call pins the
 config settings that change diff or blame output, turns off external
@@ -40,8 +39,8 @@ fails every blame with a ``ConfigurationError``.
 
 Snapshots never mutate the repository and are safe to share across
 threads: requests to one batch process are serialised. ``close()`` (or
-leaving a ``with`` block) stops the batch processes and the watchdog; a
-forgotten ``GitRepo`` stops them when it is collected.
+leaving a ``with`` block) stops the batch processes; a forgotten
+``GitRepo`` stops them when it is collected.
 """
 
 from __future__ import annotations
@@ -83,13 +82,12 @@ PINNED_CONFIG = (
     "diff.mnemonicPrefix=false",
     "diff.algorithm=myers",
     "diff.indentHeuristic=true",
-    "diff.interHunkContext=0",
-    "diff.orderFile=/dev/null",  # an empty value makes git fail to read it
     "color.ui=never",
 )
 
 _DIFF_ARGS = (
     "-U0", "--no-ext-diff", "--no-textconv", "--no-color", f"--find-renames={RENAME_THRESHOLD}",
+    "--ignore-submodules",
 )
 # diff-tree echoes a line that names no object; no line of -p output starts
 # with "~": headers start with a word or a hash, hunk lines with "@", "+",
@@ -169,15 +167,6 @@ def _strip_prefix(path: str, prefix: str) -> str | None:
     return path
 
 
-def _utc(timestamp: int) -> datetime:
-    return datetime.fromtimestamp(timestamp, tz=timezone.utc)
-
-
-def _too_slow(argv: list[str]) -> GitTimeoutError:
-    subcommand = argv[3 + 2 * len(PINNED_CONFIG)]  # after git -C <path> -c ...
-    return GitTimeoutError(f"git {subcommand} in {argv[2]} ran longer than {GIT_TIMEOUT_S} s")
-
-
 @dataclass(eq=False)
 class _Deadline:
     proc: subprocess.Popen
@@ -186,9 +175,9 @@ class _Deadline:
 
 
 class _Watchdog:
-    """Kills each armed git process that is still armed ``GIT_TIMEOUT_S``
-    after it was armed. One thread watches them all; the first ``arm()``
-    after construction or ``close()`` starts it."""
+    """Kills each watched git process still running a request
+    ``GIT_TIMEOUT_S`` after it began. One daemon thread watches them all;
+    the first deadline starts it and it never stops."""
 
     def __init__(self) -> None:
         self._cond = threading.Condition()
@@ -196,7 +185,11 @@ class _Watchdog:
         self._thread: threading.Thread | None = None
         self._wake_at = math.inf
 
-    def arm(self, proc: subprocess.Popen) -> _Deadline:
+    @contextlib.contextmanager
+    def deadline(self, proc: subprocess.Popen, argv: list[str]):
+        """Watch ``proc`` while the block runs; kill it when the block
+        raises, and raise ``GitTimeoutError`` after the block when it ran
+        past its deadline."""
         deadline = _Deadline(proc, time.monotonic() + GIT_TIMEOUT_S)
         with self._cond:
             self._armed.add(deadline)
@@ -205,26 +198,21 @@ class _Watchdog:
                 self._thread.start()
             elif deadline.at < self._wake_at:
                 self._cond.notify()
-        return deadline
-
-    def disarm(self, deadline: _Deadline) -> bool:
-        """Stop watching; True when the process ran past its deadline."""
-        with self._cond:
-            self._armed.discard(deadline)
-        return deadline.killed or time.monotonic() >= deadline.at
-
-    def close(self) -> None:
-        with self._cond:
-            thread, self._thread = self._thread, None
-            self._cond.notify()
-        # a collection in the watchdog thread may close its own GitRepo
-        if thread is not None and thread is not threading.current_thread():
-            thread.join()
+        try:
+            yield
+        except BaseException:
+            proc.kill()
+            raise
+        finally:
+            with self._cond:
+                self._armed.discard(deadline)
+        if deadline.killed or time.monotonic() >= deadline.at:
+            sub = argv[3 + 2 * len(PINNED_CONFIG)]  # after git -C <path> -c ...
+            raise GitTimeoutError(f"git {sub} in {argv[2]} ran longer than {GIT_TIMEOUT_S} s")
 
     def _watch(self) -> None:
-        me = threading.current_thread()
         with self._cond:
-            while self._thread is me:
+            while True:
                 now = time.monotonic()
                 for deadline in [d for d in self._armed if d.at <= now]:
                     self._armed.discard(deadline)
@@ -232,6 +220,10 @@ class _Watchdog:
                     deadline.proc.kill()
                 self._wake_at = min((d.at for d in self._armed), default=math.inf)
                 self._cond.wait(self._wake_at - now if self._armed else None)
+
+
+_WATCHDOG = _Watchdog()
+os.register_at_fork(after_in_child=_WATCHDOG.__init__)  # a forked child has no watchdog thread
 
 
 class _OutOfStep(Exception):
@@ -243,42 +235,37 @@ class _Batch:
     stdin, started by the first request after construction, ``close()``,
     its death or an answer out of step."""
 
-    def __init__(self, argv: list[str], env: dict[str, str], watchdog: _Watchdog):
+    def __init__(self, argv: list[str], env: dict[str, str]):
         self._argv = argv
         self._env = env
-        self._watchdog = watchdog
         self._proc: subprocess.Popen | None = None
         self._lock = threading.Lock()
 
     def request(self, payload: bytes, read: Callable[[IO[bytes]], _T]) -> _T | None:
-        """What ``read`` makes of the answer to ``payload``, or None when the
-        process died or ``read`` raised ``_OutOfStep``; the process is then
-        stopped. An answer later than ``GIT_TIMEOUT_S`` stops it too and
-        raises ``GitTimeoutError``."""
+        """What ``read`` makes of the answer to ``payload``. A process found
+        dead, or whose answer ``read`` finds out of step, is replaced and
+        asked once more; None when the new one fails too. An answer later
+        than ``GIT_TIMEOUT_S`` stops the process and raises
+        ``GitTimeoutError``."""
         with self._lock:
-            if self._proc is None:
-                self._proc = subprocess.Popen(
-                    self._argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                    stderr=subprocess.DEVNULL, env=self._env,
-                )
-            proc = self._proc
-            deadline = self._watchdog.arm(proc)
-            try:
-                proc.stdin.write(payload)
-                proc.stdin.flush()
-                answer = read(proc.stdout)
-            except (OSError, _OutOfStep):
-                answer = None
+            for _ in range(2):
+                if self._proc is None:
+                    self._proc = subprocess.Popen(
+                        self._argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                        stderr=subprocess.DEVNULL, env=self._env,
+                    )
+                proc = self._proc
+                try:
+                    with _WATCHDOG.deadline(proc, self._argv):
+                        with contextlib.suppress(OSError, _OutOfStep):
+                            proc.stdin.write(payload)
+                            proc.stdin.flush()
+                            return read(proc.stdout)
+                except BaseException:
+                    self._stop()  # the next answer would be this one's rest
+                    raise
                 self._stop()
-            except BaseException:
-                self._stop()  # the next answer would be this one's rest
-                raise
-            finally:
-                late = self._watchdog.disarm(deadline)
-            if late:
-                self._stop()
-                raise _too_slow(self._argv)
-            return answer
+            return None
 
     def close(self) -> None:
         with self._lock:
@@ -324,9 +311,9 @@ def _read_diff(stdout: IO[bytes], head: bytes) -> bytes:
     return b"".join(lines[1:])
 
 
-def _close_all(parts: tuple[_Batch | _Watchdog, ...]) -> None:
-    for part in parts:
-        part.close()
+def _close_all(batches: tuple[_Batch, ...]) -> None:
+    for batch in batches:
+        batch.close()
 
 
 class GitRepo:
@@ -335,13 +322,12 @@ class GitRepo:
     def __init__(self, path: str | Path):
         self.path = str(path)
         self._env = {**os.environ, "LC_ALL": "C"}
-        self._watchdog = _Watchdog()
-        self._cat_file = _Batch(self._argv("cat-file", "--batch", "-z"), self._env, self._watchdog)
+        self._cat_file = _Batch(self._argv("cat-file", "--batch", "-z"), self._env)
         self._diff_tree = _Batch(
-            self._argv("diff-tree", "--stdin", "-r", "-p", *_DIFF_ARGS), self._env, self._watchdog
+            self._argv("diff-tree", "--stdin", "-r", "-p", *_DIFF_ARGS), self._env
         )
-        self._parts = (self._cat_file, self._diff_tree, self._watchdog)
-        weakref.finalize(self, _close_all, self._parts)
+        self._batches = (self._cat_file, self._diff_tree)
+        weakref.finalize(self, _close_all, self._batches)
         probe = self._run(
             "rev-parse", "--git-dir", "--git-path", "info/grafts", "--git-path", "shallow"
         )
@@ -372,9 +358,8 @@ class GitRepo:
         self.close()
 
     def close(self) -> None:
-        """Stop the batch processes and the watchdog; a later query starts
-        them anew."""
-        _close_all(self._parts)
+        """Stop the batch processes; a later query starts them anew."""
+        _close_all(self._batches)
 
     # -- plumbing ---------------------------------------------------------
 
@@ -393,17 +378,8 @@ class GitRepo:
         argv = self._argv(*args)
         with subprocess.Popen(
             argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=self._env
-        ) as proc:
-            deadline = self._watchdog.arm(proc)
-            try:
-                out, err = proc.communicate()
-            except BaseException:
-                proc.kill()
-                raise
-            finally:
-                late = self._watchdog.disarm(deadline)
-        if late:
-            raise _too_slow(argv)
+        ) as proc, _WATCHDOG.deadline(proc, argv):
+            out, err = proc.communicate()
         return subprocess.CompletedProcess(argv, proc.returncode, out, err)
 
     def _git(self, *args: str) -> bytes:
@@ -444,17 +420,15 @@ class GitRepo:
             return None  # git's "<name> missing" line would end early
         return self._cat_file.request(raw + b"\0", lambda stdout: _read_object(stdout, raw))
 
-    def _commit_from(self, answer: tuple[str, str, bytes] | None) -> CommitMeta | None:
-        """The metadata of a batch answer holding a commit, cached, or None."""
-        if answer is None or answer[1] != "commit":
-            return None
+    def _commit_from(self, answer: tuple[str, str, bytes]) -> CommitMeta:
+        """The metadata of a batch answer holding a commit, cached."""
         oid, _, raw = answer
         header = raw.split(b"\n\n", 1)[0].split(b"\n")
         try:
             [committer] = [line for line in header if line.startswith(b"committer ")]
             ctime = int(committer.rsplit(b">", 1)[1].split()[0])
         except (ValueError, IndexError):
-            return None  # malformed: let show say what it makes of it
+            raise CorruptRepositoryError(f"commit {oid} has no readable committer line") from None
         parents = self._grafts.get(oid)
         if parents is None:
             parents = tuple(
@@ -462,7 +436,7 @@ class GitRepo:
                 for line in header
                 if line.startswith(b"parent ")
             )
-        return self._remember(CommitMeta(oid, parents, _utc(ctime)))
+        return self._remember(CommitMeta(oid, parents, datetime.fromtimestamp(ctime, timezone.utc)))
 
     def _remember(self, meta: CommitMeta) -> CommitMeta:
         self._meta_cache[meta.id] = meta
@@ -483,9 +457,9 @@ class GitRepo:
         cached = self._resolve_cache.get(commit_id)
         if cached is not None:
             return cached
-        meta = self._commit_from(self._object(f"{commit_id}^{{commit}}"))
-        if meta is not None:
-            full = meta.id
+        answer = self._object(f"{commit_id}^{{commit}}")
+        if answer is not None:
+            full = self._commit_from(answer).id
         else:
             out = self._git("rev-parse", "--verify", f"{commit_id}^{{commit}}")
             full = out.decode("ascii").strip()
@@ -496,11 +470,10 @@ class GitRepo:
         full = self.resolve(commit_id)
         meta = self._meta_cache.get(full)
         if meta is None:
-            meta = self._commit_from(self._object(full))
-        if meta is None:
-            out = self._git("show", "-s", "--format=%H%n%P%n%ct", full)
-            head, parent_line, ct = out.decode("ascii").split("\n")[:3]
-            meta = self._remember(CommitMeta(head, tuple(parent_line.split()), _utc(int(ct))))
+            answer = self._object(full)
+            if answer is None:
+                raise CorruptRepositoryError(f"git cat-file in {self.path} could not read {full}")
+            meta = self._commit_from(answer)
         return meta
 
     def file_at(self, revision: str, path: str) -> str:
@@ -531,7 +504,9 @@ class GitRepo:
             lambda stdout: _read_diff(stdout, head),
         )
         if out is None:
-            out = self._git("diff", *_DIFF_ARGS, parent, full)
+            raise CorruptRepositoryError(
+                f"git diff-tree in {self.path} could not diff {full} against {parent}"
+            )
         hunks = parse_unified_diff(out.decode("utf-8", "replace"))
         self._diff_cache[key] = hunks
         return hunks

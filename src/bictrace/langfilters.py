@@ -226,19 +226,18 @@ def _scan_line(line: str, language: str, st: _Scan) -> None:
 
         # here-doc openers (consume the rest of the line as code);
         # an identifier char right before << means shift/append, not a here-doc
+        tag = None
         if language == RUBY and line.startswith("<<", i):
             prev = line[i - 1] if i > 0 else " "
-            m = None if prev.isalnum() or prev in "_)]" else _ruby_heredoc(line, i)
-            if m is not None:
-                st.heredoc_end = m
-                st.has_code = True
-                return
-        if language == PHP and line.startswith("<<<", i):
-            m = _php_heredoc(line, i)
-            if m is not None:
-                st.heredoc_end = m
-                st.has_code = True
-                return
+            j = i + 3 if line[i + 2 : i + 3] in ("-", "~") else i + 2
+            if not (prev.isalnum() or prev in "_)]"):
+                tag = _heredoc_tag(line, j, "\"'`")
+        elif language == PHP and line.startswith("<<<", i):
+            tag = _heredoc_tag(line, len(line) - len(line[i + 3 :].lstrip(" \t")), "\"'")
+        if tag is not None:
+            st.heredoc_end = tag
+            st.has_code = True
+            return
 
         st.has_code = True
         i += 1
@@ -248,41 +247,16 @@ def _scan_line(line: str, language: str, st: _Scan) -> None:
         st.string_quote = None
 
 
-def _ruby_heredoc(line: str, i: int) -> str | None:
-    j = i + 2
-    if j < len(line) and line[j] in "-~":
-        j += 1
-    quote = ""
-    if j < len(line) and line[j] in "\"'`":
-        quote = line[j]
-        j += 1
+def _heredoc_tag(line: str, j: int, quotes: str) -> str | None:
+    """The here-doc tag starting at ``line[j]``: an identifier, perhaps in
+    one of ``quotes`` that must close right after it; None if there is none."""
+    quote = line[j] if j < len(line) and line[j] in quotes else ""
+    j += len(quote)
     k = j
     while k < len(line) and (line[k].isalnum() or line[k] == "_"):
         k += 1
-    if k == j or not (line[j].isalpha() or line[j] == "_"):
+    if k == j or not (line[j].isalpha() or line[j] == "_") or line[k : k + len(quote)] != quote:
         return None
-    if quote:
-        if k >= len(line) or line[k] != quote:
-            return None
-    return line[j:k]
-
-
-def _php_heredoc(line: str, i: int) -> str | None:
-    j = i + 3
-    while j < len(line) and line[j] in " \t":
-        j += 1
-    quote = ""
-    if j < len(line) and line[j] in "\"'":
-        quote = line[j]
-        j += 1
-    k = j
-    while k < len(line) and (line[k].isalnum() or line[k] == "_"):
-        k += 1
-    if k == j or not (line[j].isalpha() or line[j] == "_"):
-        return None
-    if quote:
-        if k >= len(line) or line[k] != quote:
-            return None
     return line[j:k]
 
 

@@ -507,8 +507,6 @@ def load_parses(path) -> Parses:
         nonlocal rows, text
         if not rows:
             return
-        if commit is None:
-            raise SchemaError("token rows before any '# commit =' line")
         sentences.setdefault(commit, []).append((text, rows))
         rows = []
         text = ""
@@ -520,14 +518,19 @@ def load_parses(path) -> Parses:
                 flush()
                 continue
             if line.startswith("#"):
-                body = line.lstrip("#").strip()
-                if body.startswith("commit"):
+                key, eq, value = line.lstrip("#").partition("=")
+                key = key.strip()
+                if key in ("commit", "text") and not eq:
+                    raise SchemaError(f"{path}:{line_no}: expected '# {key} = ...'")
+                if key == "commit":
                     flush()
-                    commit = body.split("=", 1)[1].strip()
-                elif body.startswith("text"):
-                    text = body.split("=", 1)[1].strip()
+                    commit = value.strip()
+                elif key == "text":
+                    text = value.strip()
                 continue
             cols = line.split("\t")
+            if commit is None:
+                raise SchemaError(f"{path}:{line_no}: token row before any '# commit =' line")
             if len(cols) != 5:
                 raise SchemaError(f"{path}:{line_no}: expected 5 tab-separated columns")
             index, form, lemma, head, rel = cols
@@ -539,46 +542,55 @@ def load_parses(path) -> Parses:
     return Parses(sentences)
 
 
-def _json_objects(path):
-    """Yield the object on each non-blank line of a newline-delimited JSON
-    file, with its line number."""
+def _json_objects(path, convert):
+    """Yield the events ``convert`` makes of the object on each non-blank
+    line of a newline-delimited JSON file."""
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+                if not isinstance(obj, dict):
+                    raise SchemaError("expected a JSON object")
+                events = convert(obj)
+            except (json.JSONDecodeError, SchemaError) as exc:
                 raise SchemaError(f"{path}:{line_no}: {exc}") from None
-            if not isinstance(obj, dict):
-                raise SchemaError(f"{path}:{line_no}: expected a JSON object")
-            yield line_no, obj
+            yield from events
+
+
+def _commit_event(obj: dict) -> dict:
+    for key in ("repo", "sha", "message"):
+        if not isinstance(obj.get(key), str):
+            raise SchemaError(f"field {key!r} is missing or not a string")
+    return obj
 
 
 def read_events(path):
     """Yield events from a newline-delimited JSON file with ``repo``,
     ``sha`` and ``message`` fields."""
-    for line_no, obj in _json_objects(path):
-        for key in ("repo", "sha", "message"):
-            if key not in obj:
-                raise SchemaError(f"{path}:{line_no}: missing field {key!r}")
-        yield obj
+    return _json_objects(path, lambda obj: [_commit_event(obj)])
 
 
 def read_gharchive(path):
     """Yield the commit events of a newline-delimited file of
     GH-Archive-style events."""
-    for _, obj in _json_objects(path):
-        yield from events_from_gharchive(obj)
+    return _json_objects(path, events_from_gharchive)
 
 
 def events_from_gharchive(payload: dict) -> list[dict]:
-    """Convert one GH-Archive-style push event into plain commit events."""
+    """Convert one GH-Archive-style push event into plain commit events;
+    a commit without a sha or a message is left out."""
     if payload.get("type") != "PushEvent":
         return []
-    repo = payload.get("repo", {}).get("name", "")
-    out = []
-    for c in payload.get("payload", {}).get("commits", []):
-        if "sha" in c and "message" in c:
-            out.append({"repo": repo, "sha": c["sha"], "message": c["message"]})
-    return out
+    repo = payload.get("repo", {})
+    push = payload.get("payload", {})
+    commits = push.get("commits", []) if isinstance(push, dict) else None
+    if not (isinstance(repo, dict) and isinstance(commits, list)
+            and all(isinstance(c, dict) for c in commits)):
+        raise SchemaError("a push event needs a repo object and a list of commit objects")
+    return [
+        _commit_event({"repo": repo.get("name", ""), "sha": c["sha"], "message": c["message"]})
+        for c in commits
+        if "sha" in c and "message" in c
+    ]

@@ -63,6 +63,8 @@ class OracleDataset:
 def parse_utc(value: str) -> datetime:
     """Parse an ISO-8601 timestamp; a trailing Z means UTC. Naive values
     are rejected so two tools never disagree about an instant."""
+    if not isinstance(value, str):
+        raise SchemaError(f"timestamp {value!r} is not a string")
     text = value.strip()
     if text.endswith(("Z", "z")):
         text = text[:-1] + "+00:00"
@@ -81,6 +83,14 @@ def _check_hash(value: str, where: str) -> str:
     return value
 
 
+def _strings(value, where: str) -> list[str]:
+    """A string, or a list of strings, as a list."""
+    values = [value] if isinstance(value, str) else value
+    if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
+        raise SchemaError(f"{where}: expected a string or a list of strings, got {value!r}")
+    return values
+
+
 def validate_entry(entry: OracleEntry, index: int) -> None:
     where = f"entry {index} ({entry.repo} {entry.fix_commit})"
     _check_hash(entry.fix_commit, where)
@@ -90,8 +100,10 @@ def validate_entry(entry: OracleEntry, index: int) -> None:
         _check_hash(b, where)
     if entry.fix_commit in entry.true_bics:
         raise SchemaError(f"{where}: the fix commit cannot be its own inducing commit")
-    if not entry.repo:
-        raise SchemaError(f"entry {index}: repo identifier is empty")
+    if not isinstance(entry.repo, str) or not entry.repo:
+        raise SchemaError(f"entry {index}: repo identifier is empty or not a string")
+    if not isinstance(entry.clone_path, (str, type(None))):
+        raise SchemaError(f"{where}: clone_path is not a string")
 
 
 def validate_dataset(dataset: OracleDataset) -> None:
@@ -107,22 +119,25 @@ def validate_dataset(dataset: OracleDataset) -> None:
 
 
 def entry_from_dict(obj: dict, index: int) -> OracleEntry:
+    if not isinstance(obj, dict):
+        raise SchemaError(f"entry {index}: expected an object")
     try:
         issues = tuple(
             IssueRef(url=i.get("url", ""), opened_at=parse_utc(i["opened_at"]))
             for i in obj.get("issues", [])
         )
-    except KeyError:
-        raise SchemaError(f"entry {index}: issue missing opened_at") from None
-    entry = OracleEntry(
+    except (KeyError, TypeError, AttributeError):
+        raise SchemaError(f"entry {index}: issues must be objects with an opened_at") from None
+    return OracleEntry(
         repo=obj.get("repo", ""),
         fix_commit=obj.get("fix_commit", ""),
-        true_bics=tuple(obj.get("true_bics", [])),
+        true_bics=tuple(_strings(obj.get("true_bics", []), f"entry {index}")),
         issues=issues,
-        languages=tuple(canonical_language(l) for l in obj.get("languages", [])),
+        languages=tuple(
+            canonical_language(l) for l in _strings(obj.get("languages", []), f"entry {index}")
+        ),
         clone_path=obj.get("clone_path"),
     )
-    return entry
 
 
 def load_oracle(path: str | Path) -> OracleDataset:
@@ -133,15 +148,20 @@ def load_oracle(path: str | Path) -> OracleDataset:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"{path}: not valid JSON: {exc}") from None
-    if isinstance(doc, list) and doc:
-        return from_legacy_records(doc)
-    if not isinstance(doc, dict) or "entries" not in doc:
+    try:
+        return from_legacy_records(doc) if isinstance(doc, list) and doc else _from_document(doc)
+    except SchemaError as exc:
+        raise SchemaError(f"{path}: {exc}") from None
+
+
+def _from_document(doc) -> OracleDataset:
+    if not isinstance(doc, dict) or not isinstance(doc.get("entries"), list):
         raise SchemaError(
-            f"{path}: expected an object with an 'entries' list or a non-empty list of records"
+            "expected an object with an 'entries' list or a non-empty list of records"
         )
     version = doc.get("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
-        raise SchemaError(f"{path}: unsupported schema version {version}")
+        raise SchemaError(f"unsupported schema version {version}")
     entries = [entry_from_dict(e, i) for i, e in enumerate(doc["entries"])]
     dataset = OracleDataset(
         entries=entries,
@@ -149,14 +169,13 @@ def load_oracle(path: str | Path) -> OracleDataset:
         schema_version=version,
     )
     validate_dataset(dataset)
-    if "counts" in doc:
-        stated = doc["counts"]
-        actual = {"entries": len(entries), **dataset.counts_by_language()}
-        for key, value in stated.items():
-            if key in actual and actual[key] != value:
-                raise SchemaError(
-                    f"{path}: stated count {key}={value} but dataset has {actual[key]}"
-                )
+    stated = doc.get("counts", {})
+    if not isinstance(stated, dict):
+        raise SchemaError(f"counts is not an object: {stated!r}")
+    actual = {"entries": len(entries), **dataset.counts_by_language()}
+    for key, value in stated.items():
+        if key in actual and actual[key] != value:
+            raise SchemaError(f"stated count {key}={value} but dataset has {actual[key]}")
     return dataset
 
 
@@ -242,28 +261,21 @@ def from_legacy_records(records: list[dict], provenance: str = "imported") -> Or
             raise SchemaError(f"record {i}: expected an object")
         repo = rec.get("repo_name") or rec.get("repo")
         fix = rec.get("fix_commit_hash") or rec.get("fix_commit")
-        if not repo or not fix:
-            raise SchemaError(f"record {i}: needs repo_name and fix_commit_hash")
+        if not all(isinstance(v, str) and v for v in (repo, fix)):
+            raise SchemaError(f"record {i}: needs repo_name and fix_commit_hash strings")
         key = (repo, fix)
         slot = merged.setdefault(
             key, {"bics": [], "issues": [], "languages": [], "clone": rec.get("clone_path")}
         )
-        inducing = rec.get("inducing_commit_hash")
-        if inducing:
-            if isinstance(inducing, str):
-                inducing = [inducing]
-            slot["bics"].extend(inducing)
-        for b in rec.get("true_bics", []):
-            slot["bics"].append(b)
+        where = f"record {i}"
+        slot["bics"].extend(_strings(rec.get("inducing_commit_hash") or [], where))
+        slot["bics"].extend(_strings(rec.get("true_bics", []), where))
         date = rec.get("earliest_issue_date")
         if date:
             slot["issues"].append(
                 IssueRef(url=rec.get("issue_url", ""), opened_at=parse_utc(date))
             )
-        langs = rec.get("languages", rec.get("language", []))
-        if isinstance(langs, str):
-            langs = [langs]
-        slot["languages"].extend(langs)
+        slot["languages"].extend(_strings(rec.get("languages", rec.get("language", [])), where))
 
     entries = []
     for (repo, fix), slot in merged.items():

@@ -120,6 +120,9 @@ def test_mine_missing_file_fails(tmp_path, capsys):
         ("gharchive", "{not json"),
         ("gharchive", "[1]"),
         ("gharchive", '"PushEvent"'),
+        ("gharchive", '{"type": "PushEvent", "repo": "org/app", "payload": {"commits": []}}'),
+        ("gharchive", '{"type": "PushEvent", "repo": {"name": "a"}, "payload": {"commits": [5]}}'),
+        ("plain", '{"repo": "org/app", "sha": "abc1234", "message": 5}'),
     ],
 )
 def test_mine_rejects_a_malformed_event_line(tmp_path, capsys, layout, line):
@@ -142,6 +145,18 @@ def test_mine_fails_on_a_bad_parse_row_of_a_prefiltered_message(tmp_path, capsys
     assert main(["mine", str(events), "--parses", str(parses), "--out", str(out)]) == 1
     assert f"error: {parses}:13: expected 5 tab-separated columns" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("header, line_no", [("# commit", 1), ("# commits squashed = 3", 3)])
+def test_mine_rejects_a_malformed_parse_header(tmp_path, capsys, header, line_no):
+    # only a comment keyed exactly "commit" or "text" is a header; the
+    # second file's row then comes before any commit
+    events = _write_events(tmp_path / "events.ndjson")
+    parses = tmp_path / "parses.txt"
+    parses.write_text(f"{header}\n# text = fix\n1\tfix\tfix\t0\troot\n")
+    assert main(["mine", str(events), "--parses", str(parses), "--out", str(tmp_path / "o")]) == 1
+    errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
+    assert len(errors) == 1 and errors[0].startswith(f"error: {parses}:{line_no}: ")
 
 
 # --- detect -------------------------------------------------------------------
@@ -486,6 +501,35 @@ def test_detect_reads_a_list_of_flat_records(corpus, suite_dataset, tmp_path):
         assert (tmp_path / "flat" / name).read_bytes() == (tmp_path / "doc" / name).read_bytes()
 
 
+@pytest.mark.parametrize(
+    "doc, where",
+    [
+        (
+            [{"repo_name": "org/app", "fix_commit_hash": "f" * 40, "inducing_commit_hash": 5}],
+            "record 0",
+        ),
+        (
+            {"entries": [{"repo": "a", "fix_commit": "f" * 40, "true_bics": ["a" * 40],
+                          "languages": [5]}]},
+            "entry 0",
+        ),
+        (
+            {"entries": [{"repo": "a", "fix_commit": "f" * 40, "true_bics": ["a" * 40],
+                          "issues": [5]}]},
+            "entry 0",
+        ),
+        ({"counts": 5, "entries": []}, "counts is not an object"),
+    ],
+)
+def test_detect_rejects_a_dataset_field_of_the_wrong_type(tmp_path, capsys, doc, where):
+    dataset = tmp_path / "oracle.json"
+    dataset.write_text(json.dumps(doc))
+    argv = ["detect", "--dataset", str(dataset), "--clones-root", str(tmp_path)]
+    assert main([*argv, "--out-dir", str(tmp_path / "runs")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {dataset}: {where}: ") and err.count("\n") == 1
+
+
 def test_detect_needs_clones_root(corpus, tmp_path, monkeypatch, capsys):
     dataset_path, _ = corpus
     monkeypatch.delenv("BICTRACE_CLONES_ROOT", raising=False)
@@ -795,6 +839,28 @@ def test_evaluate_malformed_run_file_fails(corpus, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: entry 0 missing field 'identified'")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        ("[5]", "entry 0: expected a JSON object"),
+        ('[], "skipped": [{}]', "skipped entry 0 missing field 'repo'"),
+        ('[{"repo": "r", "fix_commit": "f", "identified": "1234567"}]', "entry 0: field"),
+    ],
+)
+def test_evaluate_rejects_a_run_field_of_the_wrong_type(
+    corpus, tmp_path, capsys, entries, message
+):
+    dataset_path, _ = corpus
+    runs_dir = tmp_path / "runs"
+    runs_dir.mkdir()
+    bad = runs_dir / "ma_none.json"
+    bad.write_text(f'{{"variant": "MA", "entries": {entries}}}')
+    argv = ["evaluate", "--runs-dir", str(runs_dir), "--dataset", str(dataset_path)]
+    assert main([*argv, "--out-dir", str(tmp_path / "eval")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: {message}") and err.count("\n") == 1
 
 
 def test_report_without_evaluation_fails(tmp_path, capsys):

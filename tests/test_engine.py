@@ -34,6 +34,7 @@ from bictrace.engine import (
 from bictrace.errors import ConfigurationError, RootCommitError, SchemaError
 from bictrace.gitrepo import GitRepo
 from bictrace.langfilters import LineClass
+from bictrace.scenarios import GitScripter
 
 UTC = timezone.utc
 
@@ -198,6 +199,31 @@ def test_presets_match_scripted_expectations(suite, suite_ranges, preset_key):
         assert got == set(sc.expected[preset_key]), f"{name} under {preset_key}"
 
 
+def test_fix_that_bumps_a_submodule_keeps_its_entry(tmp_path):
+    # the gitlink's "Subproject commit" hunk names a commit of the nested
+    # repository, which blame and file reads cannot find
+    s = GitScripter(tmp_path / "app")
+    lib = GitScripter(s.path / "lib")
+    lib.write("x.c", "int x;\n")
+    lib.commit("lib v1")
+    lib.finish()
+    s.write("core.c", "int a;\nint b;\nint c;\n")
+    s.commit("add core")
+    s.write("core.c", "int a;\nint b = 1;\nint c;\n")
+    bug = s.commit("set b")
+    s.write("core.c", "int a;\nint b = 2;\nint c;\n")
+    lib.write("x.c", "int x = 1;\n")
+    lib.commit("lib v2")
+    lib.finish()
+    fix = s.commit("fix b and bump lib")
+    s.finish()
+    with GitRepo(s.path) as repo:
+        found = run_configs(
+            repo, fix, [(PRESETS[n], None) for n in PRESET_NAMES], RefactoringRanges()
+        )
+    assert [[c.commit for c in cands] for cands in found] == [[bug]] * len(PRESET_NAMES)
+
+
 def test_ra_lite_needs_ranges(suite):
     sc = suite["refactoring_range"]
     repo = GitRepo(sc.path)
@@ -312,8 +338,8 @@ def test_all_presets_at_once_match_each_alone(suite, suite_ranges):
 
 def test_entries_need_no_show_or_rev_parse(suite, suite_ranges, git_subcommands):
     # one rev-parse probes the clone, one cat-file answers every resolve,
-    # metadata and file read, one diff-tree every diff; show, rev-parse and
-    # diff only stand in for errors, so blame is all that runs one-shot
+    # metadata and file read, one diff-tree every diff; show and rev-parse
+    # only stand in for errors, so blame is all that runs one-shot
     for name, sc in sorted(suite.items()):
         git_subcommands.clear()
         with GitRepo(sc.path) as repo:

@@ -283,6 +283,15 @@ BAD_RUN_FILES = [
         '{"variant": "MA", "entries": [{"repo": "r", "fix_commit": "f"}]}',
         "entry 0 missing field 'identified'",
     ),
+    ('{"variant": "MA", "entries": [5]}', "entry 0: expected a JSON object"),
+    ('{"variant": "MA", "entries": [], "skipped": [{}]}', "skipped entry 0 missing field 'repo'"),
+    # a string is no list of hashes, though iterating it gives strings
+    (
+        '{"variant": "MA", "entries": [{"repo": "r", "fix_commit": "f", "identified": "1234567"}]}',
+        "entry 0: field 'identified' holds '1234567'",
+    ),
+    ('{"variant": "MA", "entries": {}}', "must be lists"),
+    ('{"variant": "MA", "regime": 5, "entries": []}', "variant and regime must be strings"),
 ]
 
 

@@ -292,38 +292,9 @@ def test_repository_config_changes_no_answer(configurable, key, value, git_subco
     configured = GitRepo(path)
     assert configured.diff_against_parent(fix, root) == want_diff
     assert configured.blame(fix, "a/core.c", [1, 2, 3]) == want_blame
-    # the batch answered every diff: no one-shot diff stood in for it
+    # diff-tree answered every diff; it ignores diff.interHunkContext and
+    # diff.orderFile, so neither setting needs a pin
     assert "diff-tree" in git_subcommands and "diff" not in git_subcommands
-
-
-def test_one_shot_diff_fallback_ignores_hunk_merging_and_file_order(
-    tmp_path, monkeypatch, git_subcommands
-):
-    # one-shot git diff honours both settings where diff-tree ignores them,
-    # so a fallback answer would otherwise merge hunks and reorder files
-    s = GitScripter(tmp_path / "repo")
-    s.write("a", "1\n2\n3\n4\n5\n")
-    s.write("b", "x\n")
-    root = s.commit("add")
-    s.write("a", "1\nTWO\n3\nFOUR\n5\n")
-    s.write("b", "y\n")
-    fix = s.commit("edit")
-    s.finish()
-    order_file = tmp_path / "order"
-    order_file.write_text("b\n")
-    for key, value in (("diff.interHunkContext", "5"), ("diff.orderFile", str(order_file))):
-        subprocess.run(["git", "-C", str(s.path), "config", key, value], check=True)
-
-    with GitRepo(s.path) as repo:
-        batch = repo.diff_against_parent(fix, root)
-    with GitRepo(s.path) as repo:
-        monkeypatch.setattr(repo._diff_tree, "request", lambda payload, read: None)
-        fallback = repo.diff_against_parent(fix, root)
-    assert git_subcommands.count("diff") == 1
-    assert [(h.file_post, h.removed) for h in batch] == [
-        ("a", ((2, "2"),)), ("a", ((4, "4"),)), ("b", ((1, "x"),)),
-    ]
-    assert fallback == batch
 
 
 def test_missing_ignore_revs_file_is_a_configuration_error(configurable):
@@ -475,11 +446,74 @@ def test_dead_batch_process_is_replaced(shop, batch_processes):
         [first] = batch_processes
         first.kill()
         first.wait()
-        # the request that finds it dead falls back to show, the next starts anew
+        # the request that finds it dead asks a new one
         assert fresh.file_at(labels["edit"], "a.txt") == "alpha\nbeta2\ngamma\n"
         assert fresh.commit_meta(labels["side"]).parents == (labels["root"],)
         assert len(batch_processes) == 2
     assert all(proc.returncode is not None for proc in batch_processes)
+
+
+def test_killed_batch_processes_are_replaced_not_stood_in_for(
+    shop, batch_processes, git_subcommands
+):
+    repo, labels, _ = shop
+    with GitRepo(repo.path) as fresh:
+        fresh.diff_against_parent(labels["edit"], labels["root"])
+        for proc in batch_processes:
+            proc.kill()
+            proc.wait()
+        git_subcommands.clear()
+        assert fresh.commit_meta(labels["side"]).parents == (labels["root"],)
+        [hunk] = fresh.diff_against_parent(labels["rename_edit"], labels["edit"])
+        assert hunk.added == ((3, "gamma2"),)
+    assert git_subcommands == ["cat-file", "diff-tree"]
+
+
+def test_batch_process_that_keeps_dying_is_a_corrupt_repository(
+    shop, monkeypatch, batch_processes
+):
+    repo, labels, _ = shop
+    real_popen = subprocess.Popen
+
+    def popen(argv, **kwargs):
+        if "diff-tree" in argv:  # reads one request and exits
+            argv = [sys.executable, "-c", "import sys; sys.stdin.readline()"]
+        return real_popen(argv, **kwargs)
+
+    monkeypatch.setattr(subprocess, "Popen", popen)
+    with GitRepo(repo.path) as fresh:
+        with pytest.raises(CorruptRepositoryError, match=labels["edit"]):
+            fresh.diff_against_parent(labels["edit"], labels["root"])
+    assert [proc.args[0] for proc in batch_processes] == ["git", sys.executable, sys.executable]
+
+
+def test_commit_without_a_committer_is_a_corrupt_repository(tmp_path):
+    s = GitScripter(tmp_path)
+    s.write("f.txt", "x\n")
+    root = s.commit("seed")
+    s.finish()
+    tree = _git_out(tmp_path, "rev-parse", f"{root}^{{tree}}").decode().strip()
+    body = f"tree {tree}\nparent {root}\nauthor A <a@example.org> 1000000000 +0000\n\nno date\n"
+    sha = subprocess.run(
+        ["git", "-C", str(tmp_path), "hash-object", "-t", "commit", "--literally", "-w", "--stdin"],
+        input=body.encode(), capture_output=True, check=True,
+    ).stdout.decode().strip()
+    with GitRepo(tmp_path) as repo:
+        with pytest.raises(CorruptRepositoryError, match=sha):
+            repo.commit_meta(sha)
+
+
+def test_one_watchdog_thread_serves_every_repository(shop):
+    repo, labels, _ = shop
+    before = set(threading.enumerate())
+    repos = [GitRepo(repo.path) for _ in range(10)]
+    try:
+        for fresh in repos:
+            fresh.commit_meta(labels["edit"])
+        assert len(set(threading.enumerate()) - before) <= 1
+    finally:
+        for fresh in repos:
+            fresh.close()
 
 
 def test_threads_share_one_batch_process(shop, batch_processes):
@@ -865,7 +899,9 @@ def test_batch_diff_equals_one_shot_diff(data, git_subcommands, monkeypatch):
         merge = s.commit("merge", parents=[commits[3], commits[1]])
         s.finish()
         pairs = [*zip(commits[1:], commits), (merge, commits[3]), (merge, commits[1])]
-        pinned = [arg for setting in PINNED_CONFIG for arg in ("-c", setting)]
+        # one-shot git diff also reads two settings that diff-tree ignores
+        settings = (*PINNED_CONFIG, "diff.interHunkContext=0", "diff.orderFile=/dev/null")
+        pinned = [arg for setting in settings for arg in ("-c", setting)]
         want = [
             subprocess.run(
                 ["git", "-C", tmp, *pinned, "diff", *gitrepo._DIFF_ARGS, parent, commit],

@@ -195,7 +195,10 @@ def load_refactoring_ranges(path: str | Path) -> RefactoringRanges:
                 continue  # header
             if not start.isdigit() or not end.isdigit():
                 raise SchemaError(f"{path}:{row_no}: line numbers must be integers")
-            ranges.add(commit, file, int(start), int(end))
+            try:
+                ranges.add(commit, file, int(start), int(end))
+            except SchemaError as exc:
+                raise SchemaError(f"{path}:{row_no}: {exc}") from None
     return ranges
 
 

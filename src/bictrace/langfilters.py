@@ -38,8 +38,6 @@ UNSUPPORTED = "Unsupported"
 
 SUPPORTED_LANGUAGES = (C, CPP, CSHARP, JAVA, JAVASCRIPT, RUBY, PHP, PYTHON)
 
-# Extension table is intentionally overridable: pass your own map to
-# language_for_path when a project uses nonstandard suffixes.
 EXTENSION_MAP: dict[str, str] = {
     ".c": C,
     ".h": C,
@@ -79,12 +77,11 @@ def canonical_language(name: str) -> str:
     return LANGUAGE_ALIASES.get(name.strip().lower(), name.strip())
 
 
-def language_for_path(path: str, table: dict[str, str] | None = None) -> str:
-    table = EXTENSION_MAP if table is None else table
+def language_for_path(path: str) -> str:
     dot = path.rfind(".")
     if dot == -1:
         return UNSUPPORTED
-    return table.get(path[dot:].lower(), UNSUPPORTED)
+    return EXTENSION_MAP.get(path[dot:].lower(), UNSUPPORTED)
 
 
 @dataclass

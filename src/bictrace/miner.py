@@ -8,13 +8,15 @@ checked against three heuristics over a dependency tree:
   H2 accepts a hash governed by "introduce" when a fix word and a bug word
      appear among the hash token's ancestors or descendants, at least one
      of them as an ancestor, and no "attempt"/"test" governs the hash.
-  H3 applies only without an "introduce" ancestor: both a fix and a bug
-     word must be ancestors of the hash, with no stop-word among the hash's
-     ancestors nor around the fix word itself.
+  H3 rejects a hash with an "introduce" ancestor; otherwise both a fix and
+     a bug word must be ancestors of the hash, with no stop-word among the
+     hash's ancestors nor around the fix word itself.
 
 Dependency parses are consumed from a columnar file, never produced here.
 When no parses exist, an explicitly lower-fidelity proximity mode matches
-word stems in a six-token window before each hash.
+word stems in a six-token window before each hash. Accepted records that
+forks push again collapse to the one from the lexicographically first
+repository, flagged, as a push stream names no main repository.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ H3_STOPWORDS = frozenset(
 )
 INTRODUCE_WORDS = frozenset({"introduce"})
 H2_BLOCK_WORDS = frozenset({"attempt", "test"})
+_H3_BLOCK_WORDS = H3_STOPWORDS | INTRODUCE_WORDS
 REVERT_WORDS = frozenset({"revert"})
 
 # stems for prefilter / proximity mode, where no lemmas are available
@@ -53,7 +56,8 @@ STARTS_WITH_HASH = "starts-with-hash"
 REVERT = "revert"
 HEURISTICS_FAILED = "h2h3-failed"
 
-# later stages outrank earlier ones when summarizing why a message failed
+# later stages outrank earlier ones when summarizing why a message failed:
+# a message reports its sentences' highest-ranked reason, the earlier on a tie
 _REASON_RANK = {
     PREFILTER: 0,
     PARSE_UNAVAILABLE: 1,
@@ -193,10 +197,6 @@ def h1_filter(tree: SentenceTree) -> tuple[bool, str | None]:
     return True, None
 
 
-def _has_introduce_ancestor(tree: SentenceTree, idx: int) -> bool:
-    return any(_matches(t, INTRODUCE_WORDS) for t in tree.ancestors(idx))
-
-
 def h2_filter(tree: SentenceTree, idx: int) -> bool:
     """Hash introduced-by pattern: an "introduce" ancestor, fix and bug
     words among ancestors plus descendants with at least one being an
@@ -214,26 +214,22 @@ def h2_filter(tree: SentenceTree, idx: int) -> bool:
     return fix_any and bug_any and (fix_anc or bug_anc)
 
 
-def _is_stopword(token: Token) -> bool:
-    return token.form.lower() in H3_STOPWORDS or token.lemma.lower() in H3_STOPWORDS
-
-
 def h3_filter(tree: SentenceTree, idx: int) -> bool:
     """Fallback pattern when nothing "introduces" the hash: both a fix and
-    a bug word govern it, the hash's ancestry is stop-word free, and at
-    least one governing fix word has no stop-word among its own ancestors
-    or descendants."""
+    a bug word govern it, the hash's ancestry is free of stop-words and
+    "introduce", and at least one governing fix word has no stop-word
+    among its own ancestors or descendants."""
     anc = tree.ancestors(idx)
     fix_ancestors = [t for t in anc if _matches(t, FIX_WORDS)]
     if not fix_ancestors:
         return False
     if not any(_matches(t, BUG_WORDS) for t in anc):
         return False
-    if any(_is_stopword(t) for t in anc):
+    if any(_matches(t, _H3_BLOCK_WORDS) for t in anc):
         return False
     for f in fix_ancestors:
         around = tree.ancestors(f.index) + tree.descendants(f.index)
-        if not any(_is_stopword(t) for t in around):
+        if not any(_matches(t, H3_STOPWORDS) for t in around):
             return True
     return False
 
@@ -279,15 +275,14 @@ def analyze_with_trees(trees: list[SentenceTree]) -> tuple[list[SentenceMatch], 
     worst = NO_HASH
     for s_index, tree in enumerate(trees):
         ok, reason = h1_filter(tree)
+        reason = reason or HEURISTICS_FAILED  # a passing sentence reaches H2/H3
+        if _REASON_RANK[reason] > _REASON_RANK[worst]:
+            worst = reason
         if not ok:
-            if _REASON_RANK[reason] > _REASON_RANK[worst]:
-                worst = reason
             continue
-        worst = HEURISTICS_FAILED
         for idx, hash_str in tree.hash_token_indices():
-            if _has_introduce_ancestor(tree, idx):
-                if h2_filter(tree, idx):
-                    matches.append(SentenceMatch(s_index, hash_str, "h2"))
+            if h2_filter(tree, idx):
+                matches.append(SentenceMatch(s_index, hash_str, "h2"))
             elif h3_filter(tree, idx):
                 matches.append(SentenceMatch(s_index, hash_str, "h3"))
     return matches, worst
@@ -336,6 +331,20 @@ def proximity_matches(sentence: str, window: int = 6) -> tuple[list[str], str]:
     return hashes, HEURISTICS_FAILED
 
 
+def analyze_with_proximity(message: str) -> tuple[list[SentenceMatch], str]:
+    """``proximity_matches`` over every sentence of a message; returns the
+    accepted matches and the deepest rejection reason reached."""
+    matches: list[SentenceMatch] = []
+    worst = NO_HASH
+    for s_index, sentence in enumerate(split_sentences(message)):
+        found, reason = proximity_matches(sentence)
+        for h in found:
+            matches.append(SentenceMatch(s_index, h, "proximity"))
+        if _REASON_RANK[reason] > _REASON_RANK[worst]:
+            worst = reason
+    return matches, worst
+
+
 # -- event stream processing ----------------------------------------------
 
 
@@ -368,7 +377,6 @@ def mine_stream(
     events,
     parses: "Mapping[str, list[SentenceTree] | None] | None" = None,
     proximity: bool = False,
-    fork_index: dict[str, str] | None = None,
 ) -> tuple[list[MessageAnalysis], RunSummary]:
     """Analyze an iterable of commit events (dicts with ``repo``, ``sha``,
     ``message``). Returns every analysis (accepted records deduplicated
@@ -376,32 +384,16 @@ def mine_stream(
     summary = RunSummary(proximity_mode=proximity)
     analyses: list[MessageAnalysis] = []
     for ev in events:
-        repo = ev["repo"]
-        sha = ev["sha"]
-        message = ev["message"]
-        summary.total += 1
-
+        repo, sha, message = ev["repo"], ev["sha"], ev["message"]
+        # trees are looked up, and so built, only past the prefilter
         if not word_prefilter(message):
-            summary.reject(PREFILTER)
-            analyses.append(MessageAnalysis(repo, sha, "rejected", PREFILTER))
-            continue
-
-        trees = parses.get(sha) if parses else None
-        if trees is not None:
-            matches, worst = analyze_with_trees(trees)
+            matches, reason = [], PREFILTER
+        elif (trees := parses.get(sha) if parses else None) is not None:
+            matches, reason = analyze_with_trees(trees)
         elif proximity:
-            matches = []
-            worst = NO_HASH
-            for s_index, sent in enumerate(split_sentences(message)):
-                found, reason = proximity_matches(sent)
-                for h in found:
-                    matches.append(SentenceMatch(s_index, h, "proximity"))
-                if _REASON_RANK[reason] > _REASON_RANK[worst]:
-                    worst = reason
+            matches, reason = analyze_with_proximity(message)
         else:
-            summary.reject(PARSE_UNAVAILABLE)
-            analyses.append(MessageAnalysis(repo, sha, "rejected", PARSE_UNAVAILABLE))
-            continue
+            matches, reason = [], PARSE_UNAVAILABLE
 
         if matches:
             summary.accepted += 1
@@ -409,52 +401,32 @@ def mine_stream(
             summary.h3_matches += sum(1 for m in matches if m.heuristic == "h3")
             analyses.append(MessageAnalysis(repo, sha, "accepted", None, matches))
         else:
-            summary.reject(worst)
-            analyses.append(MessageAnalysis(repo, sha, "rejected", worst))
+            summary.reject(reason)
+            analyses.append(MessageAnalysis(repo, sha, "rejected", reason))
 
-    deduped = dedupe(
-        [a for a in analyses if a.verdict == "accepted"], fork_index or {}
-    )
-    kept_ids = {id(a) for a in deduped}
-    out = [a for a in analyses if a.verdict != "accepted" or id(a) in kept_ids]
-    summary.duplicates_removed = summary.accepted - len(deduped)
-    summary.accepted = len(deduped)
+    out = dedupe(analyses)
+    summary.total = len(analyses)
+    summary.duplicates_removed = len(analyses) - len(out)
+    summary.accepted -= summary.duplicates_removed
     return out, summary
 
 
-def dedupe(
-    accepted: list[MessageAnalysis], fork_index: dict[str, str]
-) -> list[MessageAnalysis]:
-    """Collapse records sharing a commit hash (fork pushes) down to one.
-
-    The record from the designated main repository wins; with no
-    designation the lexicographically first repository is kept and the
-    record is flagged, never silently dropped."""
-    by_sha: dict[str, list[MessageAnalysis]] = {}
-    order: list[str] = []
-    for a in accepted:
-        if a.commit not in by_sha:
-            order.append(a.commit)
-        by_sha.setdefault(a.commit, []).append(a)
-    out: list[MessageAnalysis] = []
-    for sha in order:
-        group = by_sha[sha]
-        if len(group) == 1:
-            out.append(group[0])
-            continue
-        main = fork_index.get(sha)
-        chosen = None
-        if main is not None:
-            for a in group:
-                if a.repo == main:
-                    chosen = a
-                    break
-        if chosen is None:
-            chosen = min(group, key=lambda a: a.repo)
-            if "duplicate-unresolved" not in chosen.flags:
-                chosen.flags.append("duplicate-unresolved")
-        out.append(chosen)
-    return out
+def dedupe(analyses: list[MessageAnalysis]) -> list[MessageAnalysis]:
+    """Drop the accepted records that repeat a commit (fork pushes). Of
+    each repeated commit the record from the lexicographically first
+    repository stays at its own place, flagged ``duplicate-unresolved``
+    as the stream names no main repository; rejected records all stay."""
+    groups: dict[str, list[MessageAnalysis]] = {}
+    for a in analyses:
+        if a.verdict == "accepted":
+            groups.setdefault(a.commit, []).append(a)
+    kept: dict[str, MessageAnalysis] = {}
+    for commit, group in groups.items():
+        if len(group) > 1:
+            kept[commit] = min(group, key=lambda a: a.repo)
+            kept[commit].flags.append("duplicate-unresolved")
+    # a commit pushed once has no entry in kept and keeps its record
+    return [a for a in analyses if a.verdict != "accepted" or kept.get(a.commit, a) is a]
 
 
 # -- input formats ----------------------------------------------------------
@@ -526,6 +498,7 @@ def load_parses(path) -> Parses:
                     flush()
                     commit = value.strip()
                 elif key == "text":
+                    flush()  # a text line inside a block starts a new sentence
                     text = value.strip()
                 continue
             cols = line.split("\t")

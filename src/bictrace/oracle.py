@@ -47,7 +47,6 @@ class OracleEntry:
 class OracleDataset:
     entries: list[OracleEntry]
     provenance: str = ""
-    schema_version: int = SCHEMA_VERSION
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -75,6 +74,13 @@ def parse_utc(value: str) -> datetime:
     if dt.tzinfo is None:
         raise SchemaError(f"timestamp {value!r} lacks a timezone offset")
     return dt.astimezone(timezone.utc)
+
+
+def _timestamp(value, where: str) -> datetime:
+    try:
+        return parse_utc(value)
+    except SchemaError as exc:
+        raise SchemaError(f"{where}: {exc}") from None
 
 
 def _check_hash(value: str, where: str) -> str:
@@ -123,7 +129,7 @@ def entry_from_dict(obj: dict, index: int) -> OracleEntry:
         raise SchemaError(f"entry {index}: expected an object")
     try:
         issues = tuple(
-            IssueRef(url=i.get("url", ""), opened_at=parse_utc(i["opened_at"]))
+            IssueRef(url=i.get("url", ""), opened_at=_timestamp(i["opened_at"], f"entry {index}"))
             for i in obj.get("issues", [])
         )
     except (KeyError, TypeError, AttributeError):
@@ -163,11 +169,7 @@ def _from_document(doc) -> OracleDataset:
     if version != SCHEMA_VERSION:
         raise SchemaError(f"unsupported schema version {version}")
     entries = [entry_from_dict(e, i) for i, e in enumerate(doc["entries"])]
-    dataset = OracleDataset(
-        entries=entries,
-        provenance=doc.get("provenance", ""),
-        schema_version=version,
-    )
+    dataset = OracleDataset(entries=entries, provenance=doc.get("provenance", ""))
     validate_dataset(dataset)
     stated = doc.get("counts", {})
     if not isinstance(stated, dict):
@@ -200,7 +202,7 @@ def entry_to_dict(entry: OracleEntry) -> dict:
 def save_oracle(dataset: OracleDataset, path: str | Path) -> None:
     validate_dataset(dataset)
     doc = {
-        "schema_version": dataset.schema_version,
+        "schema_version": SCHEMA_VERSION,
         "provenance": dataset.provenance,
         "counts": {"entries": len(dataset.entries), **dataset.counts_by_language()},
         "entries": [
@@ -218,7 +220,6 @@ def subset_issues(dataset: OracleDataset) -> OracleDataset:
     return OracleDataset(
         entries=[e for e in dataset.entries if e.issues],
         provenance=dataset.provenance,
-        schema_version=dataset.schema_version,
     )
 
 
@@ -228,7 +229,6 @@ def subset_language(dataset: OracleDataset, language: str) -> OracleDataset:
     return OracleDataset(
         entries=[e for e in dataset.entries if lang in e.languages],
         provenance=dataset.provenance,
-        schema_version=dataset.schema_version,
     )
 
 
@@ -243,7 +243,6 @@ def subset_supported(dataset: OracleDataset) -> OracleDataset:
             if e.languages and all(l in supported for l in e.languages)
         ],
         provenance=dataset.provenance,
-        schema_version=dataset.schema_version,
     )
 
 
@@ -273,7 +272,7 @@ def from_legacy_records(records: list[dict], provenance: str = "imported") -> Or
         date = rec.get("earliest_issue_date")
         if date:
             slot["issues"].append(
-                IssueRef(url=rec.get("issue_url", ""), opened_at=parse_utc(date))
+                IssueRef(url=rec.get("issue_url", ""), opened_at=_timestamp(date, where))
             )
         slot["languages"].extend(_strings(rec.get("languages", rec.get("language", [])), where))
 

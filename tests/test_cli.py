@@ -519,6 +519,18 @@ def test_detect_reads_a_list_of_flat_records(corpus, suite_dataset, tmp_path):
             "entry 0",
         ),
         ({"counts": 5, "entries": []}, "counts is not an object"),
+        (
+            [{"repo_name": "org/app", "fix_commit_hash": "f" * 40, "inducing_commit_hash": "a" * 40},
+             {"repo_name": "org/app", "fix_commit_hash": "e" * 40, "inducing_commit_hash": "a" * 40,
+              "earliest_issue_date": "last tuesday"}],
+            "record 1",
+        ),
+        (
+            {"entries": [{"repo": "a", "fix_commit": "f" * 40, "true_bics": ["a" * 40]},
+                         {"repo": "a", "fix_commit": "e" * 40, "true_bics": ["a" * 40],
+                          "issues": [{"url": "u", "opened_at": "2020-01-01"}]}]},
+            "entry 1",
+        ),
     ],
 )
 def test_detect_rejects_a_dataset_field_of_the_wrong_type(tmp_path, capsys, doc, where):
@@ -528,6 +540,24 @@ def test_detect_rejects_a_dataset_field_of_the_wrong_type(tmp_path, capsys, doc,
     assert main([*argv, "--out-dir", str(tmp_path / "runs")]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {dataset}: {where}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("abc,core.c,1,2", "refactoring range needs a full 40-char hash, got 'abc'"),
+        (f"{'a' * 40},core.c,5,2", "bad refactoring range 5-2 for core.c"),
+    ],
+)
+def test_detect_rejects_a_bad_refactoring_range(corpus, tmp_path, capsys, row, message):
+    dataset_path, clones_root = corpus
+    ranges = tmp_path / "ranges.csv"
+    ranges.write_text(f"commit_hash,file_path,start_line,end_line\n{'b' * 40},x.c,1,1\n{row}\n")
+    argv = ["detect", "--dataset", str(dataset_path), "--clones-root", str(clones_root)]
+    argv += ["--presets", "RA-lite", "--refactorings", str(ranges)]
+    assert main([*argv, "--out-dir", str(tmp_path / "runs")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {ranges}:3: {message}\n"
 
 
 def test_detect_needs_clones_root(corpus, tmp_path, monkeypatch, capsys):

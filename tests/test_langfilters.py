@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from bictrace.gitrepo import DiffHunk, GitRepo
 from bictrace.langfilters import (
-    EXTENSION_MAP,
     SUPPORTED_LANGUAGES,
     LineClass,
     canonical_language,
@@ -157,13 +156,6 @@ def test_unknown_paths_are_unsupported():
     assert language_for_path("Makefile") == "Unsupported"
     assert language_for_path("notes.txt") == "Unsupported"
     assert language_for_path("archive.tar.gz") == "Unsupported"
-
-
-def test_extension_table_is_overridable():
-    table = dict(EXTENSION_MAP)
-    table[".inc"] = "PHP"
-    assert language_for_path("header.inc", table) == "PHP"
-    assert language_for_path("header.inc") == "Unsupported"
 
 
 def test_language_aliases():

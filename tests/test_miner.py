@@ -199,6 +199,25 @@ def test_h3_stopword_matches_surface_form_too():
     assert not h3_filter(tree, idx)
 
 
+def test_h3_rejects_a_hash_with_an_introduce_ancestor():
+    # "solve_error_caused" with "introduced" for "caused": H3's context is
+    # otherwise met, but an "introduce" ancestor leaves the hash to H2
+    tree = make_tree(
+        "solve the error introduced in a1b2c3d4",
+        [
+            (1, "solve", "solve", 0, "root"),
+            (2, "the", "the", 3, "det"),
+            (3, "error", "error", 1, "obj"),
+            (4, "introduced", "introduce", 3, "acl"),
+            (5, "in", "in", 6, "case"),
+            (6, "a1b2c3d4", "a1b2c3d4", 4, "obl"),
+        ],
+    )
+    (idx, _), = tree.hash_token_indices()
+    assert not h3_filter(tree, idx)
+    assert [m.heuristic for m in analyze_with_trees([tree])[0]] == ["h2"]
+
+
 def test_analyze_reports_deepest_reason():
     no_hash = make_tree(
         "fixes the bug",
@@ -347,7 +366,7 @@ def test_mine_stream_proximity_mode():
     assert summary.proximity_mode
 
 
-def test_fork_dedupe_prefers_designated_main(labeled_sentences):
+def test_fork_dedupe_keeps_the_first_repository_flagged(labeled_sentences):
     tree = dict((l, t) for l, t, _, _ in labeled_sentences)["fixes_introduced_by"]
     msg = "fixes a search bug introduced by 2508e12"
     events = [
@@ -356,14 +375,8 @@ def test_fork_dedupe_prefers_designated_main(labeled_sentences):
     ]
     parses = {"aal": [tree]}
 
-    analyses, summary = mine_stream(events, parses=parses, fork_index={"aal": "main/app"})
-    accepted = [a for a in analyses if a.verdict == "accepted"]
-    assert [a.repo for a in accepted] == ["main/app"]
-    assert accepted[0].flags == []
-    assert summary.accepted == 1
-    assert summary.duplicates_removed == 1
-
-    # without a designation the first repo name wins and the record is flagged
+    # the stream names no main repository: the first repo name wins and
+    # the record is flagged
     analyses, summary = mine_stream(events, parses=parses)
     accepted = [a for a in analyses if a.verdict == "accepted"]
     assert [a.repo for a in accepted] == ["fork/app"]
@@ -376,7 +389,34 @@ def test_dedupe_keeps_distinct_hashes_apart():
 
     a = MessageAnalysis("r1", "aaa", "accepted")
     b = MessageAnalysis("r2", "bbb", "accepted")
-    assert dedupe([a, b], {}) == [a, b]
+    assert dedupe([a, b]) == [a, b]
+
+
+def test_fork_pushes_among_rejections_keep_one_record_in_place(labeled_sentences):
+    tree = dict((l, t) for l, t, _, _ in labeled_sentences)["fixes_introduced_by"]
+    hit = "fixes a search bug introduced by 2508e12"
+    events = [
+        _event("zeta/app", "aal", hit),
+        _event("org/app", "c01", "update docs"),
+        _event("beta/app", "aal", hit),
+        _event("org/app", "c02", "fix the bug eventually"),
+        _event("gamma/app", "aal", hit),
+        _event("org/app", "c03", "merge branch"),
+    ]
+    analyses, summary = mine_stream(events, parses={"aal": [tree]})
+    assert [(a.repo, a.commit, a.verdict) for a in analyses] == [
+        ("org/app", "c01", "rejected"),
+        ("beta/app", "aal", "accepted"),
+        ("org/app", "c02", "rejected"),
+        ("org/app", "c03", "rejected"),
+    ]
+    assert analyses[1].flags == ["duplicate-unresolved"]
+    assert analyses[1].to_record()["flags"] == ["duplicate-unresolved"]
+    assert summary.total == 6
+    assert summary.accepted == 1
+    assert summary.duplicates_removed == 2
+    assert summary.rejected_by_reason == {PREFILTER: 2, "parse-unavailable": 1}
+    assert summary.h2_matches == 3
 
 
 def test_planted_positives_in_larger_stream(labeled_sentences):
@@ -429,6 +469,19 @@ def test_load_parses_round_trip(tmp_path):
     assert len(parses["aal"][0].tokens) == 6
     matches, _ = analyze_with_trees(parses["aal"])
     assert matches and matches[0].hash == "2508e12"
+
+
+def test_load_parses_text_line_inside_a_block_starts_a_sentence(tmp_path):
+    # no blank line before the second "# text =": it still ends the
+    # sentence read so far instead of renaming it
+    path = tmp_path / "parses.txt"
+    path.write_text(
+        "# commit = a\n# text = one\n1\tone\tone\t0\troot\n"
+        "# text = two\n1\ttwo\ttwo\t0\troot\n"
+    )
+    trees = load_parses(path)["a"]
+    assert [t.text for t in trees] == ["one", "two"]
+    assert [[tok.form for tok in t.tokens] for t in trees] == [["one"], ["two"]]
 
 
 def test_load_parses_invalid_tree_maps_to_none(tmp_path):

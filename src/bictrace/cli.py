@@ -27,7 +27,6 @@ from .gitrepo import GitRepo
 
 CLONES_ROOT_ENV = "BICTRACE_CLONES_ROOT"
 DEFAULT_PRESETS = "B,AG,MA,L,R"
-REGIMES = ("none", "issue-date", "best-case-date")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -82,7 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
     detect.add_argument(
         "--regime",
         default="none",
-        help=f"comma-separated date regimes, from {', '.join(REGIMES)} (default: none)",
+        help=f"comma-separated date regimes, from {', '.join(engine.REGIMES)} (default: none)",
     )
     detect.add_argument(
         "--refactorings",
@@ -155,15 +154,6 @@ def _clone_dir(root: Path, entry: oracle.OracleEntry) -> Path:
     return root / (entry.clone_path or entry.repo)
 
 
-def _cutoff(repo, entry: oracle.OracleEntry, regime: str):
-    """The latest committer time ``regime`` keeps for ``entry``, or None."""
-    if regime == "issue-date" and entry.issue_dates:
-        return min(entry.issue_dates)
-    if regime == "best-case-date":
-        return engine.simulate_best_case_issue_date(repo, entry.true_bics)
-    return None
-
-
 def _detect_group(path: Path, entries, configs, regimes, ranges):
     """Run every preset under every regime over one repository's entries,
     one shared pipeline call per entry.
@@ -192,7 +182,8 @@ def _detect_group(path: Path, entries, configs, regimes, ranges):
             cutoffs = []
             for regime in regimes:
                 try:
-                    cutoffs.append((regime, _cutoff(repo, e, regime)))
+                    cutoff = engine.regime_cutoff(repo, regime, e.issue_dates, e.true_bics)
+                    cutoffs.append((regime, cutoff))
                 except BictraceError as exc:
                     skips[(e.repo, e.fix_commit, regime)] = f"{type(exc).__name__}: {exc}"
             if not cutoffs:
@@ -232,10 +223,11 @@ def cmd_detect(args) -> int:
     if not names:
         print("error: no presets requested", file=sys.stderr)
         return 1
-    regimes = [r.strip() for r in args.regime.split(",") if r.strip()]
-    if not regimes or not set(regimes) <= set(REGIMES):
+    # likewise a regime named twice
+    regimes = list(dict.fromkeys(r.strip() for r in args.regime.split(",") if r.strip()))
+    if not regimes or not set(regimes) <= set(engine.REGIMES):
         print(f"error: unknown regime in {args.regime!r}; expected some of "
-              f"{', '.join(REGIMES)}", file=sys.stderr)
+              f"{', '.join(engine.REGIMES)}", file=sys.stderr)
         return 1
 
     ranges = None

@@ -15,18 +15,20 @@ those choices into the classic algorithm family:
 All tracing happens against the first-parent pre-image of the fix commit,
 so removed-line numbers always refer to that revision.
 
-A date regime is a cutoff on candidate committer times, not a variant.
+A date regime is a cutoff on candidate committer times, not a variant;
+``regime_cutoff`` is the one rule that turns a regime into a cutoff.
 Presets and regimes run together share their common work: ``run_configs``
 extracts and classifies a fix's lines once and traces each distinct
 (fix-line filter, trace, depth limit) once, so the six presets under
 every regime cost one plain-blame trace and one cosmetic-skipping trace
-per fix. Filters, cutoffs and selections then run per (preset, cutoff)
-over those read-only candidates.
+per fix. A trace is one ``TracedLine`` per fix line; filters, cutoffs
+and selections then run per (preset, cutoff) over those read-only lines.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import re
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta
@@ -51,6 +53,8 @@ SELECT_LARGEST = "largest"
 SELECT_LATEST = "latest"
 
 DEFAULT_DEPTH_LIMIT = 10
+
+REGIMES = ("none", "issue-date", "best-case-date")
 BEST_CASE_DELTA = timedelta(seconds=60)
 
 _FULL_HASH_RE = re.compile(r"^[0-9a-f]{40}$")
@@ -241,7 +245,7 @@ def _cosmetic_drops(hunk) -> set[int]:
     Whole-hunk squash equality drops everything (covers lines split or
     joined); otherwise removed and added lines are paired positionally
     and equal pairs dropped."""
-    if langfilters.is_cosmetic_hunk(hunk) and hunk.removed and hunk.added:
+    if langfilters.is_cosmetic_hunk(hunk):
         return {line_no for line_no, _ in hunk.removed}
     drops: set[int] = set()
     for (r_no, r_text), (_, a_text) in zip(hunk.removed, hunk.added):
@@ -250,77 +254,60 @@ def _cosmetic_drops(hunk) -> set[int]:
     return drops
 
 
-def trace_candidates(repo, ctx: FixContext, config: VariantConfig) -> list[BicCandidate]:
-    """Blame every fix line at the fix's first-parent revision and group
-    the origins into candidates.
+@dataclass(frozen=True)
+class TracedLine:
+    """One fix line traced back: the commit blame settled on, how many
+    cosmetic commits it was re-blamed past, and whether the trace stopped
+    on a cosmetic commit (depth limit hit, or blame could not move on)."""
+
+    line: FixLine
+    origin: str
+    depth: int
+    flagged: bool
+
+
+def trace_candidates(repo, ctx: FixContext, config: VariantConfig) -> list[TracedLine]:
+    """Blame every fix line at the fix's first-parent revision, one
+    record per line, in fix-line order.
 
     With cosmetic skipping, a line whose origin only reformatted is
     re-blamed with that commit ignored, repeatedly, until a non-cosmetic
     origin appears or the depth limit is hit; the number of re-blames is
-    recorded as the line's trace depth. An exhausted line keeps its
-    cosmetic origin and the candidate is flagged."""
-    if not ctx.fix_lines:
-        return []
-
-    cosmetic_cache: dict[str, bool] = {}
-
-    def cosmetic(sha: str) -> bool:
-        if sha not in cosmetic_cache:
-            cosmetic_cache[sha] = langfilters.is_cosmetic_commit(repo, sha)
-        return cosmetic_cache[sha]
-
+    the line's depth. An exhausted line keeps its cosmetic origin and is
+    flagged."""
+    cosmetic = functools.cache(lambda sha: langfilters.is_cosmetic_commit(repo, sha))
     by_file: dict[str, dict[int, FixLine]] = {}
     for fl in ctx.fix_lines:
         by_file.setdefault(fl.file, {})[fl.line_no] = fl
 
-    support: dict[str, list[FixLine]] = {}
-    max_depth: dict[str, int] = {}
-    flagged_any: dict[str, bool] = {}
-
-    for file, pending in by_file.items():
-        pending = dict(pending)
+    traced: list[TracedLine] = []
+    for file, lines in by_file.items():
+        pending = dict.fromkeys(lines, 0)  # line number -> re-blames so far
         ignore: set[str] = set()
-        depth: dict[int, int] = {ln: 0 for ln in pending}
-
-        def finalize(ln: int, origin: str, flagged: bool) -> None:
-            support.setdefault(origin, []).append(pending.pop(ln))
-            max_depth[origin] = max(max_depth.get(origin, 0), depth[ln])
-            flagged_any[origin] = flagged_any.get(origin, False) or flagged
-
         while pending:
-            records = repo.blame(ctx.parent, file, set(pending), frozenset(ignore))
             seen_before = frozenset(ignore)
             progressed = False
-            for rec in records:
-                ln = rec.line_no
-                if ln not in pending:
+            for rec in repo.blame(ctx.parent, file, set(pending), seen_before):
+                depth = pending.get(rec.line_no)
+                if depth is None:
                     continue
-                if rec.origin in seen_before:
-                    # already ignored this commit and blame could not move
-                    # past it: the line was introduced there, keep and flag
-                    finalize(ln, rec.origin, flagged=True)
-                elif config.trace == SKIP_COSMETIC and cosmetic(rec.origin):
-                    if depth[ln] < config.depth_limit:
-                        depth[ln] += 1
+                # an origin already ignored is where blame could not move
+                # past: the line was introduced there, keep and flag it
+                stuck = rec.origin in seen_before
+                if not stuck and config.trace == SKIP_COSMETIC and cosmetic(rec.origin):
+                    if depth < config.depth_limit:
+                        pending[rec.line_no] = depth + 1
                         ignore.add(rec.origin)
                         progressed = True
-                    else:
-                        finalize(ln, rec.origin, flagged=True)
-                else:
-                    finalize(ln, rec.origin, flagged=False)
-            if pending and not progressed:
+                        continue
+                    stuck = True
+                del pending[rec.line_no]
+                traced.append(TracedLine(lines[rec.line_no], rec.origin, depth, stuck))
+            if not progressed:
                 break  # blame yielded nothing to advance; avoid spinning
 
-    return [
-        BicCandidate(
-            commit=sha,
-            supporting_lines=sorted(support[sha], key=lambda fl: (fl.file, fl.line_no)),
-            trace_depth=max_depth[sha],
-            cosmetic_flagged=flagged_any[sha],
-            committer_time=repo.commit_meta(sha).committer_time,
-        )
-        for sha in sorted(support)
-    ]
+    traced.sort(key=lambda t: (t.line.file, t.line.line_no))
+    return traced
 
 
 def is_meta_change(repo, commit_id: str) -> bool:
@@ -336,41 +323,43 @@ def is_meta_change(repo, commit_id: str) -> bool:
 
 def filter_candidates(
     repo,
-    candidates: list[BicCandidate],
+    traced: list[TracedLine],
     ctx: FixContext,
     config: VariantConfig,
     refactorings: RefactoringRanges | None = None,
     cutoff: datetime | None = None,
 ) -> list[BicCandidate]:
-    """Drop candidates per the variant's filters, and those committed
-    after ``cutoff`` when one is given. ``candidates`` is left as it was."""
-    result = list(candidates)
+    """Drop traced lines per the variant's filters: those whose origin is a
+    meta-change or was committed after ``cutoff`` when one is given, and
+    those in a refactored range of the fix's pre-image. The surviving lines
+    are grouped by origin into candidates, ordered by hash. ``traced`` is
+    left as it was."""
+    drop_refactored = DROP_REFACTORED_LINES in config.bic_filters
+    if drop_refactored and refactorings is None:
+        raise ConfigurationError(
+            "drop-refactored-lines is enabled but no refactoring ranges were supplied"
+        )
+    by_origin: dict[str, list[TracedLine]] = {}
+    for t in traced:
+        fl = t.line
+        if not (drop_refactored and refactorings.covers(ctx.fix_commit, fl.file, fl.line_no)):
+            by_origin.setdefault(t.origin, []).append(t)
 
-    if DROP_META_CHANGES in config.bic_filters:
-        result = [c for c in result if not is_meta_change(repo, c.commit)]
-
-    if cutoff is not None:
-        result = [c for c in result if c.committer_time <= cutoff]
-
-    if DROP_REFACTORED_LINES in config.bic_filters:
-        if refactorings is None:
-            raise ConfigurationError(
-                "drop-refactored-lines is enabled but no refactoring ranges were supplied"
-            )
-        kept: list[BicCandidate] = []
-        for cand in result:
-            support = [
-                fl
-                for fl in cand.supporting_lines
-                if not refactorings.covers(ctx.fix_commit, fl.file, fl.line_no)
-            ]
-            if support:
-                if len(support) != len(cand.supporting_lines):
-                    cand = replace(cand, supporting_lines=support)
-                kept.append(cand)
-        result = kept
-
-    return result
+    candidates = []
+    for sha, lines in sorted(by_origin.items()):
+        if DROP_META_CHANGES in config.bic_filters and is_meta_change(repo, sha):
+            continue
+        when = repo.commit_meta(sha).committer_time
+        if cutoff is not None and when > cutoff:
+            continue
+        candidates.append(BicCandidate(
+            commit=sha,
+            supporting_lines=[t.line for t in lines],
+            committer_time=when,
+            trace_depth=max(t.depth for t in lines),
+            cosmetic_flagged=any(t.flagged for t in lines),
+        ))
+    return candidates
 
 
 def select(candidates: list[BicCandidate], config: VariantConfig) -> list[BicCandidate]:
@@ -404,9 +393,9 @@ def run_configs(
     The work the runs share is done once: the fix's lines are extracted
     and classified once, and each distinct (fix-line filter, trace, depth
     limit) is traced once, whatever the cutoffs. Every run then only
-    filters and selects from those read-only candidates."""
+    filters and selects from those read-only traced lines."""
     ctx = extract_fix_lines(repo, fix_commit)
-    traces: dict[tuple[frozenset[str], str, int], list[BicCandidate]] = {}
+    traces: dict[tuple[frozenset[str], str, int], list[TracedLine]] = {}
     results = []
     for config, cutoff in runs:
         key = (config.fix_line_filter, config.trace, config.depth_limit)
@@ -421,23 +410,28 @@ def run_variant(
     repo,
     fix_commit: str,
     preset_name_: str,
-    issue_dates: list[datetime] | None = None,
+    cutoff: datetime | None = None,
     refactorings: RefactoringRanges | None = None,
 ) -> set[str]:
     """Detected bug-inducing commits (full hashes) for one fix under a
-    named preset; with ``issue_dates``, only those committed no later
-    than the earliest of them."""
-    cutoff = min(issue_dates) if issue_dates else None
+    named preset; with ``cutoff``, only those committed no later."""
     [cands] = run_configs(repo, fix_commit, [(preset(preset_name_), cutoff)], refactorings)
     return {c.commit for c in cands}
 
 
-def simulate_best_case_issue_date(repo, true_bics) -> datetime:
-    """The issue-opening date a perfectly punctual reporter would have
-    produced: the latest true inducing commit's committer time plus 60
-    seconds."""
-    bics = list(true_bics)
-    if not bics:
-        raise ValueError("cannot simulate an issue date from an empty commit set")
-    latest = max(repo.commit_meta(b).committer_time for b in bics)
-    return latest + BEST_CASE_DELTA
+def regime_cutoff(repo, regime: str, issue_dates, true_bics) -> datetime | None:
+    """The latest committer time a date regime keeps for a fix, or None
+    to keep every candidate. ``issue-date`` cuts at the earliest issue
+    report, if there is one. ``best-case-date`` cuts where a perfectly
+    punctual reporter would have: 60 seconds after the latest true
+    inducing commit."""
+    if regime not in REGIMES:
+        raise ConfigurationError(f"unknown regime {regime!r}; expected one of {REGIMES}")
+    if regime == "issue-date" and issue_dates:
+        return min(issue_dates)
+    if regime == "best-case-date":
+        bics = list(true_bics)
+        if not bics:
+            raise ValueError("cannot simulate an issue date from an empty commit set")
+        return max(repo.commit_meta(b).committer_time for b in bics) + BEST_CASE_DELTA
+    return None

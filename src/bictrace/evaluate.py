@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .errors import SchemaError
@@ -115,13 +115,16 @@ def score(run: DetectionRun, oracle: OracleDataset) -> Score:
     )
 
 
+def _same_coverage(s_i: Score, others: list[Score]) -> None:
+    for s_j in others:
+        if s_j.entries != s_i.entries:
+            raise ValueError(f"runs {s_i.variant} and {s_j.variant} cover different entries")
+
+
 def overlap(s_i: Score, s_j: Score) -> float:
     """Jaccard agreement of two runs' true-positive sets; 1 when both
     are empty."""
-    if s_i.entries != s_j.entries:
-        raise ValueError(
-            f"runs {s_i.variant} and {s_j.variant} cover different entries"
-        )
+    _same_coverage(s_i, [s_j])
     union = s_i.true_positives | s_j.true_positives
     if not union:
         return 1.0
@@ -137,11 +140,7 @@ def exclusive_correct(s_i: Score, scores: list[Score]) -> tuple[int, int, float]
     others = [s for s in scores if s is not s_i]
     if not others:
         raise ValueError("exclusive-correct needs at least two runs")
-    for s_j in others:
-        if s_j.entries != s_i.entries:
-            raise ValueError(
-                f"runs {s_i.variant} and {s_j.variant} cover different entries"
-            )
+    _same_coverage(s_i, others)
     tp_rest = frozenset().union(*(s.true_positives for s in others))
     numerator = len(s_i.true_positives - tp_rest)
     denominator = len(s_i.true_positives | tp_rest)
@@ -152,7 +151,8 @@ def exclusive_correct(s_i: Score, scores: list[Score]) -> tuple[int, int, float]
 def outlier_filter(run: DetectionRun, threshold: int) -> DetectionRun:
     """Drop entries where the detector exploded (more identified commits
     than the threshold). Dropped entries leave the run entirely, shrinking
-    the pooled denominators, and are reported separately."""
+    the pooled denominators, and are reported separately. The result
+    shares ``run``'s entry flags and skip list; neither is changed."""
     if threshold < 1:
         raise ValueError("outlier threshold must be >= 1")
     kept: dict[EntryKey, frozenset[str]] = {}
@@ -162,14 +162,7 @@ def outlier_filter(run: DetectionRun, threshold: int) -> DetectionRun:
             removed.append((key[0], key[1], len(hashes)))
         else:
             kept[key] = hashes
-    return DetectionRun(
-        variant=run.variant,
-        regime=run.regime,
-        identified=kept,
-        entry_flags=dict(run.entry_flags),
-        skipped=list(run.skipped),
-        outliers_removed=removed,
-    )
+    return replace(run, identified=kept, outliers_removed=removed)
 
 
 # -- run file round-trip -----------------------------------------------------

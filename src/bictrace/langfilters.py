@@ -278,17 +278,8 @@ def squash_whitespace(text: str) -> str:
     return "".join(text.split())
 
 
-def is_cosmetic_change(removed_text: str | None, added_text: str | None) -> bool:
-    """True when two change sides differ only in whitespace.
-
-    ``None`` means the side has no lines at all: a deletion with no paired
-    addition (or the reverse) is never cosmetic, while two absent sides are
-    trivially equal.
-    """
-    if removed_text is None and added_text is None:
-        return True
-    if removed_text is None or added_text is None:
-        return False
+def is_cosmetic_change(removed_text: str, added_text: str) -> bool:
+    """True when two change sides differ only in whitespace."""
     return squash_whitespace(removed_text) == squash_whitespace(added_text)
 
 

@@ -20,7 +20,7 @@ from bictrace.engine import (
     PRESETS,
     run_variant,
     extract_fix_lines,
-    simulate_best_case_issue_date,
+    regime_cutoff,
 )
 from bictrace.evaluate import (
     DetectionRun,
@@ -234,11 +234,11 @@ def test_criterion_5_invariants_and_determinism(suite, suite_dataset, tmp_path):
         entries.append(
             OracleEntry(repo=label, fix_commit=fix, true_bics=tuple(sorted(truth)))
         )
-        cutoff = simulate_best_case_issue_date(repo, truth)
+        cutoff = regime_cutoff(repo, "best-case-date", [], truth)
         for preset in plain_runs:
             plain_runs[preset][(label, fix)] = frozenset(run_variant(repo, fix, preset))
             dated_runs[preset][(label, fix)] = frozenset(
-                run_variant(repo, fix, preset, issue_dates=[cutoff])
+                run_variant(repo, fix, preset, cutoff=cutoff)
             )
 
     oracle = OracleDataset(entries=entries)

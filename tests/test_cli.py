@@ -231,6 +231,52 @@ def test_detect_repeated_preset_runs_once(corpus, tmp_path, monkeypatch):
     assert set(calls) == {1}
 
 
+def test_detect_repeated_regime_runs_once(corpus, suite_dataset, tmp_path, monkeypatch, capsys):
+    import bictrace.engine as engine
+
+    _, clones_root = corpus
+    ghost = OracleEntry(
+        repo="ghost/app", fix_commit="f" * 40, true_bics=("b" * 40,), clone_path="ghost"
+    )
+    dataset_path = tmp_path / "with_ghost.json"
+    save_oracle(
+        OracleDataset(entries=[*suite_dataset.entries, ghost],
+                      provenance=suite_dataset.provenance),
+        dataset_path,
+    )
+    calls: list[int] = []
+    run_configs = engine.run_configs
+
+    def counting(repo, fix, runs, *args, **kwargs):
+        calls.append(len(runs))
+        return run_configs(repo, fix, runs, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "run_configs", counting)
+    outs, errs = {}, {}
+    for regimes in ("none", "none,none"):
+        out_dir = tmp_path / regimes.replace(",", "_")
+        code = main(
+            [
+                "detect",
+                "--dataset", str(dataset_path),
+                "--clones-root", str(clones_root),
+                "--presets", "MA",
+                "--regime", regimes,
+                "--workers", "1",
+                "--out-dir", str(out_dir),
+            ]
+        )
+        assert code == 2
+        assert [p.name for p in out_dir.glob("*.json")] == ["ma_none.json"]
+        outs[regimes] = (out_dir / "ma_none.json").read_bytes()
+        errs[regimes] = capsys.readouterr().err.replace(str(out_dir), "OUT")
+    assert outs["none,none"] == outs["none"]
+    # the skip reads as under one regime: no "under none" suffix
+    assert "skipped ghost/app" in errs["none"]
+    assert errs["none,none"] == errs["none"]
+    assert set(calls) == {1}
+
+
 def test_detect_ra_lite_with_ranges(corpus, suite, suite_ranges_path, tmp_path):
     dataset_path, clones_root = corpus
     out_dir = tmp_path / "runs"

@@ -14,6 +14,7 @@ from bictrace.engine import (
     DROP_REFACTORED_LINES,
     PRESET_NAMES,
     PRESETS,
+    REGIMES,
     SELECT_ALL,
     SELECT_LARGEST,
     SELECT_LATEST,
@@ -26,10 +27,11 @@ from bictrace.engine import (
     load_refactoring_ranges,
     preset,
     preset_name,
+    regime_cutoff,
     run_configs,
     run_variant,
     select,
-    simulate_best_case_issue_date,
+    trace_candidates,
 )
 from bictrace.errors import ConfigurationError, RootCommitError, SchemaError
 from bictrace.gitrepo import GitRepo
@@ -256,6 +258,26 @@ def test_plain_blame_never_traces(suite):
     assert all(c.trace_depth == 0 for c in cands)
 
 
+def test_each_fix_line_traces_to_one_record(suite):
+    sc = suite["cosmetic_chain"]
+    c1, c2, c3 = (sc.labels[k] for k in ("c1", "c2", "c3"))
+    with GitRepo(sc.path) as repo:
+        ctx = extract_fix_lines(repo, sc.fix)
+        for config, record in [
+            (PRESETS["AG"], (c1, 2, False)),
+            (replace(PRESETS["AG"], depth_limit=1), (sc.notes["depth1_expected"], 1, True)),
+            (PRESETS["B"], (c3, 0, False)),
+        ]:
+            kept = ctx.keep(config.fix_line_filter)
+            traced = trace_candidates(repo, kept, config)
+            assert kept.fix_lines, config
+            assert [t.line for t in traced] == kept.fix_lines, config
+            assert [(t.origin, t.depth, t.flagged) for t in traced] == (
+                [record] * len(kept.fix_lines)
+            ), config
+    assert sc.notes["depth1_expected"] == c2
+
+
 # --- issue date regime --------------------------------------------------------
 
 
@@ -267,7 +289,7 @@ def test_issue_dates_filter_late_candidates(suite):
     unfiltered = run_variant(repo, sc.fix, "MA")
     assert unfiltered == set(sc.expected["MA"])
 
-    filtered = run_variant(repo, sc.fix, "MA", issue_dates=opened)
+    filtered = run_variant(repo, sc.fix, "MA", regime_cutoff(repo, "issue-date", opened, ()))
     assert filtered == set(sc.notes["issue_filtered"])
     assert filtered < unfiltered
 
@@ -278,20 +300,21 @@ def test_earliest_issue_date_wins(suite):
     opened = min(issue.opened_at for issue in sc.issues)
     late = opened + timedelta(days=365)
     # the earliest report sets the cutoff, extra later reports change nothing
-    both = run_variant(repo, sc.fix, "MA", issue_dates=[late, opened])
-    only_early = run_variant(repo, sc.fix, "MA", issue_dates=[opened])
-    assert both == only_early
+    both = regime_cutoff(repo, "issue-date", [late, opened], ())
+    only_early = regime_cutoff(repo, "issue-date", [opened], ())
+    assert both == only_early == opened
+    assert run_variant(repo, sc.fix, "MA", both) == run_variant(repo, sc.fix, "MA", only_early)
 
 
 def test_best_case_issue_date_value(suite):
     sc = suite["selection_split"]
     repo = GitRepo(sc.path)
     latest = max(repo.commit_meta(b).committer_time for b in sc.true_bics)
-    assert simulate_best_case_issue_date(repo, sc.true_bics) == latest + timedelta(
+    assert regime_cutoff(repo, "best-case-date", [], sc.true_bics) == latest + timedelta(
         seconds=60
     )
     with pytest.raises(ValueError):
-        simulate_best_case_issue_date(repo, [])
+        regime_cutoff(repo, "best-case-date", [], [])
 
 
 def test_best_case_date_keeps_every_true_positive(suite):
@@ -302,9 +325,9 @@ def test_best_case_date_keeps_every_true_positive(suite):
         if not sc.true_bics:
             continue
         repo = GitRepo(sc.path)
-        cutoff = simulate_best_case_issue_date(repo, sc.true_bics)
+        cutoff = regime_cutoff(repo, "best-case-date", [], sc.true_bics)
         plain = run_variant(repo, sc.fix, "MA")
-        dated = run_variant(repo, sc.fix, "MA", issue_dates=[cutoff])
+        dated = run_variant(repo, sc.fix, "MA", cutoff=cutoff)
         assert dated <= plain, name
         assert plain & set(sc.true_bics) <= dated, name
 
@@ -314,12 +337,14 @@ def test_best_case_date_keeps_every_true_positive(suite):
 
 def _runs(repo, sc):
     """Every preset under the cutoff of every regime, as ``detect`` works
-    them out for a scenario."""
-    cutoffs = [None]
-    if sc.issues:
-        cutoffs.append(min(issue.opened_at for issue in sc.issues))
-    if sc.true_bics:
-        cutoffs.append(simulate_best_case_issue_date(repo, sc.true_bics))
+    them out for a scenario; a scenario with no inducing commit has no
+    best case."""
+    dates = [issue.opened_at for issue in sc.issues]
+    cutoffs = [
+        regime_cutoff(repo, regime, dates, sc.true_bics)
+        for regime in REGIMES
+        if sc.true_bics or regime != "best-case-date"
+    ]
     return [(PRESETS[key], cutoff) for cutoff in cutoffs for key in PRESET_NAMES]
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from bictrace.engine import run_variant, simulate_best_case_issue_date
+from bictrace.engine import regime_cutoff, run_variant
 from bictrace.evaluate import DetectionRun, overlap, score
 from bictrace.gitrepo import GitRepo
 from bictrace.oracle import OracleDataset, OracleEntry
@@ -69,10 +69,10 @@ def test_best_case_dates_keep_recall_and_never_grow_sets():
         truth = planted.expected_ma
         if not truth:
             continue
-        cutoff = simulate_best_case_issue_date(repo, truth)
+        cutoff = regime_cutoff(repo, "best-case-date", [], truth)
         for preset in ("B", "AG", "MA", "L", "R"):
             plain = run_variant(repo, planted.fix, preset)
-            dated = run_variant(repo, planted.fix, preset, issue_dates=[cutoff])
+            dated = run_variant(repo, planted.fix, preset, cutoff=cutoff)
             assert dated <= plain, f"seed {seed} {preset}: sets may only shrink"
             assert plain & truth <= dated, f"seed {seed} {preset}: recall dropped"
         checked += 1
@@ -98,14 +98,14 @@ def test_best_case_metrics_monotonicity():
                 true_bics=tuple(sorted(truth)),
             )
         )
-        cutoff = simulate_best_case_issue_date(planted.repo, truth)
+        cutoff = regime_cutoff(planted.repo, "best-case-date", [], truth)
         for preset in plain_runs:
             key = (repo_name, planted.fix)
             plain_runs[preset][key] = frozenset(
                 run_variant(planted.repo, planted.fix, preset)
             )
             dated_runs[preset][key] = frozenset(
-                run_variant(planted.repo, planted.fix, preset, issue_dates=[cutoff])
+                run_variant(planted.repo, planted.fix, preset, cutoff=cutoff)
             )
 
     oracle = OracleDataset(entries=entries)

@@ -182,12 +182,6 @@ def test_whitespace_only_edit_is_cosmetic():
     assert not is_cosmetic_change("x=1;", "x=2;")
 
 
-def test_absent_sides():
-    assert is_cosmetic_change(None, None)
-    assert not is_cosmetic_change(None, "x = 1;")
-    assert not is_cosmetic_change("x = 1;", None)
-
-
 def test_squash_whitespace_examples():
     assert squash_whitespace("  a \t b\nc ") == "abc"
     assert squash_whitespace("") == ""

@@ -603,12 +603,14 @@ def _eager_parses(path) -> dict:
             if not line.strip():
                 flush()
             elif line.startswith("#"):
-                body = line.lstrip("#").strip()
-                if body.startswith("commit"):
-                    flush()
-                    commit = body.split("=", 1)[1].strip()
-                elif body.startswith("text"):
-                    text = body.split("=", 1)[1].strip()
+                key, _, value = line.lstrip("#").partition("=")
+                key = key.strip()
+                if key in ("commit", "text"):
+                    flush()  # either header starts a new sentence
+                    if key == "commit":
+                        commit = value.strip()
+                    else:
+                        text = value.strip()
             else:
                 cols = line.split("\t")
                 if len(cols) != 5:
@@ -630,11 +632,11 @@ _SHAS = ("c0", "c1", "c2", "c3", "c4")
 
 
 @st.composite
-def _sentence_rows(draw) -> tuple[str, list[tuple], bool]:
-    """A sentence's text, its token rows and whether a ``# text`` line
-    gives the text. The rows form a tree over shuffled indices, perhaps
-    with a self-loop root, or one broken by a second root, a dangling
-    head, a cycle or a repeated row."""
+def _sentence_rows(draw) -> tuple[str, list[tuple], bool, bool]:
+    """A sentence's text, its token rows, whether a ``# text`` line gives
+    the text and whether a blank line follows the rows. The rows form a
+    tree over shuffled indices, perhaps with a self-loop root, or one
+    broken by a second root, a dangling head, a cycle or a repeated row."""
     n = draw(st.integers(1, 7))
     forms = draw(st.lists(st.sampled_from(_WORDS), min_size=n, max_size=n))
     heads = [0] + [draw(st.integers(1, i)) for i in range(1, n)]
@@ -658,7 +660,7 @@ def _sentence_rows(draw) -> tuple[str, list[tuple], bool]:
     if fault == "repeat":
         rows.append(draw(st.sampled_from(rows)))
     rows = draw(st.permutations(rows))
-    return " ".join(forms), rows, draw(st.booleans())
+    return " ".join(forms), rows, draw(st.booleans()), draw(st.booleans())
 
 
 @settings(max_examples=150, deadline=None)
@@ -680,15 +682,17 @@ def _sentence_rows(draw) -> tuple[str, list[tuple], bool]:
 def test_lazy_parses_mine_like_eager_trees(blocks, pushes, proximity):
     """Differential: the same commit may come back in a later block, so a
     failing later sentence turns a commit whose first trees were good
-    into None; forks push the same messages again."""
+    into None; a ``# text`` line may follow the rows before it with no
+    blank line; forks push the same messages again."""
     texts: dict[str, list[str]] = {}
     parse_text = ""
     for sha, sentences in blocks:
         parse_text += f"# commit = {sha}\n"
-        for text, rows, with_text in sentences:
+        for text, rows, with_text, blank in sentences:
             texts.setdefault(sha, []).append(text)
             parse_text += f"# text = {text}\n" * with_text
-            parse_text += "".join("\t".join(map(str, row)) + "\n" for row in rows) + "\n"
+            parse_text += "".join("\t".join(map(str, row)) + "\n" for row in rows)
+            parse_text += "\n" * blank
     events = [
         _event(repo, sha, " ".join([prefix, *texts.get(sha, ["a1b2c3d4"])]))
         for repo, sha, prefix in pushes

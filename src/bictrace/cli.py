@@ -6,8 +6,9 @@ concurrently. Output files are sorted by (repo, fix hash) and contain no
 timestamps, making reruns byte-identical.
 
 Exit status: 0 when every entry was processed, 2 when some entries were
-skipped (missing clone, unresolvable commit; each skip is reported), 1 on
-hard failures such as unreadable inputs or no usable repository at all.
+skipped (missing clone, unresolvable commit, a git that cannot be
+started; each skip is reported), 1 on hard failures such as unreadable
+inputs or no usable repository at all.
 A ``detect`` over several regimes exits with the worst status one call
 per regime would give.
 """
@@ -162,7 +163,9 @@ def _detect_group(path: Path, entries, configs, regimes, ranges):
     regime) to a sorted hash tuple, flags and skips map (repo, fix, regime)
     to the entry's flags and to a skip reason. A missing or unreadable
     clone, or a fix that fails, skips the entry in every regime; a
-    best-case cutoff that cannot be simulated skips it in that regime."""
+    best-case cutoff that cannot be simulated skips it in that regime. A
+    git that cannot be started (an ``OSError``, such as an argument list
+    too long) fails only the entry that started it."""
     results: dict[tuple[str, str, str, str], tuple[str, ...]] = {}
     flags: dict[tuple[str, str, str], tuple[str, ...]] = {}
     skips: dict[tuple[str, str, str], str] = {}
@@ -184,7 +187,7 @@ def _detect_group(path: Path, entries, configs, regimes, ranges):
                 try:
                     cutoff = engine.regime_cutoff(repo, regime, e.issue_dates, e.true_bics)
                     cutoffs.append((regime, cutoff))
-                except BictraceError as exc:
+                except (BictraceError, OSError) as exc:
                     skips[(e.repo, e.fix_commit, regime)] = f"{type(exc).__name__}: {exc}"
             if not cutoffs:
                 continue
@@ -194,7 +197,7 @@ def _detect_group(path: Path, entries, configs, regimes, ranges):
                     [(cfg, cutoff) for _, cutoff in cutoffs for _, cfg in configs],
                     refactorings=ranges,
                 )
-            except BictraceError as exc:
+            except (BictraceError, OSError) as exc:
                 for regime in regimes:
                     skips[(e.repo, e.fix_commit, regime)] = f"{type(exc).__name__}: {exc}"
                 continue

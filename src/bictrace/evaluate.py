@@ -222,6 +222,8 @@ def load_run(path: str | Path) -> DetectionRun:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"{path}: not valid JSON: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"{path}: not valid UTF-8: {exc}") from None
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: expected a JSON object")
     for key in ("variant", "entries"):

@@ -525,8 +525,16 @@ class GitRepo:
         full = self.resolve(revision)
         # an empty --ignore-revs-file drops those the config names
         args = ["blame", "--porcelain", "--no-textconv", "--ignore-revs-file", ""]
+        # one -L per run of consecutive lines keeps a huge fix within
+        # the argument limit; git merges adjacent ranges itself
+        runs: list[list[int]] = []
         for ln in sorted(set(lines)):
-            args += ["-L", f"{ln},{ln}"]
+            if runs and runs[-1][1] == ln - 1:
+                runs[-1][1] = ln
+            else:
+                runs.append([ln, ln])
+        for start, end in runs:
+            args += ["-L", f"{start},{end}"]
         for sha in sorted(ignore_commits):
             args += ["--ignore-rev", sha]
         args += [full, "--", file]

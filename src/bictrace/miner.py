@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import re
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
 from .errors import SchemaError
@@ -234,21 +234,21 @@ def h3_filter(tree: SentenceTree, idx: int) -> bool:
     return False
 
 
-@dataclass
+@dataclass(slots=True)
 class SentenceMatch:
     sentence_index: int
     hash: str
     heuristic: str  # "h2" or "h3"
 
 
-@dataclass
+@dataclass(slots=True)  # a stream holds one per event
 class MessageAnalysis:
     repo: str
     commit: str
     verdict: str  # "accepted" or "rejected"
     reason: str | None = None
-    matches: list[SentenceMatch] = field(default_factory=list)
-    flags: list[str] = field(default_factory=list)
+    matches: Sequence[SentenceMatch] = ()  # a rejected record holds no list
+    flags: Sequence[str] = ()
 
     def to_record(self) -> dict:
         rec = {
@@ -387,13 +387,13 @@ def mine_stream(
         repo, sha, message = ev["repo"], ev["sha"], ev["message"]
         # trees are looked up, and so built, only past the prefilter
         if not word_prefilter(message):
-            matches, reason = [], PREFILTER
+            matches, reason = (), PREFILTER
         elif (trees := parses.get(sha) if parses else None) is not None:
             matches, reason = analyze_with_trees(trees)
         elif proximity:
             matches, reason = analyze_with_proximity(message)
         else:
-            matches, reason = [], PARSE_UNAVAILABLE
+            matches, reason = (), PARSE_UNAVAILABLE
 
         if matches:
             summary.accepted += 1
@@ -423,8 +423,8 @@ def dedupe(analyses: list[MessageAnalysis]) -> list[MessageAnalysis]:
     kept: dict[str, MessageAnalysis] = {}
     for commit, group in groups.items():
         if len(group) > 1:
-            kept[commit] = min(group, key=lambda a: a.repo)
-            kept[commit].flags.append("duplicate-unresolved")
+            first = kept[commit] = min(group, key=lambda a: a.repo)
+            first.flags = [*first.flags, "duplicate-unresolved"]
     # a commit pushed once has no entry in kept and keeps its record
     return [a for a in analyses if a.verdict != "accepted" or kept.get(a.commit, a) is a]
 
@@ -432,24 +432,23 @@ def dedupe(analyses: list[MessageAnalysis]) -> list[MessageAnalysis]:
 # -- input formats ----------------------------------------------------------
 
 
-# one token row of a parse file: index, form, lemma, head, relation
-_Row = tuple[int, str, str, int, str]
-
-
 class Parses(Mapping):
-    """Dependency parses by commit, as ``load_parses`` read them. Looking a
-    commit up builds its sentence trees in file order, or gives None when
-    one of them fails validation, so a message that never reaches the
-    tree heuristics never costs a tree."""
+    """Dependency parses by commit, as ``load_parses`` read them: each
+    sentence one string, its text then its raw rows a line each. A lookup
+    converts a commit's rows and builds its trees in file order, or gives
+    None when one fails validation; a prefiltered message costs no token."""
 
-    def __init__(self, sentences: dict[str, list[tuple[str, list[_Row]]]]):
+    def __init__(self, sentences: dict[str, list[str]]):
         self._sentences = sentences
 
     def __getitem__(self, commit: str) -> list[SentenceTree] | None:
         trees = []
-        for text, rows in self._sentences[commit]:
+        for block in self._sentences[commit]:
+            text, *rows = block.split("\n")  # not splitlines(): forms may hold "\x85"
+            tokens = [Token(int(i), form, lemma, int(h), rel)
+                      for i, form, lemma, h, rel in (row.split("\t") for row in rows)]
             try:
-                trees.append(SentenceTree(text, [Token(*row) for row in rows]))
+                trees.append(SentenceTree(text, tokens))
             except SchemaError:
                 return None
         return trees
@@ -468,68 +467,85 @@ def load_parses(path) -> Parses:
     """Read dependency parses: blocks of tab-separated token rows
     (index, form, lemma, head, relation) introduced by ``# commit =`` and
     ``# text =`` lines and separated by blank lines. Every row is checked
-    here; a commit whose block fails tree validation maps to None so
-    callers can report it as unparsed."""
-    sentences: dict[str, list[tuple[str, list[_Row]]]] = {}
+    here and kept as text; a commit whose block fails tree validation
+    maps to None on lookup so callers can report it as unparsed."""
+    sentences: dict[str, list[str]] = {}
     commit: str | None = None
     text = ""
-    rows: list[_Row] = []
+    rows: list[str] = []
 
     def flush() -> None:
         nonlocal rows, text
         if not rows:
             return
-        sentences.setdefault(commit, []).append((text, rows))
+        sentences.setdefault(commit, []).append("\n".join([text, *rows]))
         rows = []
         text = ""
 
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
+    for line_no, raw in _numbered_lines(path):
+        line = raw.rstrip("\n")
+        if not line.strip():
+            flush()
+            continue
+        if line.startswith("#"):
+            key, eq, value = line.lstrip("#").partition("=")
+            key = key.strip()
+            if key in ("commit", "text") and not eq:
+                raise SchemaError(f"{path}:{line_no}: expected '# {key} = ...'")
+            if key == "commit":
                 flush()
-                continue
-            if line.startswith("#"):
-                key, eq, value = line.lstrip("#").partition("=")
-                key = key.strip()
-                if key in ("commit", "text") and not eq:
-                    raise SchemaError(f"{path}:{line_no}: expected '# {key} = ...'")
-                if key == "commit":
-                    flush()
-                    commit = value.strip()
-                elif key == "text":
-                    flush()  # a text line inside a block starts a new sentence
-                    text = value.strip()
-                continue
-            cols = line.split("\t")
-            if commit is None:
-                raise SchemaError(f"{path}:{line_no}: token row before any '# commit =' line")
-            if len(cols) != 5:
-                raise SchemaError(f"{path}:{line_no}: expected 5 tab-separated columns")
-            index, form, lemma, head, rel = cols
-            try:
-                rows.append((int(index), form, lemma, int(head), rel))
-            except ValueError as exc:
-                raise SchemaError(f"{path}:{line_no}: {exc}") from None
+                commit = value.strip()
+            elif key == "text":
+                flush()  # a text line inside a block starts a new sentence
+                text = value.strip()
+            continue
+        cols = line.split("\t")
+        if commit is None:
+            raise SchemaError(f"{path}:{line_no}: token row before any '# commit =' line")
+        if len(cols) != 5:
+            raise SchemaError(f"{path}:{line_no}: expected 5 tab-separated columns")
+        try:
+            int(cols[0]), int(cols[3])
+        except ValueError as exc:
+            raise SchemaError(f"{path}:{line_no}: {exc}") from None
+        rows.append(line)
     flush()
     return Parses(sentences)
+
+
+def _numbered_lines(path):
+    """Yield each line of a UTF-8 file, read with universal newlines, with
+    its 1-based number; a byte that is not UTF-8 raises SchemaError naming
+    its line."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield from enumerate(fh, start=1)
+        except UnicodeDecodeError:
+            # the decoder reads ahead: count the lines before the bad byte
+            with open(path, "rb") as raw:
+                data = raw.read()
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                data = data[: exc.start]
+            line_no = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n").count(b"\n") + 1
+            raise SchemaError(f"{path}:{line_no}: not valid UTF-8") from None
 
 
 def _json_objects(path, convert):
     """Yield the events ``convert`` makes of the object on each non-blank
     line of a newline-delimited JSON file."""
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                if not isinstance(obj, dict):
-                    raise SchemaError("expected a JSON object")
-                events = convert(obj)
-            except (json.JSONDecodeError, SchemaError) as exc:
-                raise SchemaError(f"{path}:{line_no}: {exc}") from None
-            yield from events
+    for line_no, line in _numbered_lines(path):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+            if not isinstance(obj, dict):
+                raise SchemaError("expected a JSON object")
+            events = convert(obj)
+        except (json.JSONDecodeError, SchemaError) as exc:
+            raise SchemaError(f"{path}:{line_no}: {exc}") from None
+        yield from events
 
 
 def _commit_event(obj: dict) -> dict:

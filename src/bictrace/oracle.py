@@ -154,6 +154,8 @@ def load_oracle(path: str | Path) -> OracleDataset:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"{path}: not valid JSON: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"{path}: not valid UTF-8: {exc}") from None
     try:
         return from_legacy_records(doc) if isinstance(doc, list) and doc else _from_document(doc)
     except SchemaError as exc:

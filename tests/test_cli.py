@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import errno
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -11,6 +13,7 @@ from bictrace import cli, gitrepo
 from bictrace.cli import main
 from bictrace.evaluate import load_run
 from bictrace.oracle import OracleDataset, OracleEntry, save_oracle
+from bictrace.scenarios import GitScripter
 
 EVENTS = [
     {"repo": "org/app", "sha": "aal", "message": "fixes a search bug introduced by 2508e12"},
@@ -157,6 +160,39 @@ def test_mine_rejects_a_malformed_parse_header(tmp_path, capsys, header, line_no
     assert main(["mine", str(events), "--parses", str(parses), "--out", str(tmp_path / "o")]) == 1
     errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
     assert len(errors) == 1 and errors[0].startswith(f"error: {parses}:{line_no}: ")
+
+
+# a bad byte far past the decoder's first read, after lines that end in
+# "\r\n" and "\r" as well as "\n": the line counted is the line read
+_FILLER = ["\n", "\r\n", "\r"] * 1000
+
+
+@pytest.mark.parametrize("layout", ["plain", "gharchive"])
+def test_mine_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, capsys, layout):
+    first = EVENTS[0] if layout == "plain" else {"type": "WatchEvent"}
+    events = tmp_path / "events.ndjson"
+    events.write_bytes(
+        "".join(json.dumps(first) + end for end in _FILLER).encode()
+        + b'{"repo": "org/app", "sha": "a", "message": "fix \xff bug"}\n'
+    )
+    args = ["mine", str(events), "--format", layout, "--proximity", "--out", str(tmp_path / "o")]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    errors = [l for l in err.splitlines() if l.startswith("error:")]
+    assert errors == [f"error: {events}:{len(_FILLER) + 1}: not valid UTF-8"]
+    assert "Traceback" not in err
+
+
+def test_mine_names_the_parse_line_of_a_byte_that_is_not_utf8(tmp_path, capsys):
+    events = _write_events(tmp_path / "events.ndjson")
+    parses = tmp_path / "parses.txt"
+    parses.write_bytes(
+        "".join(f"# commit = c{i}{end}" for i, end in enumerate(_FILLER)).encode()
+        + b"# text = fix\n1\tfix\xff\tfix\t0\troot\n"
+    )
+    assert main(["mine", str(events), "--parses", str(parses), "--out", str(tmp_path / "o")]) == 1
+    errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
+    assert errors == [f"error: {parses}:{len(_FILLER) + 2}: not valid UTF-8"]
 
 
 # --- detect -------------------------------------------------------------------
@@ -490,6 +526,47 @@ def test_detect_skips_an_entry_whose_git_times_out(
     assert "GitTimeoutError: git rev-parse" in err and "clone-missing" not in err
 
 
+def test_detect_skips_an_entry_whose_git_cannot_start(
+    corpus, suite_dataset, tmp_path, monkeypatch, capsys
+):
+    dataset_path, clones_root = corpus
+    real_blame = gitrepo.GitRepo.blame
+
+    def blame(self, *args, **kwargs):
+        if Path(self.path).name == "plain_bug_fix":
+            raise OSError(errno.E2BIG, os.strerror(errno.E2BIG), "git")
+        return real_blame(self, *args, **kwargs)
+
+    monkeypatch.setattr(gitrepo.GitRepo, "blame", blame)
+    argv = ["detect", "--dataset", str(dataset_path), "--clones-root", str(clones_root),
+            "--presets", "B", "--workers", "2"]
+    assert main([*argv, "--out-dir", str(tmp_path / "runs")]) == 2
+    err = capsys.readouterr().err
+    assert "skipped plain_bug_fix" in err and "OSError: [Errno 7] Argument list too long" in err
+    run = load_run(tmp_path / "runs" / "b_none.json")
+    assert [key[0] for key in run.skipped] == ["plain_bug_fix"]
+    assert len(run.identified) == len(suite_dataset.entries) - 1
+
+
+def test_detect_blames_a_fix_too_large_for_one_range_per_line(tmp_path, capsys):
+    # the fix deletes a file whose lines, passed to git blame as one
+    # "-L n,n" each, would exceed the system's argument limit
+    lines = os.sysconf("SC_ARG_MAX") // 8
+    s = GitScripter(tmp_path / "clones" / "big")
+    s.write("table.c", "int v;\n" * lines)
+    bic = s.commit("add the table")
+    s.delete("table.c")
+    fix = s.commit("drop the table")
+    s.finish()
+    dataset_path = tmp_path / "oracle.json"
+    save_oracle(OracleDataset(entries=[OracleEntry("big", fix, (bic,))]), dataset_path)
+    argv = ["detect", "--dataset", str(dataset_path), "--clones-root", str(tmp_path / "clones"),
+            "--presets", "B", "--workers", "1", "--out-dir", str(tmp_path / "runs")]
+    assert main(argv) == 0, capsys.readouterr().err
+    run = load_run(tmp_path / "runs" / "b_none.json")
+    assert run.identified == {("big", fix): frozenset({bic})}
+
+
 def test_detect_all_missing_is_hard_failure(tmp_path, capsys):
     ds = OracleDataset(
         entries=[
@@ -586,6 +663,15 @@ def test_detect_rejects_a_dataset_field_of_the_wrong_type(tmp_path, capsys, doc,
     assert main([*argv, "--out-dir", str(tmp_path / "runs")]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {dataset}: {where}: ") and err.count("\n") == 1
+
+
+def test_detect_rejects_a_dataset_that_is_not_utf8(tmp_path, capsys):
+    dataset = tmp_path / "oracle.json"
+    dataset.write_bytes(b'{"entries": [], "note": "\xff"}')
+    argv = ["detect", "--dataset", str(dataset), "--clones-root", str(tmp_path)]
+    assert main([*argv, "--out-dir", str(tmp_path / "runs")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {dataset}: not valid UTF-8: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -937,6 +1023,18 @@ def test_evaluate_rejects_a_run_field_of_the_wrong_type(
     assert main([*argv, "--out-dir", str(tmp_path / "eval")]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: {message}") and err.count("\n") == 1
+
+
+def test_evaluate_rejects_a_run_file_that_is_not_utf8(corpus, tmp_path, capsys):
+    dataset_path, _ = corpus
+    runs_dir = tmp_path / "runs"
+    runs_dir.mkdir()
+    bad = runs_dir / "ma_none.json"
+    bad.write_bytes(b'{"variant": "MA\xff", "entries": []}')
+    argv = ["evaluate", "--runs-dir", str(runs_dir), "--dataset", str(dataset_path)]
+    assert main([*argv, "--out-dir", str(tmp_path / "eval")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: not valid UTF-8: ") and err.count("\n") == 1
 
 
 def test_report_without_evaluation_fails(tmp_path, capsys):

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import random
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -535,6 +537,56 @@ def test_trees_are_built_only_for_messages_past_the_prefilter(tmp_path, monkeypa
     assert [a.verdict for a in analyses] == ["rejected", "accepted"]
 
 
+# --- memory held while mining ------------------------------------------------------------
+
+
+def _held_bytes(build):
+    """Bytes that ``build()``'s result still holds when it returns, and
+    the result."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = build()
+        return tracemalloc.get_traced_memory()[0] - before, result
+    finally:
+        tracemalloc.stop()
+
+
+_VOCAB = (
+    "fix", "fixes", "the", "a", "crash", "bug", "in", "parser", "when", "input",
+    "is", "empty", "introduced", "by", "error", "handling", "of", "config", "files",
+)
+
+
+def test_parses_hold_at_most_three_times_the_file(tmp_path):
+    # rows stay text until a lookup: no tuple, int or token per row
+    rng = random.Random(7)
+    lines = []
+    for _ in range(1500):
+        lines.append(f"# commit = {rng.getrandbits(160):040x}")
+        for _ in range(rng.randint(1, 3)):
+            forms = [rng.choice(_VOCAB) for _ in range(rng.randint(5, 14))]
+            lines.append(f"# text = {' '.join(forms)}")
+            heads = [0] + [rng.randint(1, i) for i in range(1, len(forms))]
+            lines += [f"{i}\t{f}\t{f}\t{h}\tdep" for i, (f, h) in enumerate(zip(forms, heads), 1)]
+            lines.append("")
+    path = tmp_path / "parses.txt"
+    path.write_text("\n".join(lines) + "\n")
+    held, parses = _held_bytes(lambda: load_parses(path))
+    assert len(parses) == 1500
+    assert held <= 3 * path.stat().st_size
+
+
+def test_a_prefiltered_message_holds_at_most_120_bytes():
+    # one slotted record per event, and no matches or flags list; the
+    # event's own strings exist before the count starts
+    n = 20000
+    events = [_event("org/app", f"{i:040x}", f"update the docs, take {i}") for i in range(n)]
+    held, (analyses, summary) = _held_bytes(lambda: mine_stream(events))
+    assert summary.rejected_by_reason == {PREFILTER: n} and len(analyses) == n
+    assert held / n <= 120
+
+
 # --- lazy parses against eagerly built trees ---------------------------------------------
 
 
@@ -623,11 +675,17 @@ def _eager_parses(path) -> dict:
     return result
 
 
+# the last words hold characters that str.splitlines breaks a line on,
+# and the parse-file reader does not
 _WORDS = (
     "fixes", "fix", "solve", "bug", "error", "introduced", "by", "the", "revert",
     "was", "attempt", "a1b2c3d4", "2508e12", "deadbeef",
+    "bug\x0b", "\x0cfix", "er\x1cror", "by\x85", "the\u2028end", "fixed\x85",
 )
-_LEMMAS = {"fixes": "fix", "introduced": "introduce"}
+_LEMMAS = {
+    "fixes": "fix", "introduced": "introduce", "the\u2028end": "the\x0bend",
+    "fixed\x85": "fix\u2028", "by\x85": "b\x1cy",
+}
 _SHAS = ("c0", "c1", "c2", "c3", "c4")
 
 

@@ -189,20 +189,24 @@ def load_refactoring_ranges(path: str | Path) -> RefactoringRanges:
     recognized and skipped."""
     ranges = RefactoringRanges()
     with open(path, newline="", encoding="utf-8") as fh:
-        for row_no, row in enumerate(csv.reader(fh), start=1):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != 4:
-                raise SchemaError(f"{path}:{row_no}: expected 4 columns, got {len(row)}")
-            commit, file, start, end = (cell.strip() for cell in row)
-            if row_no == 1 and not start.isdigit():
-                continue  # header
-            if not start.isdigit() or not end.isdigit():
-                raise SchemaError(f"{path}:{row_no}: line numbers must be integers")
-            try:
-                ranges.add(commit, file, int(start), int(end))
-            except SchemaError as exc:
-                raise SchemaError(f"{path}:{row_no}: {exc}") from None
+        try:
+            rows = list(csv.reader(fh))
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"{path}: not valid UTF-8: {exc}") from None
+    for row_no, row in enumerate(rows, start=1):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) != 4:
+            raise SchemaError(f"{path}:{row_no}: expected 4 columns, got {len(row)}")
+        commit, file, start, end = (cell.strip() for cell in row)
+        if row_no == 1 and not start.isdecimal():
+            continue  # header
+        if not start.isdecimal() or not end.isdecimal():
+            raise SchemaError(f"{path}:{row_no}: line numbers must be integers")
+        try:
+            ranges.add(commit, file, int(start), int(end))
+        except SchemaError as exc:
+            raise SchemaError(f"{path}:{row_no}: {exc}") from None
     return ranges
 
 
@@ -268,7 +272,7 @@ class TracedLine:
 
 def trace_candidates(repo, ctx: FixContext, config: VariantConfig) -> list[TracedLine]:
     """Blame every fix line at the fix's first-parent revision, one
-    record per line, in fix-line order.
+    traced line per fix line, in fix-line order.
 
     With cosmetic skipping, a line whose origin only reformatted is
     re-blamed with that commit ignored, repeatedly, until a non-cosmetic
@@ -287,22 +291,22 @@ def trace_candidates(repo, ctx: FixContext, config: VariantConfig) -> list[Trace
         while pending:
             seen_before = frozenset(ignore)
             progressed = False
-            for rec in repo.blame(ctx.parent, file, set(pending), seen_before):
-                depth = pending.get(rec.line_no)
+            for line_no, origin in repo.blame(ctx.parent, file, set(pending), seen_before).items():
+                depth = pending.get(line_no)
                 if depth is None:
                     continue
                 # an origin already ignored is where blame could not move
                 # past: the line was introduced there, keep and flag it
-                stuck = rec.origin in seen_before
-                if not stuck and config.trace == SKIP_COSMETIC and cosmetic(rec.origin):
+                stuck = origin in seen_before
+                if not stuck and config.trace == SKIP_COSMETIC and cosmetic(origin):
                     if depth < config.depth_limit:
-                        pending[rec.line_no] = depth + 1
-                        ignore.add(rec.origin)
+                        pending[line_no] = depth + 1
+                        ignore.add(origin)
                         progressed = True
                         continue
                     stuck = True
-                del pending[rec.line_no]
-                traced.append(TracedLine(lines[rec.line_no], rec.origin, depth, stuck))
+                del pending[line_no]
+                traced.append(TracedLine(lines[line_no], origin, depth, stuck))
             if not progressed:
                 break  # blame yielded nothing to advance; avoid spinning
 

@@ -12,13 +12,12 @@ Everything here drives the git CLI and parses its plumbing output. Each
   are left out: the commits they name are not in the repository.
 
 A batch process found dead or answering out of step is replaced and asked
-once more; when the new one fails too, metadata and diffs raise
-``CorruptRepositoryError``. One-shot processes run only where cat-file
-cannot give git's answer: ``rev-parse --verify`` resolves a name cat-file
-calls missing or ambiguous (only it can raise ``AmbiguousCommitError``),
-and ``show`` reads a path that names no blob or holds a newline. The
-``rev-parse`` probe that opens a repository and ``blame --porcelain``
-(line attribution) are one-shot too.
+once more; when the new one fails too, the request raises
+``CorruptRepositoryError``. A path that names no blob raises
+``PathMissingError``. Git runs one-shot only for the ``rev-parse`` probe
+that opens a repository, ``blame --porcelain`` (line to origin commit),
+and ``rev-parse --verify``, which resolves a name cat-file calls missing
+or ambiguous (only it can raise ``AmbiguousCommitError``).
 
 One watchdog thread per Python process kills any git process, one-shot or
 batch, that runs a request past ``GIT_TIMEOUT_S``; the call then raises
@@ -30,7 +29,7 @@ Answers depend only on the repository's objects: every call pins the
 config settings that change diff or blame output, turns off external
 diff drivers, textconv filters and ignore-revs files, and runs git in the
 C locale so that its error messages read as ``_raise_for`` expects.
-Commit parents are those ``show`` prints: a graft's (``info/grafts``),
+Commit parents are those ``git show`` prints: a graft's (``info/grafts``),
 and none for a shallow clone's boundary commits, though the commit
 objects list their own. One setting cannot be undone: git opens
 every ``blame.ignoreRevsFile`` the config names before
@@ -95,7 +94,7 @@ _DIFF_ARGS = (
 _DIFF_END = b"~ end of diff\n"
 
 _HUNK_RE = re.compile(r"^@@ -(\d+)(?:,(\d+))? \+(\d+)(?:,(\d+))? @@")
-_BLAME_HEAD_RE = re.compile(r"^([0-9a-f]{40}) (\d+) (\d+)(?: (\d+))?$")
+_BLAME_HEAD_RE = re.compile(r"^([0-9a-f]{40}) \d+ (\d+)(?: \d+)?$", re.M)
 _BATCH_HEAD_RE = re.compile(rb"([0-9a-f]+) ([a-z]+) (\d+)\n")
 # the escapes git's C-quoting uses besides octal ones
 _C_ESCAPES = {
@@ -123,14 +122,6 @@ class DiffHunk:
     file_post: str | None
     removed: tuple[tuple[int, str], ...]
     added: tuple[tuple[int, str], ...]
-
-
-@dataclass(frozen=True)
-class BlameRecord:
-    file: str
-    line_no: int
-    origin: str
-    origin_line_no: int
 
 
 def _unquote_path(raw: str) -> str:
@@ -165,6 +156,11 @@ def _strip_prefix(path: str, prefix: str) -> str | None:
     if path.startswith(prefix):
         return path[len(prefix) :]
     return path
+
+
+def _named(argv: list[str]) -> str:
+    """``git <subcommand> in <path>`` for an argv of ``GitRepo._argv``."""
+    return f"git {argv[3 + 2 * len(PINNED_CONFIG)]} in {argv[2]}"  # after git -C <path> -c ...
 
 
 @dataclass(eq=False)
@@ -207,8 +203,7 @@ class _Watchdog:
             with self._cond:
                 self._armed.discard(deadline)
         if deadline.killed or time.monotonic() >= deadline.at:
-            sub = argv[3 + 2 * len(PINNED_CONFIG)]  # after git -C <path> -c ...
-            raise GitTimeoutError(f"git {sub} in {argv[2]} ran longer than {GIT_TIMEOUT_S} s")
+            raise GitTimeoutError(f"{_named(argv)} ran longer than {GIT_TIMEOUT_S} s")
 
     def _watch(self) -> None:
         with self._cond:
@@ -241,12 +236,12 @@ class _Batch:
         self._proc: subprocess.Popen | None = None
         self._lock = threading.Lock()
 
-    def request(self, payload: bytes, read: Callable[[IO[bytes]], _T]) -> _T | None:
+    def request(self, payload: bytes, read: Callable[[IO[bytes]], _T], what: str) -> _T:
         """What ``read`` makes of the answer to ``payload``. A process found
         dead, or whose answer ``read`` finds out of step, is replaced and
-        asked once more; None when the new one fails too. An answer later
-        than ``GIT_TIMEOUT_S`` stops the process and raises
-        ``GitTimeoutError``."""
+        asked once more; when the new one fails too, the request, described
+        by ``what``, raises ``CorruptRepositoryError``. An answer later than
+        ``GIT_TIMEOUT_S`` stops the process and raises ``GitTimeoutError``."""
         with self._lock:
             for _ in range(2):
                 if self._proc is None:
@@ -265,7 +260,7 @@ class _Batch:
                     self._stop()  # the next answer would be this one's rest
                     raise
                 self._stop()
-            return None
+        raise CorruptRepositoryError(f"{_named(self._argv)} could not {what}")
 
     def close(self) -> None:
         with self._lock:
@@ -286,6 +281,11 @@ def _read_object(stdout: IO[bytes], name: bytes) -> tuple[str, str, bytes] | Non
     """cat-file's ``(object id, type, content)`` for ``name``, or None when
     it says the name is missing or ambiguous."""
     header = stdout.readline()
+    # a missing or ambiguous answer echoes the name, one more line per
+    # newline in it; an object header never equals the name's first line
+    if b"\n" in name and header == name[: name.index(b"\n") + 1]:
+        for _ in range(name.count(b"\n")):
+            header += stdout.readline()
     if header in (name + b" missing\n", name + b" ambiguous\n"):
         return None
     m = _BATCH_HEAD_RE.fullmatch(header)
@@ -397,7 +397,7 @@ class GitRepo:
             raise NotARepositoryError(msg)
         if "has only" in low and "lines" in low:
             raise LineOutOfRangeError(msg)
-        if "no such path" in low or "does not exist in" in low or "exists on disk, but not in" in low:
+        if "no such path" in low:
             raise PathMissingError(msg)
         if "could not open object name list" in low:
             raise ConfigurationError(f"blame.ignoreRevsFile names a missing file: {msg}")
@@ -414,11 +414,12 @@ class GitRepo:
         raise CorruptRepositoryError(msg)
 
     def _object(self, name: str) -> tuple[str, str, bytes] | None:
-        """cat-file's ``(object id, type, content)`` for ``name``, or None."""
+        """cat-file's ``(object id, type, content)`` for ``name``, or None
+        when it is missing or ambiguous."""
         raw = os.fsencode(name)
-        if b"\n" in raw:
-            return None  # git's "<name> missing" line would end early
-        return self._cat_file.request(raw + b"\0", lambda stdout: _read_object(stdout, raw))
+        return self._cat_file.request(
+            raw + b"\0", lambda stdout: _read_object(stdout, raw), f"read {name!r}"
+        )
 
     def _commit_from(self, answer: tuple[str, str, bytes]) -> CommitMeta:
         """The metadata of a batch answer holding a commit, cached."""
@@ -481,11 +482,9 @@ class GitRepo:
         if "\0" in path:
             raise PathMissingError(f"invalid path: {path!r}")
         answer = self._object(f"{full}:{path}")
-        if answer is not None and answer[1] == "blob":
-            out = answer[2]
-        else:
-            out = self._git("show", f"{full}:{path}")
-        return out.decode("utf-8", "replace")
+        if answer is None or answer[1] != "blob":
+            raise PathMissingError(f"{path!r} names no file in {full}")
+        return answer[2].decode("utf-8", "replace")
 
     def diff_against_parent(self, commit_id: str, parent_id: str) -> tuple[DiffHunk, ...]:
         """Zero-context textual diff ``parent -> commit`` with rename
@@ -502,11 +501,8 @@ class GitRepo:
         out = self._diff_tree.request(
             f"{full} {parent}\n".encode("ascii") + _DIFF_END,
             lambda stdout: _read_diff(stdout, head),
+            f"diff {full} against {parent}",
         )
-        if out is None:
-            raise CorruptRepositoryError(
-                f"git diff-tree in {self.path} could not diff {full} against {parent}"
-            )
         hunks = parse_unified_diff(out.decode("utf-8", "replace"))
         self._diff_cache[key] = hunks
         return hunks
@@ -517,11 +513,11 @@ class GitRepo:
         file: str,
         lines: "set[int] | list[int] | tuple[int, ...]",
         ignore_commits: "set[str] | frozenset[str]" = frozenset(),
-    ) -> list[BlameRecord]:
-        """Attribute each requested line of ``file`` at ``revision`` to the
-        commit that last changed it. ``ignore_commits`` are treated as if
-        they never happened; lines they would own are reattributed to the
-        prior writer where one exists."""
+    ) -> dict[int, str]:
+        """Map each requested line of ``file`` at ``revision`` to the commit
+        that last changed it. ``ignore_commits`` are treated as if they
+        never happened; lines they would own are reattributed to the prior
+        writer where one exists."""
         full = self.resolve(revision)
         # an empty --ignore-revs-file drops those the config names
         args = ["blame", "--porcelain", "--no-textconv", "--ignore-revs-file", ""]
@@ -538,11 +534,10 @@ class GitRepo:
         for sha in sorted(ignore_commits):
             args += ["--ignore-rev", sha]
         args += [full, "--", file]
-        out = self._git(*args)
-        records = parse_porcelain_blame(out.decode("utf-8", "replace"))
-        for rec in records:
-            self._resolve_cache[rec.origin] = rec.origin
-        return records
+        origins = parse_porcelain_blame(self._git(*args).decode("utf-8", "replace"))
+        for sha in origins.values():
+            self._resolve_cache[sha] = sha
+        return origins
 
 
 def parse_unified_diff(text: str) -> tuple[DiffHunk, ...]:
@@ -597,33 +592,9 @@ def parse_unified_diff(text: str) -> tuple[DiffHunk, ...]:
     return tuple(hunks)
 
 
-def parse_porcelain_blame(text: str) -> list[BlameRecord]:
-    records: list[BlameRecord] = []
-    filename_by_sha: dict[str, str] = {}
-    sha = ""
-    orig_line = final_line = 0
-    entry_file: str | None = None
-    for line in text.split("\n"):
-        m = _BLAME_HEAD_RE.match(line)
-        if m:
-            sha = m.group(1)
-            orig_line = int(m.group(2))
-            final_line = int(m.group(3))
-            entry_file = None
-            continue
-        if line.startswith("filename "):
-            entry_file = _unquote_path(line[len("filename ") :])
-            filename_by_sha[sha] = entry_file
-            continue
-        if line.startswith("\t"):
-            fname = entry_file or filename_by_sha.get(sha, "")
-            records.append(
-                BlameRecord(
-                    file=fname,
-                    line_no=final_line,
-                    origin=sha,
-                    origin_line_no=orig_line,
-                )
-            )
-    return records
-
+def parse_porcelain_blame(text: str) -> dict[int, str]:
+    """Final line number -> origin hash from ``git blame --porcelain``.
+    Every blamed line has a header line ``<hash> <origin line> <final
+    line>[ <group size>]``, and only header lines start with a hash: the
+    other header lines start with a key word, content lines with a tab."""
+    return {int(m[2]): m[1] for m in _BLAME_HEAD_RE.finditer(text)}

@@ -28,7 +28,7 @@ from bictrace.errors import (
     PathMissingError,
     UnknownCommitError,
 )
-from bictrace.gitrepo import BlameRecord, CommitMeta, DiffHunk
+from bictrace.gitrepo import CommitMeta, DiffHunk
 from bictrace.scenarios import GitScripter
 
 MODEL_FILE = "model.c"
@@ -134,12 +134,12 @@ class InMemoryRepo:
         file: str,
         lines,
         ignore_commits=frozenset(),
-    ) -> list[BlameRecord]:
+    ) -> dict[int, str]:
         if file != self.file:
             raise PathMissingError(f"no such path {file}")
         chain = self._chain(revision)
         content = self._content(revision)
-        records = []
+        origins = {}
         for ln in sorted(set(lines)):
             if ln not in content:
                 raise LineOutOfRangeError(f"{file} has only {len(content)} lines")
@@ -155,10 +155,8 @@ class InMemoryRepo:
                     if ln in c.writes:
                         origin = c.cid
                         break
-            records.append(
-                BlameRecord(file=file, line_no=ln, origin=origin, origin_line_no=ln)
-            )
-        return records
+            origins[ln] = origin
+        return origins
 
 
 # -- deterministic random histories ------------------------------------------

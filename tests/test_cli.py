@@ -674,17 +674,33 @@ def test_detect_rejects_a_dataset_that_is_not_utf8(tmp_path, capsys):
     assert err.startswith(f"error: {dataset}: not valid UTF-8: ") and err.count("\n") == 1
 
 
+def test_detect_rejects_refactorings_that_are_not_utf8(corpus, tmp_path, capsys):
+    dataset_path, clones_root = corpus
+    ranges = tmp_path / "ranges.csv"
+    ranges.write_bytes(f"{'b' * 40},x\xff.c,1,1\n".encode("latin-1"))
+    argv = ["detect", "--dataset", str(dataset_path), "--clones-root", str(clones_root)]
+    argv += ["--presets", "RA-lite", "--refactorings", str(ranges)]
+    assert main([*argv, "--out-dir", str(tmp_path / "runs")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {ranges}: not valid UTF-8: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "row, message",
     [
         ("abc,core.c,1,2", "refactoring range needs a full 40-char hash, got 'abc'"),
         (f"{'a' * 40},core.c,5,2", "bad refactoring range 5-2 for core.c"),
+        # a superscript digit passes str.isdigit but not int()
+        (f"{'a' * 40},core.c,\u00b2,3", "line numbers must be integers"),
     ],
 )
 def test_detect_rejects_a_bad_refactoring_range(corpus, tmp_path, capsys, row, message):
     dataset_path, clones_root = corpus
     ranges = tmp_path / "ranges.csv"
-    ranges.write_text(f"commit_hash,file_path,start_line,end_line\n{'b' * 40},x.c,1,1\n{row}\n")
+    ranges.write_text(
+        f"commit_hash,file_path,start_line,end_line\n{'b' * 40},x.c,1,1\n{row}\n",
+        encoding="utf-8",
+    )
     argv = ["detect", "--dataset", str(dataset_path), "--clones-root", str(clones_root)]
     argv += ["--presets", "RA-lite", "--refactorings", str(ranges)]
     assert main([*argv, "--out-dir", str(tmp_path / "runs")]) == 1

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bictrace import gitrepo
+from bictrace import gitrepo, langfilters
 from bictrace.engine import extract_fix_lines
 from bictrace.errors import (
     AmbiguousCommitError,
@@ -31,7 +31,6 @@ from bictrace.errors import (
 )
 from bictrace.gitrepo import (
     PINNED_CONFIG,
-    BlameRecord,
     DiffHunk,
     GitRepo,
     parse_porcelain_blame,
@@ -182,9 +181,7 @@ def test_diff_no_trailing_newline(shop):
 
 def test_blame_basic_attribution(shop):
     repo, labels, _ = shop
-    records = repo.blame(labels["edit"], "a.txt", [1, 2, 3])
-    by_line = {r.line_no: r.origin for r in records}
-    assert by_line == {
+    assert repo.blame(labels["edit"], "a.txt", [1, 2, 3]) == {
         1: labels["root"],
         2: labels["edit"],
         3: labels["root"],
@@ -193,20 +190,20 @@ def test_blame_basic_attribution(shop):
 
 def test_blame_follows_renames(shop):
     repo, labels, _ = shop
-    records = repo.blame(labels["pure_rename"], "c.txt", [2, 3])
-    by_line = {r.line_no: r for r in records}
-    assert by_line[2].origin == labels["edit"]
-    assert by_line[2].file == "a.txt"
-    assert by_line[3].origin == labels["rename_edit"]
+    # line 2 was last changed in a.txt, two renames before c.txt
+    assert repo.blame(labels["pure_rename"], "c.txt", [2, 3]) == {
+        2: labels["edit"],
+        3: labels["rename_edit"],
+    }
 
 
 def test_blame_ignore_rev_reattributes(shop):
     repo, labels, _ = shop
-    records = repo.blame(
+    origins = repo.blame(
         labels["rename_edit"], "b.txt", [3],
         ignore_commits={labels["rename_edit"]},
     )
-    assert records[0].origin == labels["root"]
+    assert origins == {3: labels["root"]}
 
 
 def test_blame_errors(shop):
@@ -276,7 +273,7 @@ def test_repository_config_changes_no_answer(configurable, key, value, git_subco
     want_diff = repo.diff_against_parent(fix, root)
     want_blame = repo.blame(fix, "a/core.c", [1, 2, 3])
     assert want_diff[0].file_pre == "a/core.c"
-    assert [r.origin for r in want_blame] == [root, fix, root]
+    assert want_blame == {1: root, 2: fix, 3: root}
 
     ignore_revs = path.parent / "ignore-revs"
     ignore_revs.write_text(fix + "\n")
@@ -312,11 +309,10 @@ def test_missing_ignore_revs_file_is_a_configuration_error(configurable):
 def test_hashes_git_printed_need_no_rev_parse(shop, git_subcommands):
     repo, labels, _ = shop
     fresh = GitRepo(repo.path)
-    [record] = fresh.blame(labels["edit"], "a.txt", [2])
-    assert record.origin == labels["edit"]
+    assert fresh.blame(labels["edit"], "a.txt", [2]) == {2: labels["edit"]}
     assert git_subcommands == ["rev-parse", "cat-file", "blame"]
     git_subcommands.clear()
-    meta = fresh.commit_meta(record.origin)
+    meta = fresh.commit_meta(labels["edit"])
     fresh.commit_meta(meta.parents[0])
     assert git_subcommands == []
     fresh.close()
@@ -349,8 +345,8 @@ def _git_out(path, *args: str) -> bytes:
 
 
 def _assert_batch_matches_one_shot(path) -> None:
-    """commit_meta and file_at of every commit and every path in it,
-    directories included, give what the one-shot ``git show`` prints."""
+    """commit_meta and file_at of every commit and every file in it give
+    what the one-shot ``git show`` prints; a directory is no file."""
     with GitRepo(path) as repo:
         for sha in _git_out(path, "rev-list", "--all").decode().split():
             shown = _git_out(path, "show", "-s", "--format=%H%n%P%n%ct", sha).decode()
@@ -359,9 +355,14 @@ def _assert_batch_matches_one_shot(path) -> None:
             assert meta.id == head
             assert meta.parents == tuple(parents.split()), sha
             assert meta.committer_time.timestamp() == int(ct)
-            listing = _git_out(path, "ls-tree", "-r", "-t", "-z", "--name-only", sha)
-            for raw in listing.split(b"\0")[:-1]:
+            listing = _git_out(path, "ls-tree", "-r", "-t", "-z", sha)
+            for entry in listing.split(b"\0")[:-1]:
+                info, raw = entry.split(b"\t", 1)
                 file = os.fsdecode(raw)
+                if info.split()[1] == b"tree":
+                    with pytest.raises(PathMissingError):
+                        repo.file_at(sha, file)
+                    continue
                 want = _git_out(path, "show", f"{sha}:{file}").decode("utf-8", "replace")
                 assert repo.file_at(sha, file) == want, (sha, file)
 
@@ -372,8 +373,7 @@ def test_batch_answers_equal_one_shot_commands(suite):
 
 
 def test_batch_reads_odd_paths_headers_and_grafts(tmp_path):
-    # a newline in the name is sent to show: cat-file's answer line
-    # could not be told apart from it
+    # cat-file reads a name that holds a newline too
     s = GitScripter(tmp_path)
     for name in ("dir with space/a b.txt", "naïve.py", "new\nline.txt"):
         s.write(name, f"first {name}\n")
@@ -422,6 +422,21 @@ def test_shallow_boundary_has_no_parents(suite, tmp_path):
         assert repo.commit_meta(boundary).parents == ()
         with pytest.raises(RootCommitError):
             extract_fix_lines(repo, boundary)
+
+
+def test_file_at_reads_only_through_cat_file(tmp_path, git_subcommands, batch_processes):
+    s = GitScripter(tmp_path)
+    s.write("dir/in.txt", "inside\n")
+    s.write("new\nline.txt", "odd name\n")
+    root = s.commit("add a directory and a name with a newline")
+    s.finish()
+    with GitRepo(tmp_path) as repo:
+        for path in ("gone.txt", "dir", "gone\nline.txt"):
+            with pytest.raises(PathMissingError):
+                repo.file_at(root, path)
+        assert repo.file_at(root, "new\nline.txt") == "odd name\n"
+    assert git_subcommands == ["rev-parse", "cat-file"]
+    assert len(batch_processes) == 1
 
 
 def test_names_with_nul_or_newline(shop, batch_processes):
@@ -487,6 +502,23 @@ def test_batch_process_that_keeps_dying_is_a_corrupt_repository(
     assert [proc.args[0] for proc in batch_processes] == ["git", sys.executable, sys.executable]
 
 
+def test_cat_file_that_keeps_dying_is_a_corrupt_repository(shop, monkeypatch, git_subcommands):
+    repo, labels, _ = shop
+    real_popen = subprocess.Popen
+
+    def popen(argv, **kwargs):
+        if "cat-file" in argv:  # exits before it answers
+            argv = [sys.executable, "-c", "pass"]
+        return real_popen(argv, **kwargs)
+
+    monkeypatch.setattr(subprocess, "Popen", popen)
+    with GitRepo(repo.path) as fresh:
+        with pytest.raises(CorruptRepositoryError, match="git cat-file .* could not read"):
+            fresh.file_at(labels["root"], "a.txt")
+    # no one-shot git stands in for the batch answer
+    assert git_subcommands == ["rev-parse", "cat-file", "cat-file"]
+
+
 def test_commit_without_a_committer_is_a_corrupt_repository(tmp_path):
     s = GitScripter(tmp_path)
     s.write("f.txt", "x\n")
@@ -535,7 +567,7 @@ def test_threads_share_one_batch_process(shop, batch_processes):
                 for label, sha in labels.items():
                     if shared.file_at(sha, "keep.c") != want[label]:
                         errors.append(label)
-            if shared.blame(labels["edit"], "a.txt", [2])[0].origin != labels["edit"]:
+            if shared.blame(labels["edit"], "a.txt", [2]) != {2: labels["edit"]}:
                 errors.append("blame")
 
         threads = [threading.Thread(target=read) for _ in range(4)]
@@ -618,8 +650,8 @@ def test_no_git_process_waits_with_a_timeout():
 
 
 def test_paths_with_escaped_control_characters(tmp_path):
-    # git C-quotes \a, \b, \f and \v even with core.quotePath=false, in
-    # diff headers and in blame's porcelain filename lines
+    # git C-quotes \a, \b, \f and \v even with core.quotePath=false in
+    # diff headers
     name = "a\bb\fc\vd\ae"
     s = GitScripter(tmp_path)
     s.write(name, "one\ntwo\n")
@@ -632,8 +664,7 @@ def test_paths_with_escaped_control_characters(tmp_path):
         [hunk] = repo.diff_against_parent(fix, root)
         assert hunk == DiffHunk(name, name, ((2, "two"),), ((2, "TWO"),))
         assert repo.file_at(root, hunk.file_pre) == "one\ntwo\n"
-        records = repo.blame(fix, hunk.file_post, [1, 2])
-    assert [(r.file, r.origin) for r in records] == [(name, root), (name, fix)]
+        assert repo.blame(fix, hunk.file_post, [1, 2]) == {1: root, 2: fix}
 
 
 def test_parse_unified_diff_shapes():
@@ -917,26 +948,61 @@ def test_batch_diff_equals_one_shot_diff(data, git_subcommands, monkeypatch):
     assert "diff" not in git_subcommands
 
 
-def test_parse_porcelain_blame_filename_fallback():
+def test_parse_porcelain_blame_reads_only_headers():
+    # a summary or previous line holding a hash, and content that looks
+    # like a header, are not headers; later lines of a group have 3-field
+    # headers
     sha_a = "a" * 40
     sha_b = "b" * 40
     text = (
         f"{sha_a} 1 1 2\n"
         "author someone\n"
+        f"summary {sha_b} 9 9 1\n"
         "filename lib.c\n"
-        "\tfirst line\n"
+        f"\t{sha_b} 8 8\n"
         f"{sha_a} 2 2\n"
-        "\tsecond line\n"
+        f"\t{sha_b} 5 6 1\n"
         f"{sha_b} 7 3 1\n"
+        f"previous {sha_a} lib.c\n"
         "filename moved.c\n"
         "\tthird line\n"
     )
-    records = parse_porcelain_blame(text)
-    assert records == [
-        BlameRecord(file="lib.c", line_no=1, origin=sha_a, origin_line_no=1),
-        BlameRecord(file="lib.c", line_no=2, origin=sha_a, origin_line_no=2),
-        BlameRecord(file="moved.c", line_no=3, origin=sha_b, origin_line_no=7),
-    ]
+    assert parse_porcelain_blame(text) == {1: sha_a, 2: sha_a, 3: sha_b}
+
+
+def _line_porcelain_origins(path, revision, file, ignore) -> dict[int, str]:
+    """Final line -> origin hash as ``git blame --line-porcelain`` prints
+    it: each line's group starts with its header and ends with its
+    tab-led content."""
+    args = [arg for sha in sorted(ignore) for arg in ("--ignore-rev", sha)]
+    out = _git_out(path, "blame", "--line-porcelain", *args, revision, "--", file)
+    origins = {}
+    group: list[bytes] = []
+    for line in out.split(b"\n")[:-1]:
+        group.append(line)
+        if line.startswith(b"\t"):
+            sha, _, final = group[0].split()[:3]
+            origins[int(final)] = sha.decode("ascii")
+            group = []
+    return origins
+
+
+def test_blame_equals_line_porcelain(suite):
+    """Differential: every line of every file in each fix's pre-image,
+    blamed plainly and with the scenario's cosmetic commits ignored."""
+    for sc in suite.values():
+        with GitRepo(sc.path) as repo:
+            parent = repo.commit_meta(sc.fix).parents[0]
+            history = _git_out(sc.path, "rev-list", parent).decode().split()
+            cosmetic = frozenset(sha for sha in history if langfilters.is_cosmetic_commit(repo, sha))
+            listing = _git_out(sc.path, "ls-tree", "-r", "-z", "--name-only", parent)
+            for file in map(os.fsdecode, listing.split(b"\0")[:-1]):
+                count = len(_lines(repo.file_at(parent, file)))
+                for ignore in (frozenset(), cosmetic):
+                    want = _line_porcelain_origins(sc.path, parent, file, ignore)
+                    assert len(want) == count, (sc.name, file)
+                    got = repo.blame(parent, file, range(1, count + 1), ignore)
+                    assert got == want, (sc.name, file, sorted(ignore))
 
 
 def test_diff_and_blame_are_deterministic(shop):

@@ -98,13 +98,10 @@ def test_file_and_diff():
 def test_blame_and_ignore_fallback():
     repo = _tiny_repo()
     root, edit = repo._order
-    (rec,) = repo.blame(edit, MODEL_FILE, {2})
-    assert rec.origin == edit
-    (rec,) = repo.blame(edit, MODEL_FILE, {2}, frozenset({edit}))
-    assert rec.origin == root
+    assert repo.blame(edit, MODEL_FILE, {2}) == {2: edit}
+    assert repo.blame(edit, MODEL_FILE, {2}, frozenset({edit})) == {2: root}
     # with every writer ignored the oldest writer is repeated back
-    (rec,) = repo.blame(edit, MODEL_FILE, {2}, frozenset({root, edit}))
-    assert rec.origin == root
+    assert repo.blame(edit, MODEL_FILE, {2}, frozenset({root, edit})) == {2: root}
     with pytest.raises(LineOutOfRangeError):
         repo.blame(edit, MODEL_FILE, {99})
     with pytest.raises(PathMissingError):

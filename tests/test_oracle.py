@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +13,8 @@ from bictrace.oracle import (
     IssueRef,
     OracleDataset,
     OracleEntry,
+    entry_from_dict,
+    entry_to_dict,
     from_legacy_records,
     load_oracle,
     parse_utc,
@@ -270,3 +274,16 @@ def test_suite_oracle_round_trips(suite_dataset, tmp_path):
     assert len(issue_entries) >= 1
     for e in issue_entries.entries:
         assert all(i.opened_at.tzinfo is not None for i in e.issues)
+
+
+def test_readme_example_entry_keeps_every_key():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    example = json.loads(readme.split("```json\n", 1)[1].split("```", 1)[0])
+    back = entry_to_dict(entry_from_dict(example, 0))
+    for key, shown in example.items():
+        if key != "issues":
+            assert back.get(key) == shown, key
+    assert [issue.keys() for issue in back["issues"]] == [issue.keys() for issue in example["issues"]]
+    for got, shown in zip(back["issues"], example["issues"]):
+        assert got["url"] == shown["url"]
+        assert parse_utc(got["opened_at"]) == parse_utc(shown["opened_at"])

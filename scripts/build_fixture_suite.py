@@ -11,7 +11,7 @@ import argparse
 from pathlib import Path
 
 from bictrace.oracle import save_oracle
-from bictrace.scenarios import build_all, suite_oracle, write_suite_refactorings
+from desk import build_all, suite_oracle, write_suite_refactorings
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
-from .engine import PRESET_NAMES
-from .oracle import IssueRef, OracleDataset, OracleEntry
+from bictrace.engine import PRESETS
+from bictrace.oracle import IssueRef, OracleDataset, OracleEntry
 
 _BASE_TIME = datetime(2020, 1, 1, tzinfo=timezone.utc)
 _IDENT = ("fixture", "fixture@example.invalid")
@@ -127,7 +127,7 @@ def _file(values: dict[int, str], count: int) -> str:
 
 
 def _uniform(shas: set[str]) -> dict[str, frozenset[str]]:
-    return {p: frozenset(shas) for p in PRESET_NAMES}
+    return {p: frozenset(shas) for p in PRESETS}
 
 
 def build_plain_bug_fix(path: Path) -> BuiltScenario:

@@ -32,7 +32,7 @@ from bictrace.cli import CLONES_ROOT_ENV, DEFAULT_PRESETS, main as cli
 from bictrace.engine import preset_name
 from bictrace.errors import ConfigurationError
 from bictrace.oracle import load_oracle, save_oracle, subset_issues, subset_language, subset_supported
-from bictrace.scenarios import build_all, suite_oracle, write_suite_refactorings
+from desk import build_all, suite_oracle, write_suite_refactorings
 
 DATASET_ENV = "BICTRACE_REPLICATION_DATASET"
 

@@ -1,109 +1,1 @@
 """Tracing, mining, and scoring of bug-inducing commits."""
-
-from .engine import (
-    PRESETS,
-    RefactoringRanges,
-    VariantConfig,
-    load_refactoring_ranges,
-    preset,
-    preset_name,
-    regime_cutoff,
-    run_configs,
-    run_variant,
-)
-from .errors import (
-    AmbiguousCommitError,
-    BictraceError,
-    ConfigurationError,
-    CorruptRepositoryError,
-    GitTimeoutError,
-    LineOutOfRangeError,
-    NotAParentError,
-    NotARepositoryError,
-    PathMissingError,
-    RootCommitError,
-    SchemaError,
-    UnknownCommitError,
-)
-from .evaluate import (
-    DetectionRun,
-    Metrics,
-    Score,
-    emit_report,
-    exclusive_correct,
-    load_run,
-    outlier_filter,
-    overlap,
-    save_run,
-    score,
-)
-from .gitrepo import GitRepo
-from .langfilters import (
-    LineClass,
-    SUPPORTED_LANGUAGES,
-    classify_lines,
-    is_cosmetic_change,
-    is_cosmetic_commit,
-    language_for_path,
-)
-from .miner import MessageAnalysis, RunSummary, SentenceTree, Token, mine_stream
-from .oracle import (
-    IssueRef,
-    OracleDataset,
-    OracleEntry,
-    load_oracle,
-    save_oracle,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "AmbiguousCommitError",
-    "BictraceError",
-    "ConfigurationError",
-    "CorruptRepositoryError",
-    "DetectionRun",
-    "GitRepo",
-    "GitTimeoutError",
-    "IssueRef",
-    "LineClass",
-    "LineOutOfRangeError",
-    "MessageAnalysis",
-    "Metrics",
-    "NotAParentError",
-    "NotARepositoryError",
-    "OracleDataset",
-    "OracleEntry",
-    "PRESETS",
-    "PathMissingError",
-    "RefactoringRanges",
-    "RootCommitError",
-    "RunSummary",
-    "SUPPORTED_LANGUAGES",
-    "SchemaError",
-    "Score",
-    "SentenceTree",
-    "Token",
-    "UnknownCommitError",
-    "VariantConfig",
-    "classify_lines",
-    "emit_report",
-    "exclusive_correct",
-    "is_cosmetic_change",
-    "is_cosmetic_commit",
-    "language_for_path",
-    "load_oracle",
-    "load_refactoring_ranges",
-    "load_run",
-    "mine_stream",
-    "outlier_filter",
-    "overlap",
-    "preset",
-    "preset_name",
-    "regime_cutoff",
-    "run_configs",
-    "run_variant",
-    "save_oracle",
-    "save_run",
-    "score",
-]

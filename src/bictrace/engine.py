@@ -57,7 +57,7 @@ DEFAULT_DEPTH_LIMIT = 10
 REGIMES = ("none", "issue-date", "best-case-date")
 BEST_CASE_DELTA = timedelta(seconds=60)
 
-_FULL_HASH_RE = re.compile(r"^[0-9a-f]{40}$")
+_FULL_HASH_RE = re.compile(r"[0-9a-f]{40}")
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,6 @@ PRESETS: dict[str, VariantConfig] = {
     ),
 }
 
-PRESET_NAMES = tuple(PRESETS)
 _PRESET_KEYS = {name.upper(): name for name in PRESETS}
 
 
@@ -173,7 +172,7 @@ class RefactoringRanges:
         return False
 
     def add(self, commit: str, file: str, start: int, end: int) -> None:
-        if not _FULL_HASH_RE.match(commit):
+        if not _FULL_HASH_RE.fullmatch(commit):
             raise SchemaError(f"refactoring range needs a full 40-char hash, got {commit!r}")
         if start < 1 or end < start:
             raise SchemaError(f"bad refactoring range {start}-{end} for {file}")
@@ -408,19 +407,6 @@ def run_configs(
         candidates = filter_candidates(repo, traces[key], ctx, config, refactorings, cutoff)
         results.append(select(candidates, config))
     return results
-
-
-def run_variant(
-    repo,
-    fix_commit: str,
-    preset_name_: str,
-    cutoff: datetime | None = None,
-    refactorings: RefactoringRanges | None = None,
-) -> set[str]:
-    """Detected bug-inducing commits (full hashes) for one fix under a
-    named preset; with ``cutoff``, only those committed no later."""
-    [cands] = run_configs(repo, fix_commit, [(preset(preset_name_), cutoff)], refactorings)
-    return {c.commit for c in cands}
 
 
 def regime_cutoff(repo, regime: str, issue_dates, true_bics) -> datetime | None:

@@ -235,8 +235,11 @@ def load_run(path: str | Path) -> DetectionRun:
     run = DetectionRun(variant=doc["variant"], regime=doc.get("regime", "none"))
     if not isinstance(run.variant, str) or not isinstance(run.regime, str):
         raise SchemaError(f"{path}: variant and regime must be strings")
+    first: dict[tuple[str, str], int] = {}
     for i, rec in enumerate(lists["entries"]):
         repo, fix, identified = _record(rec, ("repo", "fix_commit", "identified"), path, "entry", i)
+        if (j := first.setdefault((repo, fix), i)) != i:
+            raise SchemaError(f"{path}: entries {j} and {i} both name {fix} in {repo}")
         run.identified[(repo, fix)] = frozenset(identified)
         if rec.get("flags"):
             run.entry_flags[(repo, fix)] = tuple(_record(rec, ("flags",), path, "entry", i)[0])

@@ -20,7 +20,7 @@ from .langfilters import SUPPORTED_LANGUAGES, canonical_language
 
 SCHEMA_VERSION = 1
 
-_HASH_RE = re.compile(r"^[0-9a-f]{6,40}$")
+_HASH_RE = re.compile(r"[0-9a-f]{6,40}")
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,7 @@ def _timestamp(value, where: str) -> datetime:
 
 
 def _check_hash(value: str, where: str) -> str:
-    if not isinstance(value, str) or not _HASH_RE.match(value):
+    if not isinstance(value, str) or not _HASH_RE.fullmatch(value):
         raise SchemaError(f"{where}: {value!r} is not a 6-40 char lowercase hex hash")
     return value
 

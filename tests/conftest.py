@@ -5,9 +5,10 @@ import subprocess
 
 import pytest
 
-from bictrace import gitrepo, scenarios
+from bictrace import gitrepo
 from bictrace.engine import RefactoringRanges, load_refactoring_ranges
 from bictrace.miner import SentenceTree, Token
+import desk as scenarios
 
 
 @pytest.fixture(scope="session")

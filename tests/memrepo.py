@@ -29,7 +29,7 @@ from bictrace.errors import (
     UnknownCommitError,
 )
 from bictrace.gitrepo import CommitMeta, DiffHunk
-from bictrace.scenarios import GitScripter
+from desk import GitScripter
 
 MODEL_FILE = "model.c"
 _EPOCH = datetime(2021, 6, 1, tzinfo=timezone.utc)

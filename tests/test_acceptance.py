@@ -16,9 +16,7 @@ import pytest
 
 from bictrace.cli import main
 from bictrace.engine import (
-    PRESET_NAMES,
     PRESETS,
-    run_variant,
     extract_fix_lines,
     regime_cutoff,
 )
@@ -42,6 +40,7 @@ from bictrace.oracle import (
 )
 from lexfixtures import FIXTURE_LANGUAGES, load_fixture
 from memrepo import random_history
+from variants import run_variant
 
 TOL = 1e-12
 
@@ -52,14 +51,14 @@ def test_criterion_1_scripted_suite_exact_sets(suite, suite_ranges):
     for name in sorted(suite):
         sc = suite[name]
         repo = GitRepo(sc.path)
-        for preset in PRESET_NAMES:
+        for preset in PRESETS:
             ranges = suite_ranges if preset == "RA-lite" else None
             got = run_variant(repo, sc.fix, preset, refactorings=ranges)
             assert got == set(sc.expected[preset]), f"{name} under {preset}"
     elapsed = time.monotonic() - started
 
     plain = suite["plain_bug_fix"]
-    for preset in PRESET_NAMES:
+    for preset in PRESETS:
         assert plain.expected[preset] == frozenset(plain.true_bics)
     cosmetic = suite["cosmetic_interposed"]
     reformat = cosmetic.labels["c2"]

@@ -13,7 +13,7 @@ from bictrace import cli, gitrepo
 from bictrace.cli import main
 from bictrace.evaluate import load_run
 from bictrace.oracle import OracleDataset, OracleEntry, save_oracle
-from bictrace.scenarios import GitScripter
+from desk import GitScripter
 
 EVENTS = [
     {"repo": "org/app", "sha": "aal", "message": "fixes a search bug introduced by 2508e12"},

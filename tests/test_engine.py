@@ -12,7 +12,6 @@ from bictrace import engine
 from bictrace.engine import (
     DEFAULT_DEPTH_LIMIT,
     DROP_REFACTORED_LINES,
-    PRESET_NAMES,
     PRESETS,
     REGIMES,
     SELECT_ALL,
@@ -29,14 +28,14 @@ from bictrace.engine import (
     preset_name,
     regime_cutoff,
     run_configs,
-    run_variant,
     select,
     trace_candidates,
 )
 from bictrace.errors import ConfigurationError, RootCommitError, SchemaError
 from bictrace.gitrepo import GitRepo
 from bictrace.langfilters import LineClass
-from bictrace.scenarios import GitScripter
+from desk import GitScripter
+from variants import run_variant
 
 UTC = timezone.utc
 
@@ -45,7 +44,7 @@ UTC = timezone.utc
 
 
 def test_preset_names_and_order():
-    assert PRESET_NAMES == ("B", "AG", "MA", "L", "R", "RA-lite")
+    assert tuple(PRESETS) == ("B", "AG", "MA", "L", "R", "RA-lite")
 
 
 def test_preset_wiring():
@@ -116,6 +115,8 @@ def test_ranges_reject_bad_rows():
     r = RefactoringRanges()
     with pytest.raises(SchemaError):
         r.add("abc123", "core.c", 1, 2)  # abbreviated hash
+    with pytest.raises(SchemaError):
+        r.add(FULL + "\n", "core.c", 1, 2)
     with pytest.raises(SchemaError):
         r.add(FULL, "core.c", 0, 2)
     with pytest.raises(SchemaError):
@@ -191,7 +192,7 @@ def test_extract_rejects_root_commit(suite):
 # --- the full preset table over the scripted suite ---------------------------
 
 
-@pytest.mark.parametrize("preset_key", PRESET_NAMES)
+@pytest.mark.parametrize("preset_key", tuple(PRESETS))
 def test_presets_match_scripted_expectations(suite, suite_ranges, preset_key):
     for name in sorted(suite):
         sc = suite[name]
@@ -221,9 +222,9 @@ def test_fix_that_bumps_a_submodule_keeps_its_entry(tmp_path):
     s.finish()
     with GitRepo(s.path) as repo:
         found = run_configs(
-            repo, fix, [(PRESETS[n], None) for n in PRESET_NAMES], RefactoringRanges()
+            repo, fix, [(PRESETS[n], None) for n in PRESETS], RefactoringRanges()
         )
-    assert [[c.commit for c in cands] for cands in found] == [[bug]] * len(PRESET_NAMES)
+    assert [[c.commit for c in cands] for cands in found] == [[bug]] * len(PRESETS)
 
 
 def test_ra_lite_needs_ranges(suite):
@@ -345,7 +346,7 @@ def _runs(repo, sc):
         for regime in REGIMES
         if sc.true_bics or regime != "best-case-date"
     ]
-    return [(PRESETS[key], cutoff) for cutoff in cutoffs for key in PRESET_NAMES]
+    return [(PRESETS[key], cutoff) for cutoff in cutoffs for key in PRESETS]
 
 
 def test_all_presets_at_once_match_each_alone(suite, suite_ranges):
@@ -368,7 +369,7 @@ def test_entries_need_no_show_or_rev_parse(suite, suite_ranges, git_subcommands)
     for name, sc in sorted(suite.items()):
         git_subcommands.clear()
         with GitRepo(sc.path) as repo:
-            run_configs(repo, sc.fix, [(PRESETS[n], None) for n in PRESET_NAMES], suite_ranges)
+            run_configs(repo, sc.fix, [(PRESETS[n], None) for n in PRESETS], suite_ranges)
         assert git_subcommands[:3] == ["rev-parse", "cat-file", "diff-tree"], name
         assert set(git_subcommands[3:]) <= {"blame"}, name
 

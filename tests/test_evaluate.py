@@ -292,6 +292,13 @@ BAD_RUN_FILES = [
     ),
     ('{"variant": "MA", "entries": {}}', "must be lists"),
     ('{"variant": "MA", "regime": 5, "entries": []}', "variant and regime must be strings"),
+    # one entry named twice: keeping either record would score the other's hashes as unreported
+    (
+        '{"variant": "MA", "entries": [{"repo": "r", "fix_commit": "f", "identified": ["a"]},'
+        ' {"repo": "s", "fix_commit": "f", "identified": []},'
+        ' {"repo": "r", "fix_commit": "f", "identified": ["b"]}]}',
+        "entries 0 and 2 both name f in r",
+    ),
 ]
 
 

@@ -36,7 +36,7 @@ from bictrace.gitrepo import (
     parse_porcelain_blame,
     parse_unified_diff,
 )
-from bictrace.scenarios import GitScripter
+from desk import GitScripter
 
 
 @pytest.fixture(scope="module")

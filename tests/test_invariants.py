@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import pytest
 
-from bictrace.engine import regime_cutoff, run_variant
+from bictrace.engine import regime_cutoff
 from bictrace.evaluate import DetectionRun, overlap, score
 from bictrace.gitrepo import GitRepo
 from bictrace.oracle import OracleDataset, OracleEntry
 from memrepo import random_history
+from variants import run_variant
 
 N_RANDOM = 100
 

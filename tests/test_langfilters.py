@@ -24,7 +24,7 @@ from bictrace.langfilters import (
     language_for_path,
     squash_whitespace,
 )
-from bictrace.scenarios import GitScripter
+from desk import GitScripter
 from lexfixtures import FIXTURE_LANGUAGES, load_fixture
 
 

@@ -11,7 +11,6 @@ from datetime import timedelta, timezone
 
 import pytest
 
-from bictrace.engine import run_variant
 from bictrace.errors import (
     AmbiguousCommitError,
     LineOutOfRangeError,
@@ -28,6 +27,7 @@ from memrepo import (
     random_history,
     replay_to_git,
 )
+from variants import run_variant
 
 VARIANTS = {
     "B": "expected_b",

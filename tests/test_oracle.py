@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import json
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -72,6 +73,11 @@ def test_rejects_bad_hashes():
         validate_dataset(OracleDataset(entries=[_entry(true_bics=("abc",))]))
     with pytest.raises(SchemaError):
         validate_dataset(OracleDataset(entries=[_entry(true_bics=())]))
+    # "$" alone would match before a final newline, and no commit has that name
+    with pytest.raises(SchemaError):
+        validate_dataset(OracleDataset(entries=[_entry(fix_commit="abcdef0\n")]))
+    with pytest.raises(SchemaError):
+        validate_dataset(OracleDataset(entries=[_entry(true_bics=("1234567\n",))]))
 
 
 def test_rejects_self_inducing_fix():
@@ -287,3 +293,14 @@ def test_readme_example_entry_keeps_every_key():
     for got, shown in zip(back["issues"], example["issues"]):
         assert got["url"] == shown["url"]
         assert parse_utc(got["opened_at"]) == parse_utc(shown["opened_at"])
+
+
+def test_readme_python_example_prints_the_ma_expectation(suite, capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    example = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    clone = "/tmp/desk/clones/plain_bug_fix"
+    assert clone in example
+    sc = suite["plain_bug_fix"]
+    exec(example.replace(clone, str(sc.path)), {})
+    printed = ast.literal_eval(capsys.readouterr().out)
+    assert printed == {sc.labels["c1"]} == sc.expected["MA"]

@@ -1,12 +1,13 @@
 """Configurable bug-inducing-commit detection pipeline.
 
-A variant is four choices: which removed fix lines to keep, how to trace
-them back through history, which candidate commits to filter out, and
-whether to reduce the survivors to a single pick. The named presets wire
-those choices into the classic algorithm family:
+A variant is three choices: whether to skip cosmetic work (drop comment,
+blank and reformatted fix lines, and blame past commits that only
+reformat), which candidate commits to filter out, and whether to reduce
+the survivors to a single pick. The named presets wire those choices
+into the classic algorithm family:
 
     B        keep all lines, plain blame, no filters, keep all candidates
-    AG       drop comment/blank/cosmetic lines, skip formatting commits
+    AG       skip cosmetic lines and commits
     MA       AG plus dropping meta-changes (merges, empty-text diffs)
     L        MA reduced to the candidate with the most supporting lines
     R        MA reduced to the candidate with the latest committer time
@@ -18,11 +19,11 @@ so removed-line numbers always refer to that revision.
 A date regime is a cutoff on candidate committer times, not a variant;
 ``regime_cutoff`` is the one rule that turns a regime into a cutoff.
 Presets and regimes run together share their common work: ``run_configs``
-extracts and classifies a fix's lines once and traces each distinct
-(fix-line filter, trace, depth limit) once, so the six presets under
-every regime cost one plain-blame trace and one cosmetic-skipping trace
-per fix. A trace is one ``TracedLine`` per fix line; filters, cutoffs
-and selections then run per (preset, cutoff) over those read-only lines.
+extracts and classifies a fix's lines once and ``walk`` blames them once.
+The walk plain-blames every line some run keeps, then re-blames the lines
+a cosmetic-skipping run keeps past origins that only reformat, and keeps
+every hop in one ``TracedLine`` per fix line. Filters, cutoffs and
+selections then run per (preset, cutoff) over those read-only lines.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from __future__ import annotations
 import csv
 import functools
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime, timedelta
 from pathlib import Path
 
@@ -38,21 +39,14 @@ from . import langfilters
 from .errors import ConfigurationError, RootCommitError, SchemaError
 from .langfilters import LineClass
 
-DROP_COMMENTS = "drop-comments"
-DROP_BLANK = "drop-blank"
-DROP_COSMETIC_LINES = "drop-cosmetic-lines"
-
 DROP_META_CHANGES = "drop-meta-changes"
 DROP_REFACTORED_LINES = "drop-refactored-lines"
-
-PLAIN_BLAME = "plain-blame"
-SKIP_COSMETIC = "skip-cosmetic-commits"
 
 SELECT_ALL = "all"
 SELECT_LARGEST = "largest"
 SELECT_LATEST = "latest"
 
-DEFAULT_DEPTH_LIMIT = 10
+DEPTH_LIMIT = 10  # re-blames past cosmetic commits before a line is flagged
 
 REGIMES = ("none", "issue-date", "best-case-date")
 BEST_CASE_DELTA = timedelta(seconds=60)
@@ -62,39 +56,21 @@ _FULL_HASH_RE = re.compile(r"[0-9a-f]{40}")
 
 @dataclass(frozen=True)
 class VariantConfig:
-    fix_line_filter: frozenset[str] = frozenset()
-    trace: str = PLAIN_BLAME
+    skip_cosmetic: bool = False
     bic_filters: frozenset[str] = frozenset()
     selection: str = SELECT_ALL
-    depth_limit: int = DEFAULT_DEPTH_LIMIT
 
 
-_AG_LINE_FILTER = frozenset({DROP_COMMENTS, DROP_BLANK, DROP_COSMETIC_LINES})
+_META = frozenset({DROP_META_CHANGES})
 
 PRESETS: dict[str, VariantConfig] = {
     "B": VariantConfig(),
-    "AG": VariantConfig(fix_line_filter=_AG_LINE_FILTER, trace=SKIP_COSMETIC),
-    "MA": VariantConfig(
-        fix_line_filter=_AG_LINE_FILTER,
-        trace=SKIP_COSMETIC,
-        bic_filters=frozenset({DROP_META_CHANGES}),
-    ),
-    "L": VariantConfig(
-        fix_line_filter=_AG_LINE_FILTER,
-        trace=SKIP_COSMETIC,
-        bic_filters=frozenset({DROP_META_CHANGES}),
-        selection=SELECT_LARGEST,
-    ),
-    "R": VariantConfig(
-        fix_line_filter=_AG_LINE_FILTER,
-        trace=SKIP_COSMETIC,
-        bic_filters=frozenset({DROP_META_CHANGES}),
-        selection=SELECT_LATEST,
-    ),
+    "AG": VariantConfig(skip_cosmetic=True),
+    "MA": VariantConfig(skip_cosmetic=True, bic_filters=_META),
+    "L": VariantConfig(skip_cosmetic=True, bic_filters=_META, selection=SELECT_LARGEST),
+    "R": VariantConfig(skip_cosmetic=True, bic_filters=_META, selection=SELECT_LATEST),
     "RA-lite": VariantConfig(
-        fix_line_filter=_AG_LINE_FILTER,
-        trace=SKIP_COSMETIC,
-        bic_filters=frozenset({DROP_META_CHANGES, DROP_REFACTORED_LINES}),
+        skip_cosmetic=True, bic_filters=_META | {DROP_REFACTORED_LINES}
     ),
 }
 
@@ -125,28 +101,19 @@ class FixLine:
     line_class: LineClass
     cosmetic: bool = False  # the fix only reformatted this line
 
+    def kept_by(self, config: VariantConfig) -> bool:
+        """Whether a run of ``config`` traces this line: a cosmetic-skipping
+        run drops comment, blank and reformatted lines."""
+        return not config.skip_cosmetic or not (
+            self.cosmetic or self.line_class in (LineClass.COMMENT, LineClass.BLANK)
+        )
+
 
 @dataclass
 class FixContext:
     fix_commit: str
     parent: str
     fix_lines: list[FixLine]
-
-    def keep(self, line_filter: frozenset[str]) -> FixContext:
-        """The same fix with only the lines ``line_filter`` keeps."""
-        return replace(
-            self, fix_lines=[fl for fl in self.fix_lines if _keeps(line_filter, fl)]
-        )
-
-
-def _keeps(line_filter: frozenset[str], fl: FixLine) -> bool:
-    if fl.cosmetic and DROP_COSMETIC_LINES in line_filter:
-        return False
-    if fl.line_class is LineClass.COMMENT and DROP_COMMENTS in line_filter:
-        return False
-    if fl.line_class is LineClass.BLANK and DROP_BLANK in line_filter:
-        return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -177,9 +144,6 @@ class RefactoringRanges:
         if start < 1 or end < start:
             raise SchemaError(f"bad refactoring range {start}-{end} for {file}")
         self._ranges.setdefault((commit, file), []).append((start, end))
-
-    def __len__(self) -> int:
-        return sum(len(v) for v in self._ranges.values())
 
 
 def load_refactoring_ranges(path: str | Path) -> RefactoringRanges:
@@ -212,9 +176,9 @@ def load_refactoring_ranges(path: str | Path) -> RefactoringRanges:
 def extract_fix_lines(repo, fix_commit: str) -> FixContext:
     """Collect the pre-image lines a fix removed or modified, each with its
     class and whether the fix only reformatted it. Every pre-image file is
-    read and classified once; ``FixContext.keep`` narrows the lines to a
-    variant's fix-line filter. A fix that only adds lines yields an empty
-    context, which is a valid (empty) detection result."""
+    read and classified once; ``FixLine.kept_by`` tells which lines a
+    variant traces. A fix that only adds lines yields an empty context,
+    which is a valid (empty) detection result."""
     full = repo.resolve(fix_commit)
     meta = repo.commit_meta(full)
     if not meta.parents:
@@ -259,57 +223,61 @@ def _cosmetic_drops(hunk) -> set[int]:
 
 @dataclass(frozen=True)
 class TracedLine:
-    """One fix line traced back: the commit blame settled on, how many
-    cosmetic commits it was re-blamed past, and whether the trace stopped
-    on a cosmetic commit (depth limit hit, or blame could not move on)."""
+    """One fix line walked back: every commit blame named for it, the
+    plain-blame origin first, and whether a cosmetic-skipping walk stopped
+    on a commit that only reformatted (depth limit hit, or blame could not
+    move on)."""
 
     line: FixLine
-    origin: str
-    depth: int
+    hops: tuple[str, ...]
     flagged: bool
 
+    def read(self, config: VariantConfig) -> tuple[str, int, bool]:
+        """The origin, re-blame depth and flag a run of ``config`` takes."""
+        if config.skip_cosmetic:
+            return self.hops[-1], len(self.hops) - 1, self.flagged
+        return self.hops[0], 0, False
 
-def trace_candidates(repo, ctx: FixContext, config: VariantConfig) -> list[TracedLine]:
-    """Blame every fix line at the fix's first-parent revision, one
-    traced line per fix line, in fix-line order.
 
-    With cosmetic skipping, a line whose origin only reformatted is
-    re-blamed with that commit ignored, repeatedly, until a non-cosmetic
-    origin appears or the depth limit is hit; the number of re-blames is
-    the line's depth. An exhausted line keeps its cosmetic origin and is
-    flagged."""
+def walk(repo, ctx: FixContext, configs: list[VariantConfig]) -> list[TracedLine]:
+    """Blame the fix lines that some of ``configs`` keeps at the fix's
+    first-parent revision, one traced line per fix line, in fix-line order.
+
+    Round 0 plain-blames every such line of a file at once. A line that a
+    cosmetic-skipping configuration keeps and whose origin only
+    reformatted is then re-blamed with that commit added to the file's
+    ignore set, repeatedly, until a non-cosmetic origin appears or
+    ``DEPTH_LIMIT`` re-blames are spent. A walked line that ends on a
+    cosmetic origin is flagged."""
     cosmetic = functools.cache(lambda sha: langfilters.is_cosmetic_commit(repo, sha))
+    skipper = next((c for c in configs if c.skip_cosmetic), None)
     by_file: dict[str, dict[int, FixLine]] = {}
     for fl in ctx.fix_lines:
-        by_file.setdefault(fl.file, {})[fl.line_no] = fl
+        if any(fl.kept_by(c) for c in configs):
+            by_file.setdefault(fl.file, {})[fl.line_no] = fl
 
     traced: list[TracedLine] = []
     for file, lines in by_file.items():
-        pending = dict.fromkeys(lines, 0)  # line number -> re-blames so far
+        walked = {ln for ln, fl in lines.items() if skipper and fl.kept_by(skipper)}
+        hops: dict[int, list[str]] = {ln: [] for ln in lines}
         ignore: set[str] = set()
-        while pending:
+        asked = set(lines)
+        while asked:
             seen_before = frozenset(ignore)
-            progressed = False
-            for line_no, origin in repo.blame(ctx.parent, file, set(pending), seen_before).items():
-                depth = pending.get(line_no)
-                if depth is None:
-                    continue
+            answers = repo.blame(ctx.parent, file, asked, seen_before)
+            asked = set()
+            for line_no, origin in answers.items():
+                hops[line_no].append(origin)
                 # an origin already ignored is where blame could not move
-                # past: the line was introduced there, keep and flag it
-                stuck = origin in seen_before
-                if not stuck and config.trace == SKIP_COSMETIC and cosmetic(origin):
-                    if depth < config.depth_limit:
-                        pending[line_no] = depth + 1
-                        ignore.add(origin)
-                        progressed = True
-                        continue
-                    stuck = True
-                del pending[line_no]
-                traced.append(TracedLine(lines[line_no], origin, depth, stuck))
-            if not progressed:
-                break  # blame yielded nothing to advance; avoid spinning
-
-    traced.sort(key=lambda t: (t.line.file, t.line.line_no))
+                # past: the line was introduced there
+                if (line_no in walked and origin not in seen_before and cosmetic(origin)
+                        and len(hops[line_no]) <= DEPTH_LIMIT):
+                    asked.add(line_no)
+                    ignore.add(origin)
+        for line_no, fl in lines.items():
+            if hops[line_no]:
+                flagged = line_no in walked and cosmetic(hops[line_no][-1])
+                traced.append(TracedLine(fl, tuple(hops[line_no]), flagged))
     return traced
 
 
@@ -332,21 +300,24 @@ def filter_candidates(
     refactorings: RefactoringRanges | None = None,
     cutoff: datetime | None = None,
 ) -> list[BicCandidate]:
-    """Drop traced lines per the variant's filters: those whose origin is a
-    meta-change or was committed after ``cutoff`` when one is given, and
-    those in a refactored range of the fix's pre-image. The surviving lines
-    are grouped by origin into candidates, ordered by hash. ``traced`` is
-    left as it was."""
+    """Keep the traced lines the variant keeps, read at its depth, and drop
+    those whose origin is a meta-change or was committed after ``cutoff``
+    when one is given, and those in a refactored range of the fix's
+    pre-image. The surviving lines are grouped by origin into candidates,
+    ordered by hash. ``traced`` is left as it was."""
     drop_refactored = DROP_REFACTORED_LINES in config.bic_filters
     if drop_refactored and refactorings is None:
         raise ConfigurationError(
             "drop-refactored-lines is enabled but no refactoring ranges were supplied"
         )
-    by_origin: dict[str, list[TracedLine]] = {}
+    by_origin: dict[str, list[tuple[FixLine, int, bool]]] = {}
     for t in traced:
         fl = t.line
-        if not (drop_refactored and refactorings.covers(ctx.fix_commit, fl.file, fl.line_no)):
-            by_origin.setdefault(t.origin, []).append(t)
+        if fl.kept_by(config) and not (
+            drop_refactored and refactorings.covers(ctx.fix_commit, fl.file, fl.line_no)
+        ):
+            origin, depth, flagged = t.read(config)
+            by_origin.setdefault(origin, []).append((fl, depth, flagged))
 
     candidates = []
     for sha, lines in sorted(by_origin.items()):
@@ -357,10 +328,10 @@ def filter_candidates(
             continue
         candidates.append(BicCandidate(
             commit=sha,
-            supporting_lines=[t.line for t in lines],
+            supporting_lines=[fl for fl, _, _ in lines],
             committer_time=when,
-            trace_depth=max(t.depth for t in lines),
-            cosmetic_flagged=any(t.flagged for t in lines),
+            trace_depth=max(depth for _, depth, _ in lines),
+            cosmetic_flagged=any(flagged for _, _, flagged in lines),
         ))
     return candidates
 
@@ -393,18 +364,14 @@ def run_configs(
     runs, one candidate list per run, in order.
 
     A cutoff drops candidates committed after it; ``None`` keeps them all.
-    The work the runs share is done once: the fix's lines are extracted
-    and classified once, and each distinct (fix-line filter, trace, depth
-    limit) is traced once, whatever the cutoffs. Every run then only
-    filters and selects from those read-only traced lines."""
+    The work the runs share is done once: the fix's lines are extracted,
+    classified and walked once, whatever the presets and cutoffs. Every
+    run then only filters and selects from those read-only traced lines."""
     ctx = extract_fix_lines(repo, fix_commit)
-    traces: dict[tuple[frozenset[str], str, int], list[TracedLine]] = {}
+    traced = walk(repo, ctx, [config for config, _ in runs])
     results = []
     for config, cutoff in runs:
-        key = (config.fix_line_filter, config.trace, config.depth_limit)
-        if key not in traces:
-            traces[key] = trace_candidates(repo, ctx.keep(config.fix_line_filter), config)
-        candidates = filter_candidates(repo, traces[key], ctx, config, refactorings, cutoff)
+        candidates = filter_candidates(repo, traced, ctx, config, refactorings, cutoff)
         results.append(select(candidates, config))
     return results
 

@@ -428,7 +428,8 @@ class GitRepo:
         try:
             [committer] = [line for line in header if line.startswith(b"committer ")]
             ctime = int(committer.rsplit(b">", 1)[1].split()[0])
-        except (ValueError, IndexError):
+            when = datetime.fromtimestamp(ctime, timezone.utc)
+        except (ValueError, IndexError, OverflowError):
             raise CorruptRepositoryError(f"commit {oid} has no readable committer line") from None
         parents = self._grafts.get(oid)
         if parents is None:
@@ -437,7 +438,7 @@ class GitRepo:
                 for line in header
                 if line.startswith(b"parent ")
             )
-        return self._remember(CommitMeta(oid, parents, datetime.fromtimestamp(ctime, timezone.utc)))
+        return self._remember(CommitMeta(oid, parents, when))
 
     def _remember(self, meta: CommitMeta) -> CommitMeta:
         self._meta_cache[meta.id] = meta

@@ -81,8 +81,8 @@ def test_criterion_2_documented_failure_modes(suite):
     repo = GitRepo(guard.path)
     for preset in ("B", "AG", "MA", "L", "R"):
         assert run_variant(repo, guard.fix, preset) == set(), preset
-        ctx = extract_fix_lines(repo, guard.fix).keep(PRESETS[preset].fix_line_filter)
-        assert ctx.fix_lines == [], preset
+        ctx = extract_fix_lines(repo, guard.fix)
+        assert [fl for fl in ctx.fix_lines if fl.kept_by(PRESETS[preset])] == [], preset
     assert guard.true_bics  # the miss is real: truth exists, detection is empty
 
     revert = suite["revert_history"]

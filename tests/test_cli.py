@@ -5,6 +5,8 @@ from __future__ import annotations
 import errno
 import json
 import os
+import subprocess
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -567,6 +569,41 @@ def test_detect_blames_a_fix_too_large_for_one_range_per_line(tmp_path, capsys):
     assert run.identified == {("big", fix): frozenset({bic})}
 
 
+def _git(path, *args: str, stdin: str = "") -> str:
+    return subprocess.run(
+        ["git", "-C", str(path), *args], input=stdin, capture_output=True, text=True, check=True
+    ).stdout
+
+
+def test_detect_skips_a_fix_whose_committer_time_is_out_of_range(tmp_path, capsys):
+    s = GitScripter(tmp_path / "clones" / "app")
+    s.write("core.c", "int a;\n")
+    bic = s.commit("add a")
+    s.write("core.c", "int a = 1;\n")
+    fix = s.commit("fix a")
+    s.finish()
+    # the same fix again, committed in a year no datetime holds
+    tree = _git(s.path, "rev-parse", f"{fix}^{{tree}}").strip()
+    far = _git(
+        s.path, "hash-object", "-t", "commit", "--literally", "-w", "--stdin",
+        stdin=f"tree {tree}\nparent {bic}\nauthor A <a@example.org> 1000000000 +0000\n"
+        "committer C <c@example.org> 99999999999999 +0000\n\nfix a\n",
+    ).strip()
+    dataset_path = tmp_path / "oracle.json"
+    save_oracle(
+        OracleDataset(entries=[OracleEntry("app", fix, (bic,)), OracleEntry("app", far, (bic,))]),
+        dataset_path,
+    )
+    argv = ["detect", "--dataset", str(dataset_path), "--clones-root", str(tmp_path / "clones"),
+            "--presets", "B,MA", "--workers", "1", "--out-dir", str(tmp_path / "runs")]
+    assert main(argv) == 2
+    assert f"skipped app {far}" in capsys.readouterr().err
+    for name in ("b_none.json", "ma_none.json"):
+        run = load_run(tmp_path / "runs" / name)
+        assert run.identified == {("app", fix): frozenset({bic})}
+        assert run.skipped == [("app", far)]
+
+
 def test_detect_all_missing_is_hard_failure(tmp_path, capsys):
     ds = OracleDataset(
         entries=[
@@ -869,6 +906,17 @@ def test_detect_regime_list_traces_once(corpus, suite_ranges_path, tmp_path, git
     ) == 0
     assert git_subcommands.count("blame") == alone.count("blame")
     assert len(git_subcommands) <= 170
+
+
+def test_detect_walks_each_fix_once(corpus, suite_ranges_path, tmp_path, git_subcommands):
+    dataset_path, clones_root = corpus
+    assert _detect_all_presets(
+        dataset_path, clones_root, suite_ranges_path, ",".join(ALL_REGIMES), tmp_path / "runs"
+    ) == 0
+    # one probe and one batch process of each kind per repository; blame
+    # runs once per file a fix removed lines from and once per later round
+    # of re-blames past cosmetic commits, whatever presets and regimes run
+    assert Counter(git_subcommands) == {"blame": 14, "rev-parse": 13, "cat-file": 13, "diff-tree": 13}
 
 
 def test_detect_rejects_unknown_regime(corpus, tmp_path, capsys):

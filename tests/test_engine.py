@@ -3,21 +3,19 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import replace
+from dataclasses import fields, replace
 from datetime import datetime, timedelta, timezone
 
 import pytest
 
 from bictrace import engine
 from bictrace.engine import (
-    DEFAULT_DEPTH_LIMIT,
     DROP_REFACTORED_LINES,
     PRESETS,
     REGIMES,
     SELECT_ALL,
     SELECT_LARGEST,
     SELECT_LATEST,
-    SKIP_COSMETIC,
     BicCandidate,
     FixLine,
     RefactoringRanges,
@@ -29,12 +27,14 @@ from bictrace.engine import (
     regime_cutoff,
     run_configs,
     select,
-    trace_candidates,
+    walk,
 )
 from bictrace.errors import ConfigurationError, RootCommitError, SchemaError
 from bictrace.gitrepo import GitRepo
 from bictrace.langfilters import LineClass
 from desk import GitScripter
+from memrepo import MODEL_FILE, random_history
+from reference_trace import reference_candidates
 from variants import run_variant
 
 UTC = timezone.utc
@@ -48,14 +48,11 @@ def test_preset_names_and_order():
 
 
 def test_preset_wiring():
-    ag_lines = frozenset({"drop-comments", "drop-blank", "drop-cosmetic-lines"})
+    assert [f.name for f in fields(VariantConfig)] == ["skip_cosmetic", "bic_filters", "selection"]
     assert PRESETS["B"] == VariantConfig(
-        fix_line_filter=frozenset(), trace="plain-blame",
-        bic_filters=frozenset(), selection=SELECT_ALL,
+        skip_cosmetic=False, bic_filters=frozenset(), selection=SELECT_ALL,
     )
-    assert PRESETS["AG"].fix_line_filter == ag_lines
-    assert PRESETS["AG"].trace == SKIP_COSMETIC
-    assert PRESETS["AG"].bic_filters == frozenset()
+    assert PRESETS["AG"] == replace(PRESETS["B"], skip_cosmetic=True)
     assert PRESETS["MA"] == replace(
         PRESETS["AG"], bic_filters=frozenset({"drop-meta-changes"})
     )
@@ -65,8 +62,6 @@ def test_preset_wiring():
         PRESETS["MA"],
         bic_filters=PRESETS["MA"].bic_filters | {DROP_REFACTORED_LINES},
     )
-    for cfg in PRESETS.values():
-        assert cfg.depth_limit == DEFAULT_DEPTH_LIMIT
 
 
 @pytest.mark.parametrize(
@@ -108,7 +103,7 @@ def test_ranges_cover_inclusive_bounds():
     assert not r.covers(FULL, "core.c", 7)
     assert not r.covers(FULL, "other.c", 5)
     assert not r.covers("b" * 40, "core.c", 5)
-    assert len(r) == 1
+    assert r.covers(FULL, "core.c", 5)
 
 
 def test_ranges_reject_bad_rows():
@@ -131,13 +126,12 @@ def test_load_ranges_with_and_without_header(tmp_path):
         f"{FULL},core.c,9,9\n"
     )
     r = load_refactoring_ranges(with_header)
-    assert len(r) == 2
-    assert r.covers(FULL, "core.c", 9)
+    assert [n for n in range(1, 11) if r.covers(FULL, "core.c", n)] == [4, 5, 9]
 
     headerless = tmp_path / "b.csv"
     headerless.write_text(f"{FULL},core.c,1,2\n\n")
     r2 = load_refactoring_ranges(headerless)
-    assert len(r2) == 1
+    assert [n for n in range(1, 11) if r2.covers(FULL, "core.c", n)] == [1, 2]
 
 
 def test_load_ranges_rejects_malformed_rows(tmp_path):
@@ -168,11 +162,12 @@ def test_extract_keeps_everything_without_filters(suite):
 def test_extract_drops_comment_blank_cosmetic(suite):
     sc = suite["comment_blank_extract"]
     repo = GitRepo(sc.path)
-    ctx = extract_fix_lines(repo, sc.fix).keep(PRESETS["AG"].fix_line_filter)
-    for fl in ctx.fix_lines:
+    ctx = extract_fix_lines(repo, sc.fix)
+    kept = [fl for fl in ctx.fix_lines if fl.kept_by(PRESETS["AG"])]
+    for fl in kept:
         assert fl.line_class not in (LineClass.COMMENT, LineClass.BLANK)
-    b_ctx = extract_fix_lines(repo, sc.fix)
-    assert len(ctx.fix_lines) < len(b_ctx.fix_lines)
+    assert len(kept) < len(ctx.fix_lines)
+    assert all(fl.kept_by(PRESETS["B"]) for fl in ctx.fix_lines)
 
 
 def test_extract_additive_fix_is_empty(suite):
@@ -237,12 +232,13 @@ def test_ra_lite_needs_ranges(suite):
 # --- cosmetic skip depth ------------------------------------------------------
 
 
-def test_depth_limit_flags_stuck_trace(suite):
+def test_depth_limit_flags_stuck_trace(suite, monkeypatch):
     sc = suite["cosmetic_chain"]
     repo = GitRepo(sc.path)
 
-    shallow = replace(PRESETS["AG"], depth_limit=1)
-    [cands] = run_configs(repo, sc.fix, [(shallow, None)])
+    with monkeypatch.context() as m:
+        m.setattr(engine, "DEPTH_LIMIT", 1)
+        [cands] = run_configs(repo, sc.fix, [(PRESETS["AG"], None)])
     assert {c.commit for c in cands} == {sc.notes["depth1_expected"]}
     assert all(c.cosmetic_flagged for c in cands)
 
@@ -259,22 +255,23 @@ def test_plain_blame_never_traces(suite):
     assert all(c.trace_depth == 0 for c in cands)
 
 
-def test_each_fix_line_traces_to_one_record(suite):
+def test_each_fix_line_traces_to_one_record(suite, monkeypatch):
     sc = suite["cosmetic_chain"]
     c1, c2, c3 = (sc.labels[k] for k in ("c1", "c2", "c3"))
     with GitRepo(sc.path) as repo:
         ctx = extract_fix_lines(repo, sc.fix)
-        for config, record in [
-            (PRESETS["AG"], (c1, 2, False)),
-            (replace(PRESETS["AG"], depth_limit=1), (sc.notes["depth1_expected"], 1, True)),
-            (PRESETS["B"], (c3, 0, False)),
+        for config, depth_limit, record in [
+            (PRESETS["AG"], 10, ((c3, c2, c1), False, (c1, 2, False))),
+            (PRESETS["AG"], 1, ((c3, c2), True, (c2, 1, True))),
+            (PRESETS["B"], 10, ((c3,), False, (c3, 0, False))),
         ]:
-            kept = ctx.keep(config.fix_line_filter)
-            traced = trace_candidates(repo, kept, config)
-            assert kept.fix_lines, config
-            assert [t.line for t in traced] == kept.fix_lines, config
-            assert [(t.origin, t.depth, t.flagged) for t in traced] == (
-                [record] * len(kept.fix_lines)
+            monkeypatch.setattr(engine, "DEPTH_LIMIT", depth_limit)
+            kept = [fl for fl in ctx.fix_lines if fl.kept_by(config)]
+            traced = walk(repo, ctx, [config])
+            assert kept, config
+            assert [t.line for t in traced] == kept, config
+            assert [(t.hops, t.flagged, t.read(config)) for t in traced] == (
+                [record] * len(kept)
             ), config
     assert sc.notes["depth1_expected"] == c2
 
@@ -395,30 +392,83 @@ class _CountingRepo:
         return self._repo.file_at(revision, path)
 
 
-def test_all_presets_trace_at_most_twice(suite, suite_ranges, monkeypatch):
-    traced = []
-    real_trace = engine.trace_candidates
+def test_all_presets_walk_once(suite, suite_ranges, monkeypatch):
+    walks = []
+    real_walk = engine.walk
 
-    def counting_trace(repo, ctx, config):
-        traced.append(config)
-        return real_trace(repo, ctx, config)
+    def counting_walk(repo, ctx, configs):
+        walks.append(configs)
+        return real_walk(repo, ctx, configs)
 
-    monkeypatch.setattr(engine, "trace_candidates", counting_trace)
+    monkeypatch.setattr(engine, "walk", counting_walk)
+    ag = PRESETS["AG"]
     for name in sorted(suite):
         sc = suite[name]
         together = _CountingRepo(GitRepo(sc.path))
         runs = _runs(together, sc)
-        traced.clear()
+        walks.clear()
         run_configs(together, sc.fix, runs, refactorings=suite_ranges)
-        assert len(traced) <= 2, name
+        assert len(walks) == 1, name
         assert len(together.reads) == len(set(together.reads)), name
 
-        # the blame calls are exactly those of B and AG run on their own,
-        # whatever the cutoffs
-        plain, ag = _CountingRepo(GitRepo(sc.path)), _CountingRepo(GitRepo(sc.path))
+        # the blame calls are those of B and AG run on their own, whatever
+        # the cutoffs, less the plain blame B and AG share in each file
+        # that AG keeps lines of
+        plain, skipping = _CountingRepo(GitRepo(sc.path)), _CountingRepo(GitRepo(sc.path))
         run_configs(plain, sc.fix, [(PRESETS["B"], None)])
-        run_configs(ag, sc.fix, [(PRESETS["AG"], None)])
-        assert together.blames == plain.blames + ag.blames, name
+        run_configs(skipping, sc.fix, [(ag, None)])
+        ctx = extract_fix_lines(plain, sc.fix)
+        shared = len({fl.file for fl in ctx.fix_lines if fl.kept_by(ag)})
+        assert together.blames == plain.blames + skipping.blames - shared, name
+
+
+def test_a_file_of_dropped_lines_is_blamed_only_for_a_run_that_keeps_them(
+    tmp_path, git_subcommands
+):
+    s = GitScripter(tmp_path / "app")
+    s.write("a.c", "int a;\nint b;\n")
+    s.write("b.c", "// note\nint c;\n")
+    bug = s.commit("add a and b")
+    s.write("a.c", "int a;\nint b = 1;\n")
+    s.write("b.c", "int c;\n")
+    fix = s.commit("fix b, drop the note")
+    s.finish()
+    for names, blames in ((["MA"], 1), (["B", "MA"], 2)):
+        git_subcommands.clear()
+        with GitRepo(s.path) as repo:
+            found = run_configs(repo, fix, [(PRESETS[n], None) for n in names])
+        assert git_subcommands.count("blame") == blames, names
+        assert [[c.commit for c in cands] for cands in found] == [[bug]] * len(names)
+
+
+@pytest.mark.parametrize("depth_limit", [1, 10])
+def test_walk_matches_the_per_key_reference_on_the_desk(
+    suite, suite_ranges, monkeypatch, depth_limit
+):
+    monkeypatch.setattr(engine, "DEPTH_LIMIT", depth_limit)
+    for name in sorted(suite):
+        sc = suite[name]
+        with GitRepo(sc.path) as repo:
+            runs = _runs(repo, sc)
+            together = run_configs(repo, sc.fix, runs, suite_ranges)
+            for (config, cutoff), got in zip(runs, together):
+                want = reference_candidates(repo, sc.fix, config, depth_limit, suite_ranges, cutoff)
+                assert got == want, f"{name} {config} {cutoff}"
+
+
+@pytest.mark.parametrize("depth_limit", [1, 10])
+def test_walk_matches_the_per_key_reference_on_random_histories(monkeypatch, depth_limit):
+    monkeypatch.setattr(engine, "DEPTH_LIMIT", depth_limit)
+    for seed in range(100):
+        planted = random_history(seed)
+        repo = planted.repo
+        ranges = RefactoringRanges({(planted.fix, MODEL_FILE): [(2, 3)]})
+        mid = repo.commit_meta(planted.fix).committer_time - timedelta(minutes=4)
+        runs = [(PRESETS[key], cutoff) for cutoff in (None, mid) for key in PRESETS]
+        together = run_configs(repo, planted.fix, runs, ranges)
+        for (config, cutoff), got in zip(runs, together):
+            want = reference_candidates(repo, planted.fix, config, depth_limit, ranges, cutoff)
+            assert got == want, f"seed {seed} {config} {cutoff}"
 
 
 # --- selection ----------------------------------------------------------------

@@ -519,18 +519,35 @@ def test_cat_file_that_keeps_dying_is_a_corrupt_repository(shop, monkeypatch, gi
     assert git_subcommands == ["rev-parse", "cat-file", "cat-file"]
 
 
-def test_commit_without_a_committer_is_a_corrupt_repository(tmp_path):
-    s = GitScripter(tmp_path)
+def _commit_with(path, committer: str) -> str:
+    """Write, as only ``hash-object --literally`` would, a commit on top
+    of a fresh root whose header has ``committer`` as its last lines."""
+    s = GitScripter(path)
     s.write("f.txt", "x\n")
     root = s.commit("seed")
     s.finish()
-    tree = _git_out(tmp_path, "rev-parse", f"{root}^{{tree}}").decode().strip()
-    body = f"tree {tree}\nparent {root}\nauthor A <a@example.org> 1000000000 +0000\n\nno date\n"
-    sha = subprocess.run(
-        ["git", "-C", str(tmp_path), "hash-object", "-t", "commit", "--literally", "-w", "--stdin"],
+    tree = _git_out(path, "rev-parse", f"{root}^{{tree}}").decode().strip()
+    body = f"tree {tree}\nparent {root}\nauthor A <a@example.org> 1000000000 +0000\n{committer}\nbody\n"
+    return subprocess.run(
+        ["git", "-C", str(path), "hash-object", "-t", "commit", "--literally", "-w", "--stdin"],
         input=body.encode(), capture_output=True, check=True,
     ).stdout.decode().strip()
+
+
+def test_commit_without_a_committer_is_a_corrupt_repository(tmp_path):
+    sha = _commit_with(tmp_path, "")
     with GitRepo(tmp_path) as repo:
+        with pytest.raises(CorruptRepositoryError, match=sha):
+            repo.commit_meta(sha)
+
+
+@pytest.mark.parametrize("ctime", [99999999999999, 2**63])
+def test_commit_with_an_out_of_range_time_is_a_corrupt_repository(tmp_path, ctime):
+    # git reads these; a datetime cannot hold them
+    sha = _commit_with(tmp_path, f"committer C <c@example.org> {ctime} +0000\n")
+    with GitRepo(tmp_path) as repo:
+        with pytest.raises(CorruptRepositoryError, match=sha):
+            repo.resolve(sha)
         with pytest.raises(CorruptRepositoryError, match=sha):
             repo.commit_meta(sha)
 

@@ -16,7 +16,6 @@ per regime would give.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -131,16 +130,8 @@ def cmd_mine(args) -> int:
         )
 
     events = _iter_events(args.events, args.format)
-    analyses, summary = miner.mine_stream(events, parses=parses, proximity=args.proximity)
-
-    out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-    try:
-        for analysis in analyses:
-            out.write(json.dumps(analysis.to_record(), sort_keys=True) + "\n")
-        out.write(json.dumps({"summary": summary.to_record()}, sort_keys=True) + "\n")
-    finally:
-        if args.out:
-            out.close()
+    analyses = miner.analyze_events(events, parses=parses, proximity=args.proximity)
+    summary = miner.write_mined(analyses, args.out, proximity=args.proximity)
     print(
         f"mined {summary.total} events: {summary.accepted} accepted",
         file=sys.stderr,

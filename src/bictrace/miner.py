@@ -14,17 +14,25 @@ checked against three heuristics over a dependency tree:
 
 Dependency parses are consumed from a columnar file, never produced here.
 When no parses exist, an explicitly lower-fidelity proximity mode matches
-word stems in a six-token window before each hash. Accepted records that
-forks push again collapse to the one from the lexicographically first
-repository, flagged, as a push stream names no main repository.
+word stems in a six-token window before each hash.
+
+Each record is written as it is decided, to an unlinked temporary file,
+so memory does not grow with events. Accepted records that forks push
+again collapse to the one from the lexicographically first repository,
+flagged, as a push stream names no main repository; until the copy out,
+only their places and that repository are kept per accepted commit.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import re
-from collections.abc import Mapping, Sequence
+import sys
+import tempfile
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _json_str
 
 from .errors import SchemaError
 
@@ -91,8 +99,12 @@ class SentenceTree:
     def _validate(self) -> None:
         if not self.tokens:
             raise SchemaError("empty sentence")
+        if len(self._by_index) != len(self.tokens):
+            raise SchemaError("repeated token index")
         roots = 0
         for t in self.tokens:
+            if t.index < 1:
+                raise SchemaError(f"token index {t.index} is not positive")
             head = t.head
             if head == t.index:  # self-loop convention for roots
                 head = 0
@@ -241,31 +253,27 @@ class SentenceMatch:
     heuristic: str  # "h2" or "h3"
 
 
-@dataclass(slots=True)  # a stream holds one per event
+@dataclass(slots=True)
 class MessageAnalysis:
     repo: str
     commit: str
     verdict: str  # "accepted" or "rejected"
     reason: str | None = None
     matches: Sequence[SentenceMatch] = ()  # a rejected record holds no list
-    flags: Sequence[str] = ()
 
-    def to_record(self) -> dict:
-        rec = {
-            "repo": self.repo,
-            "commit": self.commit,
-            "verdict": self.verdict,
-        }
-        if self.reason:
-            rec["reason"] = self.reason
+    def json_line(self) -> str:
+        """The record as one line of JSON with sorted keys, as
+        ``json.dumps(..., sort_keys=True)`` writes it."""
+        line = '{"commit": ' + _json_str(self.commit)
         if self.matches:
-            rec["matches"] = [
-                {"sentence": m.sentence_index, "hash": m.hash, "heuristic": m.heuristic}
+            line += ', "matches": [' + ", ".join(
+                f'{{"hash": {_json_str(m.hash)}, "heuristic": {_json_str(m.heuristic)}, '
+                f'"sentence": {m.sentence_index}}}'
                 for m in self.matches
-            ]
-        if self.flags:
-            rec["flags"] = sorted(self.flags)
-        return rec
+            ) + "]"
+        if self.reason:
+            line += ', "reason": ' + _json_str(self.reason)
+        return f'{line}, "repo": {_json_str(self.repo)}, "verdict": {_json_str(self.verdict)}}}\n'
 
 
 def analyze_with_trees(trees: list[SentenceTree]) -> tuple[list[SentenceMatch], str]:
@@ -373,16 +381,13 @@ class RunSummary:
         }
 
 
-def mine_stream(
-    events,
+def analyze_events(
+    events: Iterable[Mapping],
     parses: "Mapping[str, list[SentenceTree] | None] | None" = None,
     proximity: bool = False,
-) -> tuple[list[MessageAnalysis], RunSummary]:
-    """Analyze an iterable of commit events (dicts with ``repo``, ``sha``,
-    ``message``). Returns every analysis (accepted records deduplicated
-    across forks) plus run counters."""
-    summary = RunSummary(proximity_mode=proximity)
-    analyses: list[MessageAnalysis] = []
+) -> Iterator[MessageAnalysis]:
+    """Yield the analysis of each commit event (a mapping with ``repo``,
+    ``sha`` and ``message``), in stream order, as it is decided."""
     for ev in events:
         repo, sha, message = ev["repo"], ev["sha"], ev["message"]
         # trees are looked up, and so built, only past the prefilter
@@ -394,39 +399,65 @@ def mine_stream(
             matches, reason = analyze_with_proximity(message)
         else:
             matches, reason = (), PARSE_UNAVAILABLE
-
         if matches:
-            summary.accepted += 1
-            summary.h2_matches += sum(1 for m in matches if m.heuristic == "h2")
-            summary.h3_matches += sum(1 for m in matches if m.heuristic == "h3")
-            analyses.append(MessageAnalysis(repo, sha, "accepted", None, matches))
+            yield MessageAnalysis(repo, sha, "accepted", None, matches)
         else:
-            summary.reject(reason)
-            analyses.append(MessageAnalysis(repo, sha, "rejected", reason))
-
-    out = dedupe(analyses)
-    summary.total = len(analyses)
-    summary.duplicates_removed = len(analyses) - len(out)
-    summary.accepted -= summary.duplicates_removed
-    return out, summary
+            yield MessageAnalysis(repo, sha, "rejected", reason)
 
 
-def dedupe(analyses: list[MessageAnalysis]) -> list[MessageAnalysis]:
-    """Drop the accepted records that repeat a commit (fork pushes). Of
-    each repeated commit the record from the lexicographically first
-    repository stays at its own place, flagged ``duplicate-unresolved``
-    as the stream names no main repository; rejected records all stay."""
-    groups: dict[str, list[MessageAnalysis]] = {}
-    for a in analyses:
-        if a.verdict == "accepted":
-            groups.setdefault(a.commit, []).append(a)
-    kept: dict[str, MessageAnalysis] = {}
-    for commit, group in groups.items():
-        if len(group) > 1:
-            first = kept[commit] = min(group, key=lambda a: a.repo)
-            first.flags = [*first.flags, "duplicate-unresolved"]
-    # a commit pushed once has no entry in kept and keeps its record
-    return [a for a in analyses if a.verdict != "accepted" or kept.get(a.commit, a) is a]
+def write_mined(analyses: Iterable[MessageAnalysis], out: str | None, proximity: bool = False) -> RunSummary:
+    """Write a JSON line per analysis, then a summary line, to the file
+    ``out`` (standard output when None), and return the summary.
+
+    Records are spilled to an unlinked temporary file as they come, and
+    ``out`` is opened only once ``analyses`` is exhausted, so a stream
+    that raises writes nothing. The copy drops the accepted records that
+    repeat a commit (fork pushes): of each repeated commit the record
+    from the lexicographically first repository stays at its own place,
+    flagged ``duplicate-unresolved`` as the stream names no main
+    repository. Rejected records all stay."""
+    summary = RunSummary(proximity_mode=proximity)
+    # commit -> [place of the record that stays, its repo, places of the others or None]
+    accepted: dict[str, list] = {}
+    with tempfile.TemporaryFile("w+", encoding="ascii", newline="\n") as spill:
+        for i, a in enumerate(analyses):
+            spill.write(a.json_line())
+            summary.total += 1
+            if a.verdict != "accepted":
+                summary.reject(a.reason)
+                continue
+            summary.accepted += 1
+            summary.h2_matches += sum(m.heuristic == "h2" for m in a.matches)
+            summary.h3_matches += sum(m.heuristic == "h3" for m in a.matches)
+            kept = accepted.get(a.commit)
+            if kept is None:
+                accepted[a.commit] = [i, a.repo, None]
+                continue
+            other = i
+            if a.repo < kept[1]:  # on a tie the earlier record stays
+                other, kept[0], kept[1] = kept[0], i, a.repo
+            kept[2] = (kept[2] or []) + [other]
+
+        fate: dict[int, bool] = {}  # place -> True: stays flagged, False: dropped
+        for place, _, others in accepted.values():
+            if others:
+                fate[place] = True
+                fate.update(dict.fromkeys(others, False))
+                summary.duplicates_removed += len(others)
+        summary.accepted -= summary.duplicates_removed
+
+        spill.seek(0)
+        with open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout) as fh:
+            for i, line in enumerate(spill):
+                flag = fate.get(i)
+                if flag is None:
+                    fh.write(line)
+                elif flag:
+                    rec = json.loads(line)
+                    rec["flags"] = ["duplicate-unresolved"]
+                    fh.write(json.dumps(rec, sort_keys=True) + "\n")
+            fh.write(json.dumps({"summary": summary.to_record()}, sort_keys=True) + "\n")
+    return summary
 
 
 # -- input formats ----------------------------------------------------------

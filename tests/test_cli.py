@@ -6,6 +6,7 @@ import errno
 import json
 import os
 import subprocess
+import tempfile
 from collections import Counter
 from pathlib import Path
 
@@ -195,6 +196,35 @@ def test_mine_names_the_parse_line_of_a_byte_that_is_not_utf8(tmp_path, capsys):
     assert main(["mine", str(events), "--parses", str(parses), "--out", str(tmp_path / "o")]) == 1
     errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
     assert errors == [f"error: {parses}:{len(_FILLER) + 2}: not valid UTF-8"]
+
+
+def test_mine_writes_nothing_on_a_bad_event_line_past_many_good_ones(tmp_path, capsys):
+    # the records before the bad line are already spilled: none reach --out
+    events = tmp_path / "events.ndjson"
+    good = "".join(json.dumps({**EVENTS[2], "sha": f"c{i}"}) + "\n" for i in range(1000))
+    events.write_text(good + "{not json\n")
+    out = tmp_path / "mined.ndjson"
+    assert main(["mine", str(events), "--proximity", "--out", str(out)]) == 1
+    errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
+    assert len(errors) == 1 and errors[0].startswith(f"error: {events}:1001: ")
+    assert not out.exists()
+
+
+def test_mine_writes_the_same_bytes_to_stdout_as_to_out(tmp_path, capsys, monkeypatch):
+    spill_dir = tmp_path / "tmp"
+    spill_dir.mkdir()
+    monkeypatch.setenv("TMPDIR", str(spill_dir))
+    monkeypatch.setattr(tempfile, "tempdir", None)  # read TMPDIR again
+    fork = {**EVENTS[2], "repo": "fork/app", "message": EVENTS[2]["message"] + " \u00e9\U0001f600"}
+    events = tmp_path / "events.ndjson"
+    events.write_text("".join(json.dumps(e) + "\n" for e in [fork, *EVENTS, fork]))
+    out = tmp_path / "mined.ndjson"
+    assert main(["mine", str(events), "--proximity", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["mine", str(events), "--proximity"]) == 0
+    assert capsys.readouterr().out.encode() == out.read_bytes()
+    assert _read_ndjson(out)[0]["flags"] == ["duplicate-unresolved"]
+    assert list(spill_dir.iterdir()) == []  # the spill was never a named file
 
 
 # --- detect -------------------------------------------------------------------

@@ -22,20 +22,22 @@ from bictrace.miner import (
     PREFILTER,
     REVERT,
     STARTS_WITH_HASH,
+    MessageAnalysis,
+    SentenceMatch,
     SentenceTree,
     Token,
     _starts_with_hash,
+    analyze_events,
     analyze_with_trees,
-    dedupe,
     events_from_gharchive,
     h1_filter,
     h2_filter,
     h3_filter,
     load_parses,
-    mine_stream,
     proximity_matches,
     split_sentences,
     word_prefilter,
+    write_mined,
 )
 from conftest import make_tree
 
@@ -260,6 +262,23 @@ def test_tree_rejects_dangling_head():
         make_tree("a b", [(1, "a", "a", 0, "root"), (2, "b", "b", 9, "dep")])
 
 
+def test_tree_rejects_a_repeated_index(tmp_path):
+    # a second token 2 would shadow the first, and "bug" would drop out
+    # of every walk; the message falls back to proximity instead
+    rows = [(1, "fix", "fix", 0, "root"), (2, "bug", "bug", 1, "obj"), (2, "a1b2c3d4", "a1b2c3d4", 1, "obl")]
+    with pytest.raises(SchemaError, match="repeated"):
+        make_tree("fix bug a1b2c3d4", rows)
+    path = tmp_path / "parses.txt"
+    path.write_text("# commit = c\n# text = fix bug a1b2c3d4\n" + "".join(
+        "\t".join(map(str, row)) + "\n" for row in rows))
+    assert load_parses(path) == {"c": None}
+
+
+def test_tree_rejects_a_non_positive_index():
+    with pytest.raises(SchemaError, match="not positive"):
+        make_tree("a b", [(1, "a", "a", 0, "root"), (-2, "b", "b", 1, "dep")])
+
+
 def test_tree_accepts_self_loop_root():
     tree = make_tree("a b", [(1, "a", "a", 1, "root"), (2, "b", "b", 1, "dep")])
     assert [t.form for t in tree.ancestors(2)] == ["a"]
@@ -325,6 +344,20 @@ def _parse_for(sha, tree):
     return {sha: [tree]}
 
 
+def _write(analyses, proximity=False):
+    """The records ``write_mined`` writes, read back, and its summary."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp, "mined.ndjson")
+        summary = write_mined(analyses, str(out), proximity)
+        *records, last = map(json.loads, out.read_text().splitlines())
+    assert last == {"summary": summary.to_record()}
+    return records, summary
+
+
+def _mine(events, parses=None, proximity=False):
+    return _write(analyze_events(events, parses, proximity), proximity)
+
+
 def test_mine_stream_with_parses(labeled_sentences):
     trees = dict((l, t) for l, t, _, _ in labeled_sentences)
     events = [
@@ -336,10 +369,10 @@ def test_mine_stream_with_parses(labeled_sentences):
         "aal": [trees["fixes_introduced_by"]],
         "ccl": [trees["tried_to_fix"]],
     }
-    analyses, summary = mine_stream(events, parses=parses)
-    verdicts = {a.commit: a.verdict for a in analyses}
+    records, summary = _mine(events, parses=parses)
+    verdicts = {r["commit"]: r["verdict"] for r in records}
     assert verdicts == {"aal": "accepted", "bbl": "rejected", "ccl": "rejected"}
-    reasons = {a.commit: a.reason for a in analyses}
+    reasons = {r["commit"]: r.get("reason") for r in records}
     assert reasons["bbl"] == PREFILTER
     assert reasons["ccl"] == HEURISTICS_FAILED
     assert summary.total == 3
@@ -350,9 +383,9 @@ def test_mine_stream_with_parses(labeled_sentences):
 
 def test_mine_stream_without_parses_rejects_as_unparsed():
     events = [_event("org/app", "abc", "fix the bug near a1b2c3d4")]
-    analyses, summary = mine_stream(events)
-    assert analyses[0].verdict == "rejected"
-    assert analyses[0].reason == "parse-unavailable"
+    records, summary = _mine(events)
+    assert records[0]["verdict"] == "rejected"
+    assert records[0]["reason"] == "parse-unavailable"
     assert summary.rejected_by_reason == {"parse-unavailable": 1}
 
 
@@ -361,10 +394,10 @@ def test_mine_stream_proximity_mode():
         _event("org/app", "abc", "fix the bug from a1b2c3d4"),
         _event("org/app", "def", "fix the bug eventually"),
     ]
-    analyses, summary = mine_stream(events, proximity=True)
-    assert analyses[0].verdict == "accepted"
-    assert analyses[0].matches[0].heuristic == "proximity"
-    assert analyses[1].reason == NO_HASH
+    records, summary = _mine(events, proximity=True)
+    assert records[0]["verdict"] == "accepted"
+    assert records[0]["matches"][0]["heuristic"] == "proximity"
+    assert records[1]["reason"] == NO_HASH
     assert summary.proximity_mode
 
 
@@ -379,19 +412,98 @@ def test_fork_dedupe_keeps_the_first_repository_flagged(labeled_sentences):
 
     # the stream names no main repository: the first repo name wins and
     # the record is flagged
-    analyses, summary = mine_stream(events, parses=parses)
-    accepted = [a for a in analyses if a.verdict == "accepted"]
-    assert [a.repo for a in accepted] == ["fork/app"]
-    assert accepted[0].flags == ["duplicate-unresolved"]
+    records, summary = _mine(events, parses=parses)
+    accepted = [r for r in records if r["verdict"] == "accepted"]
+    assert [r["repo"] for r in accepted] == ["fork/app"]
+    assert accepted[0]["flags"] == ["duplicate-unresolved"]
     assert summary.duplicates_removed == 1
 
 
-def test_dedupe_keeps_distinct_hashes_apart():
-    from bictrace.miner import MessageAnalysis
+def _hit(repo, commit, hash="2508e12"):
+    return MessageAnalysis(repo, commit, "accepted", None, [SentenceMatch(0, hash, "h2")])
 
-    a = MessageAnalysis("r1", "aaa", "accepted")
-    b = MessageAnalysis("r2", "bbb", "accepted")
-    assert dedupe([a, b]) == [a, b]
+
+def _miss(repo, commit):
+    return MessageAnalysis(repo, commit, "rejected", PREFILTER)
+
+
+def _kept(analyses):
+    """(repo, commit, flags, first hash) of each record written, and the summary."""
+    records, summary = _write(analyses)
+    return [(r["repo"], r["commit"], r.get("flags"), r.get("matches", [{}])[0].get("hash"))
+            for r in records], summary
+
+
+def test_dedupe_keeps_distinct_hashes_apart():
+    records, summary = _kept([_hit("r1", "aaa"), _hit("r2", "bbb")])
+    assert records == [("r1", "aaa", None, "2508e12"), ("r2", "bbb", None, "2508e12")]
+    assert summary.duplicates_removed == 0 and summary.accepted == 2
+
+
+def test_write_mined_keeps_a_later_first_repository_at_its_own_place():
+    # three pushes of one commit: the second stays, the other two go
+    records, summary = _kept([
+        _hit("zeta/app", "aaa"), _miss("org/app", "c01"), _hit("beta/app", "aaa"),
+        _miss("org/app", "c02"), _hit("gamma/app", "aaa"), _hit("gamma/app", "bbb"),
+    ])
+    assert records == [
+        ("org/app", "c01", None, None),
+        ("beta/app", "aaa", ["duplicate-unresolved"], "2508e12"),
+        ("org/app", "c02", None, None),
+        ("gamma/app", "bbb", None, "2508e12"),
+    ]
+    assert (summary.total, summary.accepted, summary.duplicates_removed) == (6, 2, 2)
+
+
+def test_write_mined_keeps_the_earlier_of_equal_repositories():
+    records, summary = _kept([_hit("a/app", "aaa", "111111a"), _hit("b/app", "aaa"), _hit("a/app", "aaa", "222222b")])
+    assert records == [("a/app", "aaa", ["duplicate-unresolved"], "111111a")]
+    assert summary.duplicates_removed == 2
+
+
+# quotes, backslashes, control and non-BMP characters, lone surrogates
+_ANY_TEXT = st.text(st.one_of(
+    st.sampled_from(('"', "\\", "\x00", "\n", "\x1f", "\x7f", "\u2028", "\U0001f600", "\ud800", "\udfff")),
+    st.characters(exclude_categories=()),
+))
+
+
+def _record(a: MessageAnalysis) -> dict:
+    """A record's fields as ``mine`` has always written them."""
+    rec = {"repo": a.repo, "commit": a.commit, "verdict": a.verdict}
+    if a.reason:
+        rec["reason"] = a.reason
+    if a.matches:
+        rec["matches"] = [
+            {"sentence": m.sentence_index, "hash": m.hash, "heuristic": m.heuristic}
+            for m in a.matches
+        ]
+    return rec
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    repo=_ANY_TEXT,
+    commit=_ANY_TEXT,
+    verdict=st.one_of(st.sampled_from(("accepted", "rejected")), _ANY_TEXT),
+    reason=st.one_of(st.none(), _ANY_TEXT),
+    matches=st.lists(st.builds(SentenceMatch, st.integers(-(2**70), 2**70), _ANY_TEXT, _ANY_TEXT), max_size=3),
+)
+def test_json_line_writes_the_bytes_of_json_dumps(repo, commit, verdict, reason, matches):
+    a = MessageAnalysis(repo, commit, verdict, reason, matches)
+    want = _record(a)
+    assert a.json_line() == json.dumps(want, sort_keys=True) + "\n"
+    # pushed again from a later repository: the record that stays carries flags
+    fork = MessageAnalysis(repo + "~", commit, verdict, reason, matches)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp, "mined.ndjson")
+        write_mined([a, fork], str(out))
+        lines = out.read_bytes().decode("ascii").splitlines(keepends=True)
+    if verdict == "accepted":
+        want["flags"] = ["duplicate-unresolved"]
+        assert lines[:-1] == [json.dumps(want, sort_keys=True) + "\n"]
+    else:
+        assert lines[:-1] == [a.json_line(), fork.json_line()]
 
 
 def test_fork_pushes_among_rejections_keep_one_record_in_place(labeled_sentences):
@@ -405,15 +517,14 @@ def test_fork_pushes_among_rejections_keep_one_record_in_place(labeled_sentences
         _event("gamma/app", "aal", hit),
         _event("org/app", "c03", "merge branch"),
     ]
-    analyses, summary = mine_stream(events, parses={"aal": [tree]})
-    assert [(a.repo, a.commit, a.verdict) for a in analyses] == [
+    records, summary = _mine(events, parses={"aal": [tree]})
+    assert [(r["repo"], r["commit"], r["verdict"]) for r in records] == [
         ("org/app", "c01", "rejected"),
         ("beta/app", "aal", "accepted"),
         ("org/app", "c02", "rejected"),
         ("org/app", "c03", "rejected"),
     ]
-    assert analyses[1].flags == ["duplicate-unresolved"]
-    assert analyses[1].to_record()["flags"] == ["duplicate-unresolved"]
+    assert records[1]["flags"] == ["duplicate-unresolved"]
     assert summary.total == 6
     assert summary.accepted == 1
     assert summary.duplicates_removed == 2
@@ -434,8 +545,8 @@ def test_planted_positives_in_larger_stream(labeled_sentences):
         "hit1": [trees["fixes_introduced_by"]],
         "hit2": [trees["solve_error_caused"]],
     }
-    analyses, summary = mine_stream(chaff + planted, parses=parses)
-    accepted = {a.commit for a in analyses if a.verdict == "accepted"}
+    records, summary = _mine(chaff + planted, parses=parses)
+    accepted = {r["commit"] for r in records if r["verdict"] == "accepted"}
     assert accepted == {"hit1", "hit2"}
     assert summary.total == 42
     assert summary.rejected_by_reason[PREFILTER] == 40
@@ -532,7 +643,7 @@ def test_trees_are_built_only_for_messages_past_the_prefilter(tmp_path, monkeypa
         _event("org/app", "bbl", "second message, no fix word"),
         _event("org/app", "aal", "fixes a bug introduced by 2508e12"),
     ]
-    analyses, _ = mine_stream(events, parses=parses)
+    analyses = list(analyze_events(events, parses=parses))
     assert built == ["fixes a bug introduced by 2508e12"]
     assert [a.verdict for a in analyses] == ["rejected", "accepted"]
 
@@ -577,14 +688,23 @@ def test_parses_hold_at_most_three_times_the_file(tmp_path):
     assert held <= 3 * path.stat().st_size
 
 
-def test_a_prefiltered_message_holds_at_most_120_bytes():
-    # one slotted record per event, and no matches or flags list; the
-    # event's own strings exist before the count starts
-    n = 20000
-    events = [_event("org/app", f"{i:040x}", f"update the docs, take {i}") for i in range(n)]
-    held, (analyses, summary) = _held_bytes(lambda: mine_stream(events))
-    assert summary.rejected_by_reason == {PREFILTER: n} and len(analyses) == n
-    assert held / n <= 120
+def test_mining_memory_does_not_grow_with_rejected_events(tmp_path):
+    # records go to the spill as they come: twice the events, from a
+    # generator, leave the traced peak where it was
+    def peak(n):
+        events = (_event("org/app", f"{i:040x}", f"update the docs, take {i}") for i in range(n))
+        tracemalloc.start()
+        try:
+            summary = write_mined(analyze_events(events), str(tmp_path / "mined.ndjson"))
+            return tracemalloc.get_traced_memory()[1], summary
+        finally:
+            tracemalloc.stop()
+
+    small, summary = peak(20000)
+    assert summary.rejected_by_reason == {PREFILTER: 20000}
+    large, summary = peak(40000)
+    assert summary.rejected_by_reason == {PREFILTER: 40000}
+    assert abs(large - small) < 16 * 1024
 
 
 # --- lazy parses against eagerly built trees ---------------------------------------------
@@ -597,8 +717,12 @@ class _EagerTree(SentenceTree):
     def _validate(self) -> None:
         if not self.tokens:
             raise SchemaError("empty sentence")
+        if len({t.index for t in self.tokens}) != len(self.tokens):
+            raise SchemaError("repeated index")
         roots = 0
         for t in self.tokens:
+            if t.index < 1:
+                raise SchemaError("non-positive index")
             head = 0 if t.head == t.index else t.head
             if head == 0:
                 roots += 1
@@ -771,7 +895,7 @@ def test_lazy_parses_mine_like_eager_trees(blocks, pushes, proximity):
                 for t in tree.tokens:
                     assert tree.ancestors(t.index) == want.ancestors(t.index)
                     assert tree.descendants(t.index) == want.descendants(t.index)
-        assert mine_stream(events, lazy, proximity) == mine_stream(events, eager, proximity)
+        assert list(analyze_events(events, lazy, proximity)) == list(analyze_events(events, eager, proximity))
 
         argv = ["mine", str(events_path), "--parses", str(parses_path)]
         argv += ["--proximity"] * proximity

@@ -22,7 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import engine, evaluate, miner, oracle
-from .errors import BictraceError, NotARepositoryError
+from .errors import BictraceError, NotARepositoryError, SchemaError
 from .gitrepo import GitRepo
 
 CLONES_ROOT_ENV = "BICTRACE_CLONES_ROOT"
@@ -108,12 +108,6 @@ def _build_parser() -> argparse.ArgumentParser:
 # -- mine ---------------------------------------------------------------------
 
 
-def _iter_events(path: str, layout: str):
-    if layout == "plain":
-        return miner.read_events(path)
-    return miner.read_gharchive(path)
-
-
 def cmd_mine(args) -> int:
     parses = None
     if args.parses:
@@ -129,7 +123,7 @@ def cmd_mine(args) -> int:
             file=sys.stderr,
         )
 
-    events = _iter_events(args.events, args.format)
+    events = (miner.read_events if args.format == "plain" else miner.read_gharchive)(args.events)
     analyses = miner.analyze_events(events, parses=parses, proximity=args.proximity)
     summary = miner.write_mined(analyses, args.out, proximity=args.proximity)
     print(
@@ -151,13 +145,13 @@ def _detect_group(path: Path, entries, configs, regimes, ranges):
     one shared pipeline call per entry.
 
     Returns (results, flags, skips): results maps (repo, fix, preset name,
-    regime) to a sorted hash tuple, flags and skips map (repo, fix, regime)
+    regime) to the hashes found, flags and skips map (repo, fix, regime)
     to the entry's flags and to a skip reason. A missing or unreadable
     clone, or a fix that fails, skips the entry in every regime; a
     best-case cutoff that cannot be simulated skips it in that regime. A
     git that cannot be started (an ``OSError``, such as an argument list
     too long) fails only the entry that started it."""
-    results: dict[tuple[str, str, str, str], tuple[str, ...]] = {}
+    results: dict[tuple[str, str, str, str], frozenset[str]] = {}
     flags: dict[tuple[str, str, str], tuple[str, ...]] = {}
     skips: dict[tuple[str, str, str], str] = {}
     try:
@@ -194,8 +188,8 @@ def _detect_group(path: Path, entries, configs, regimes, ranges):
                 continue
             pairs = [(name, regime) for regime, _ in cutoffs for name, _ in configs]
             for (name, regime), cands in zip(pairs, found):
-                results[(e.repo, e.fix_commit, name, regime)] = tuple(
-                    sorted(c.commit for c in cands)
+                results[(e.repo, e.fix_commit, name, regime)] = frozenset(
+                    c.commit for c in cands
                 )
             if "issue-date" in regimes and not e.issue_dates:
                 flags[(e.repo, e.fix_commit, "issue-date")] = ("no-issue-dates",)
@@ -254,7 +248,7 @@ def cmd_detect(args) -> int:
     for results, flags, skips in outcomes:
         all_skips.update(skips)
         for (repo_name, fix, name, regime), shas in results.items():
-            runs[name, regime].identified[(repo_name, fix)] = frozenset(shas)
+            runs[name, regime].identified[(repo_name, fix)] = shas
         for (repo_name, fix, regime), entry_flags in flags.items():
             for name in names:
                 runs[name, regime].entry_flags[(repo_name, fix)] = entry_flags
@@ -273,7 +267,6 @@ def cmd_detect(args) -> int:
     }
     for (name, regime), run in runs.items():
         run.skipped = skipped[regime]
-        run.identified = dict(sorted(run.identified.items()))
         target = out_dir / f"{name.lower()}_{regime}.json"
         evaluate.save_run(run, target)
         print(f"wrote {target}", file=sys.stderr)
@@ -300,6 +293,10 @@ def cmd_evaluate(args) -> int:
         print(f"error: no run files in {runs_dir}", file=sys.stderr)
         return 1
     runs = [evaluate.load_run(p) for p in run_files]
+    first: dict[tuple[str, str], Path] = {}
+    for path, run in zip(run_files, runs):
+        if (other := first.setdefault((run.variant, run.regime), path)) != path:
+            raise SchemaError(f"{other} and {path} both hold {run.variant} under {run.regime}")
     try:
         written = evaluate.emit_report(
             runs, dataset, args.out_dir, outlier_threshold=args.outlier_threshold

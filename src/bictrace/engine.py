@@ -46,7 +46,7 @@ SELECT_ALL = "all"
 SELECT_LARGEST = "largest"
 SELECT_LATEST = "latest"
 
-DEPTH_LIMIT = 10  # re-blames past cosmetic commits before a line is flagged
+DEPTH_LIMIT = 10  # re-blames of one line; the walk keeps the commit it reached
 
 REGIMES = ("none", "issue-date", "best-case-date")
 BEST_CASE_DELTA = timedelta(seconds=60)
@@ -97,7 +97,6 @@ def preset(name: str) -> VariantConfig:
 class FixLine:
     file: str
     line_no: int
-    text: str
     line_class: LineClass
     cosmetic: bool = False  # the fix only reformatted this line
 
@@ -121,8 +120,6 @@ class BicCandidate:
     commit: str
     supporting_lines: list[FixLine]
     committer_time: datetime
-    trace_depth: int = 0
-    cosmetic_flagged: bool = False
 
 
 class RefactoringRanges:
@@ -197,10 +194,10 @@ def extract_fix_lines(repo, fix_commit: str) -> FixContext:
             class_cache[file] = langfilters.classify_lines(content, lang)
         classes = class_cache[file]
         cosmetic = _cosmetic_drops(hunk)
-        for line_no, text in hunk.removed:
+        for line_no, _ in hunk.removed:
             idx = line_no - 1
             cls = classes[idx] if 0 <= idx < len(classes) else LineClass.CODE
-            fix_lines.append(FixLine(file, line_no, text, cls, line_no in cosmetic))
+            fix_lines.append(FixLine(file, line_no, cls, line_no in cosmetic))
 
     fix_lines.sort(key=lambda fl: (fl.file, fl.line_no))
     return FixContext(fix_commit=full, parent=parent, fix_lines=fix_lines)
@@ -224,19 +221,15 @@ def _cosmetic_drops(hunk) -> set[int]:
 @dataclass(frozen=True)
 class TracedLine:
     """One fix line walked back: every commit blame named for it, the
-    plain-blame origin first, and whether a cosmetic-skipping walk stopped
-    on a commit that only reformatted (depth limit hit, or blame could not
-    move on)."""
+    plain-blame origin first. A walked line was re-blamed ``len(hops) - 1``
+    times, and is stuck when its last hop still only reformatted."""
 
     line: FixLine
     hops: tuple[str, ...]
-    flagged: bool
 
-    def read(self, config: VariantConfig) -> tuple[str, int, bool]:
-        """The origin, re-blame depth and flag a run of ``config`` takes."""
-        if config.skip_cosmetic:
-            return self.hops[-1], len(self.hops) - 1, self.flagged
-        return self.hops[0], 0, False
+    def origin(self, config: VariantConfig) -> str:
+        """The last hop for a cosmetic-skipping run, else the plain origin."""
+        return self.hops[-1] if config.skip_cosmetic else self.hops[0]
 
 
 def walk(repo, ctx: FixContext, configs: list[VariantConfig]) -> list[TracedLine]:
@@ -247,8 +240,8 @@ def walk(repo, ctx: FixContext, configs: list[VariantConfig]) -> list[TracedLine
     cosmetic-skipping configuration keeps and whose origin only
     reformatted is then re-blamed with that commit added to the file's
     ignore set, repeatedly, until a non-cosmetic origin appears or
-    ``DEPTH_LIMIT`` re-blames are spent. A walked line that ends on a
-    cosmetic origin is flagged."""
+    ``DEPTH_LIMIT`` re-blames are spent; the line keeps the commit it
+    reached."""
     cosmetic = functools.cache(lambda sha: langfilters.is_cosmetic_commit(repo, sha))
     skipper = next((c for c in configs if c.skip_cosmetic), None)
     by_file: dict[str, dict[int, FixLine]] = {}
@@ -274,10 +267,7 @@ def walk(repo, ctx: FixContext, configs: list[VariantConfig]) -> list[TracedLine
                         and len(hops[line_no]) <= DEPTH_LIMIT):
                     asked.add(line_no)
                     ignore.add(origin)
-        for line_no, fl in lines.items():
-            if hops[line_no]:
-                flagged = line_no in walked and cosmetic(hops[line_no][-1])
-                traced.append(TracedLine(fl, tuple(hops[line_no]), flagged))
+        traced += [TracedLine(fl, tuple(hops[ln])) for ln, fl in lines.items() if hops[ln]]
     return traced
 
 
@@ -300,24 +290,23 @@ def filter_candidates(
     refactorings: RefactoringRanges | None = None,
     cutoff: datetime | None = None,
 ) -> list[BicCandidate]:
-    """Keep the traced lines the variant keeps, read at its depth, and drop
-    those whose origin is a meta-change or was committed after ``cutoff``
-    when one is given, and those in a refactored range of the fix's
-    pre-image. The surviving lines are grouped by origin into candidates,
-    ordered by hash. ``traced`` is left as it was."""
+    """Keep the traced lines the variant keeps, at the origin it takes, and
+    drop those whose origin is a meta-change or was committed after
+    ``cutoff`` when one is given, and those in a refactored range of the
+    fix's pre-image. The surviving lines are grouped by origin into
+    candidates, ordered by hash. ``traced`` is left as it was."""
     drop_refactored = DROP_REFACTORED_LINES in config.bic_filters
     if drop_refactored and refactorings is None:
         raise ConfigurationError(
             "drop-refactored-lines is enabled but no refactoring ranges were supplied"
         )
-    by_origin: dict[str, list[tuple[FixLine, int, bool]]] = {}
+    by_origin: dict[str, list[FixLine]] = {}
     for t in traced:
         fl = t.line
         if fl.kept_by(config) and not (
             drop_refactored and refactorings.covers(ctx.fix_commit, fl.file, fl.line_no)
         ):
-            origin, depth, flagged = t.read(config)
-            by_origin.setdefault(origin, []).append((fl, depth, flagged))
+            by_origin.setdefault(t.origin(config), []).append(fl)
 
     candidates = []
     for sha, lines in sorted(by_origin.items()):
@@ -326,13 +315,7 @@ def filter_candidates(
         when = repo.commit_meta(sha).committer_time
         if cutoff is not None and when > cutoff:
             continue
-        candidates.append(BicCandidate(
-            commit=sha,
-            supporting_lines=[fl for fl, _, _ in lines],
-            committer_time=when,
-            trace_depth=max(depth for _, depth, _ in lines),
-            cosmetic_flagged=any(flagged for _, _, flagged in lines),
-        ))
+        candidates.append(BicCandidate(sha, lines, when))
     return candidates
 
 

@@ -67,7 +67,8 @@ def score(run: DetectionRun, oracle: OracleDataset) -> Score:
     """Score a run in one walk over the oracle entries it covers. Pooled
     metrics are micro-averaged over those entries; macro metrics weigh each
     bug fix equally and are summed in oracle order. Entry keys are unique
-    in an oracle, as ``load_oracle`` checks."""
+    in an oracle, as ``load_oracle`` checks. A short oracle hash is found
+    when the run reports a hash it starts, and tags one true positive."""
     if not oracle.entries:
         raise ValueError("cannot evaluate against an empty oracle")
     correct = identified = 0
@@ -81,7 +82,8 @@ def score(run: DetectionRun, oracle: OracleDataset) -> Score:
         if found is None:
             continue
         truth = set(entry.true_bics)
-        hits = truth.intersection(found)
+        hits = {h for h in truth
+                if h in found or len(h) < 40 and any(d.startswith(h) for d in found)}
         correct += len(truth)
         identified += len(found)
         tps.update((entry.repo, entry.fix_commit, h) for h in hits)

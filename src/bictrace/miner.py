@@ -82,7 +82,6 @@ class Token:
     form: str
     lemma: str
     head: int
-    rel: str
 
 
 class SentenceTree:
@@ -126,9 +125,6 @@ class SentenceTree:
                 cur = 0 if head == cur else head
             if walk[cur] == n:
                 raise SchemaError("dependency tree contains a cycle")
-
-    def token(self, index: int) -> Token:
-        return self._by_index[index]
 
     def ancestors(self, index: int) -> list[Token]:
         """Head chain from the token's parent up to the root, excluding
@@ -476,8 +472,8 @@ class Parses(Mapping):
         trees = []
         for block in self._sentences[commit]:
             text, *rows = block.split("\n")  # not splitlines(): forms may hold "\x85"
-            tokens = [Token(int(i), form, lemma, int(h), rel)
-                      for i, form, lemma, h, rel in (row.split("\t") for row in rows)]
+            tokens = [Token(int(i), form, lemma, int(h))
+                      for i, form, lemma, h, _ in (row.split("\t") for row in rows)]
             try:
                 trees.append(SentenceTree(text, tokens))
             except SchemaError:
@@ -496,8 +492,8 @@ class Parses(Mapping):
 
 def load_parses(path) -> Parses:
     """Read dependency parses: blocks of tab-separated token rows
-    (index, form, lemma, head, relation) introduced by ``# commit =`` and
-    ``# text =`` lines and separated by blank lines. Every row is checked
+    (index, form, lemma, head, unused relation) introduced by ``# commit =``
+    and ``# text =`` lines and separated by blank lines. Every row is checked
     here and kept as text; a commit whose block fails tree validation
     maps to None on lookup so callers can report it as unparsed."""
     sentences: dict[str, list[str]] = {}

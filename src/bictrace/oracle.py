@@ -104,12 +104,18 @@ def validate_entry(entry: OracleEntry, index: int) -> None:
         raise SchemaError(f"{where}: true_bics must be nonempty")
     for b in entry.true_bics:
         _check_hash(b, where)
+    bics = sorted(set(entry.true_bics))  # a hash starting another starts its successor
+    for short, full in zip(bics, bics[1:]):
+        if full.startswith(short):
+            raise SchemaError(f"{where}: true_bics {short} and {full} name one commit")
     if entry.fix_commit in entry.true_bics:
         raise SchemaError(f"{where}: the fix commit cannot be its own inducing commit")
     if not isinstance(entry.repo, str) or not entry.repo:
         raise SchemaError(f"entry {index}: repo identifier is empty or not a string")
     if not isinstance(entry.clone_path, (str, type(None))):
         raise SchemaError(f"{where}: clone_path is not a string")
+    if "\0" in entry.repo + (entry.clone_path or ""):
+        raise SchemaError(f"entry {index}: repo or clone_path holds a NUL byte")
 
 
 def validate_dataset(dataset: OracleDataset) -> None:

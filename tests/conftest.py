@@ -84,7 +84,7 @@ def batch_processes(monkeypatch) -> list[subprocess.Popen]:
 
 
 def make_tree(text: str, rows: list[tuple]) -> SentenceTree:
-    return SentenceTree(text, [Token(i, f, l, h, r) for i, f, l, h, r in rows])
+    return SentenceTree(text, [Token(i, f, l, h) for i, f, l, h, _ in rows])
 
 
 def sentence_fixtures() -> list[tuple[str, SentenceTree, bool, str | None]]:

@@ -1,7 +1,8 @@
 """The per-key blame trace that ``engine.walk`` replaced, kept as the
 reference of a differential test: each (line filter, cosmetic skipping,
 depth limit) is traced on its own, from a plain blame of only the lines
-that filter keeps."""
+that filter keeps. ``line_fates`` derives the same (line, origin, depth,
+stuck) records from the hops of ``walk``'s traced lines."""
 
 from __future__ import annotations
 
@@ -76,12 +77,31 @@ def trace_candidates(
     return traced
 
 
+def reference_lines(repo, ctx, config, depth_limit) -> list[tuple[FixLine, str, int, bool]]:
+    """The reference trace of the lines a run of ``config`` keeps."""
+    line_filter = AG_LINE_FILTER if config.skip_cosmetic else frozenset()
+    return trace_candidates(repo, ctx, line_filter, config.skip_cosmetic, depth_limit)
+
+
+def line_fates(repo, traced, config) -> list[tuple[FixLine, str, int, bool]]:
+    """One (line, origin, depth, stuck) per traced line a run of ``config``
+    keeps, derived from its hops: a cosmetic-skipping run re-blamed a line
+    ``len(hops) - 1`` times and is stuck when its last hop only
+    reformatted; a plain run takes the first hop and never re-blames."""
+    skip = config.skip_cosmetic
+    return [
+        (t.line, t.origin(config), len(t.hops) - 1 if skip else 0,
+         skip and langfilters.is_cosmetic_commit(repo, t.hops[-1]))
+        for t in traced
+        if t.line.kept_by(config)
+    ]
+
+
 def reference_candidates(repo, fix_commit, config, depth_limit, refactorings=None, cutoff=None):
     """A preset's candidates for one fix, built from its own reference
     trace with the filters, cutoff and selection of ``config``."""
     ctx = extract_fix_lines(repo, fix_commit)
-    line_filter = AG_LINE_FILTER if config.skip_cosmetic else frozenset()
-    traced = trace_candidates(repo, ctx, line_filter, config.skip_cosmetic, depth_limit)
+    traced = reference_lines(repo, ctx, config, depth_limit)
     by_origin: dict[str, list[tuple[FixLine, str, int, bool]]] = {}
     for t in traced:
         fl = t[0]
@@ -95,11 +115,5 @@ def reference_candidates(repo, fix_commit, config, depth_limit, refactorings=Non
         when = repo.commit_meta(sha).committer_time
         if cutoff is not None and when > cutoff:
             continue
-        candidates.append(BicCandidate(
-            commit=sha,
-            supporting_lines=[t[0] for t in lines],
-            committer_time=when,
-            trace_depth=max(t[2] for t in lines),
-            cosmetic_flagged=any(t[3] for t in lines),
-        ))
+        candidates.append(BicCandidate(sha, [t[0] for t in lines], when))
     return select(candidates, config)

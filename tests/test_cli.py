@@ -5,6 +5,7 @@ from __future__ import annotations
 import errno
 import json
 import os
+import shutil
 import subprocess
 import tempfile
 from collections import Counter
@@ -721,6 +722,15 @@ def test_detect_reads_a_list_of_flat_records(corpus, suite_dataset, tmp_path):
                           "issues": [{"url": "u", "opened_at": "2020-01-01"}]}]},
             "entry 1",
         ),
+        (
+            {"entries": [{"repo": "a\0b", "fix_commit": "f" * 40, "true_bics": ["a" * 40]}]},
+            "entry 0",
+        ),
+        (
+            {"entries": [{"repo": "a", "fix_commit": "f" * 40, "true_bics": ["a" * 40],
+                          "clone_path": "a\0b"}]},
+            "entry 0",
+        ),
     ],
 )
 def test_detect_rejects_a_dataset_field_of_the_wrong_type(tmp_path, capsys, doc, where):
@@ -1059,6 +1069,38 @@ def test_evaluate_with_outlier_threshold(finished_runs, tmp_path):
     assert code == 0
     assert (eval_dir / "outliers.csv").is_file()
     assert "outlier threshold: >20" in (eval_dir / "summary.txt").read_text()
+
+
+def test_evaluate_scores_short_oracle_hashes_as_the_full_ones(finished_runs, tmp_path):
+    dataset_path, runs_dir = finished_runs
+    doc = json.loads(dataset_path.read_text())
+
+    def evaluate_with(bics_length: int) -> dict[str, bytes]:
+        for e in doc["entries"]:
+            e["true_bics"] = [b[:bics_length] for b in e["true_bics"]]
+        cut = tmp_path / f"oracle{bics_length}.json"
+        cut.write_text(json.dumps(doc))
+        eval_dir = tmp_path / f"eval{bics_length}"
+        argv = ["evaluate", "--runs-dir", str(runs_dir), "--dataset", str(cut)]
+        assert main([*argv, "--out-dir", str(eval_dir)]) == 0
+        return {p.name: p.read_bytes() for p in eval_dir.iterdir()}
+
+    full = evaluate_with(40)
+    for length in range(39, 5, -1):
+        assert evaluate_with(length) == full, length
+
+
+def test_evaluate_rejects_two_runs_of_one_variant_and_regime(finished_runs, tmp_path, capsys):
+    dataset_path, runs_dir = finished_runs
+    copy = runs_dir / "b_none_copy.json"
+    shutil.copyfile(runs_dir / "b_none.json", copy)
+    eval_dir = tmp_path / "eval"
+    capsys.readouterr()
+    argv = ["evaluate", "--runs-dir", str(runs_dir), "--dataset", str(dataset_path)]
+    assert main([*argv, "--out-dir", str(eval_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {runs_dir / 'b_none.json'} and {copy} both hold B under none\n"
+    assert not eval_dir.exists()
 
 
 def test_evaluate_empty_runs_dir_fails(corpus, tmp_path, capsys):

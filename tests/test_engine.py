@@ -34,7 +34,7 @@ from bictrace.gitrepo import GitRepo
 from bictrace.langfilters import LineClass
 from desk import GitScripter
 from memrepo import MODEL_FILE, random_history
-from reference_trace import reference_candidates
+from reference_trace import line_fates, reference_candidates, reference_lines
 from variants import run_variant
 
 UTC = timezone.utc
@@ -234,25 +234,29 @@ def test_ra_lite_needs_ranges(suite):
 
 def test_depth_limit_flags_stuck_trace(suite, monkeypatch):
     sc = suite["cosmetic_chain"]
+    ag = PRESETS["AG"]
     repo = GitRepo(sc.path)
+    ctx = extract_fix_lines(repo, sc.fix)
 
     with monkeypatch.context() as m:
         m.setattr(engine, "DEPTH_LIMIT", 1)
-        [cands] = run_configs(repo, sc.fix, [(PRESETS["AG"], None)])
+        [cands] = run_configs(repo, sc.fix, [(ag, None)])
+        fates = line_fates(repo, walk(repo, ctx, [ag]), ag)
     assert {c.commit for c in cands} == {sc.notes["depth1_expected"]}
-    assert all(c.cosmetic_flagged for c in cands)
+    assert fates and all(stuck for _, _, _, stuck in fates)
 
-    [deep] = run_configs(repo, sc.fix, [(PRESETS["AG"], None)])
+    [deep] = run_configs(repo, sc.fix, [(ag, None)])
+    fates = line_fates(repo, walk(repo, ctx, [ag]), ag)
     assert {c.commit for c in deep} == set(sc.expected["AG"])
-    assert all(not c.cosmetic_flagged for c in deep)
-    assert max(c.trace_depth for c in deep) == 2
+    assert not any(stuck for _, _, _, stuck in fates)
+    assert max(depth for _, _, depth, _ in fates) == 2
 
 
 def test_plain_blame_never_traces(suite):
     sc = suite["cosmetic_chain"]
     repo = GitRepo(sc.path)
-    [cands] = run_configs(repo, sc.fix, [(PRESETS["B"], None)])
-    assert all(c.trace_depth == 0 for c in cands)
+    traced = walk(repo, extract_fix_lines(repo, sc.fix), [PRESETS["B"]])
+    assert traced and all(len(t.hops) == 1 for t in traced)
 
 
 def test_each_fix_line_traces_to_one_record(suite, monkeypatch):
@@ -260,18 +264,19 @@ def test_each_fix_line_traces_to_one_record(suite, monkeypatch):
     c1, c2, c3 = (sc.labels[k] for k in ("c1", "c2", "c3"))
     with GitRepo(sc.path) as repo:
         ctx = extract_fix_lines(repo, sc.fix)
-        for config, depth_limit, record in [
-            (PRESETS["AG"], 10, ((c3, c2, c1), False, (c1, 2, False))),
-            (PRESETS["AG"], 1, ((c3, c2), True, (c2, 1, True))),
-            (PRESETS["B"], 10, ((c3,), False, (c3, 0, False))),
+        for config, depth_limit, hops, (origin, depth, stuck) in [
+            (PRESETS["AG"], 10, (c3, c2, c1), (c1, 2, False)),
+            (PRESETS["AG"], 1, (c3, c2), (c2, 1, True)),
+            (PRESETS["B"], 10, (c3,), (c3, 0, False)),
         ]:
             monkeypatch.setattr(engine, "DEPTH_LIMIT", depth_limit)
             kept = [fl for fl in ctx.fix_lines if fl.kept_by(config)]
             traced = walk(repo, ctx, [config])
             assert kept, config
             assert [t.line for t in traced] == kept, config
-            assert [(t.hops, t.flagged, t.read(config)) for t in traced] == (
-                [record] * len(kept)
+            assert [t.hops for t in traced] == [hops] * len(kept), config
+            assert line_fates(repo, traced, config) == (
+                [(fl, origin, depth, stuck) for fl in kept]
             ), config
     assert sc.notes["depth1_expected"] == c2
 
@@ -454,6 +459,7 @@ def test_walk_matches_the_per_key_reference_on_the_desk(
             for (config, cutoff), got in zip(runs, together):
                 want = reference_candidates(repo, sc.fix, config, depth_limit, suite_ranges, cutoff)
                 assert got == want, f"{name} {config} {cutoff}"
+            _assert_line_fates_match_the_reference(repo, sc.fix, depth_limit, name)
 
 
 @pytest.mark.parametrize("depth_limit", [1, 10])
@@ -469,13 +475,24 @@ def test_walk_matches_the_per_key_reference_on_random_histories(monkeypatch, dep
         for (config, cutoff), got in zip(runs, together):
             want = reference_candidates(repo, planted.fix, config, depth_limit, ranges, cutoff)
             assert got == want, f"seed {seed} {config} {cutoff}"
+        _assert_line_fates_match_the_reference(repo, planted.fix, depth_limit, f"seed {seed}")
+
+
+def _assert_line_fates_match_the_reference(repo, fix, depth_limit, where):
+    """Every traced line's origin, depth and stuck verdict, derived from
+    one walk of every preset, equal the per-key reference trace's."""
+    ctx = extract_fix_lines(repo, fix)
+    traced = walk(repo, ctx, list(PRESETS.values()))
+    for config in (PRESETS["B"], PRESETS["AG"]):  # the line fates differ only in skip_cosmetic
+        want = reference_lines(repo, ctx, config, depth_limit)
+        assert line_fates(repo, traced, config) == want, f"{where} {config}"
 
 
 # --- selection ----------------------------------------------------------------
 
 
 def _cand(sha: str, lines: int, when: datetime) -> BicCandidate:
-    support = [FixLine("f.c", i + 1, "x;", LineClass.CODE) for i in range(lines)]
+    support = [FixLine("f.c", i + 1, LineClass.CODE) for i in range(lines)]
     return BicCandidate(commit=sha, supporting_lines=support, committer_time=when)
 
 

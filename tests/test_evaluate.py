@@ -122,6 +122,28 @@ def test_duplicate_true_inducing_hash_counts_once():
     assert overlap(found, both) == 0.5
 
 
+def test_a_short_oracle_hash_scores_as_the_commit_it_names():
+    oracle = _oracle({F1: {A[:7]}, F2: {B[:12], C}})
+    sc = score(_run({F1: {A}, F2: {B}}), oracle)
+    assert sc.true_positives == {("org/app", F1, A[:7]), ("org/app", F2, B[:12])}
+    assert (sc.pooled.correct, sc.pooled.identified, sc.pooled.true_positives) == (3, 2, 2)
+    assert (sc.pooled.precision, sc.macro.recall) == (1.0, 0.75)
+    # the prefix must start the reported hash, not occur in it
+    assert score(_run({F1: {"0" + A[:39]}}), _oracle({F1: {A[:7]}})).pooled.recall == 0.0
+
+
+def test_two_commits_under_one_oracle_prefix_are_one_true_positive():
+    short = "abcdef1"
+    under = {short + "0" * 33, short + "1" * 33}
+    sc = score(_run({F1: under}), _oracle({F1: {short}}))
+    assert sc.true_positives == {("org/app", F1, short)}
+    assert (sc.pooled.recall, sc.pooled.precision) == (1.0, 0.5)
+    # tagged by the oracle's hash, runs that found different commits under
+    # the prefix agree on it
+    other = score(_run({F1: {short + "0" * 33}}, variant="Y"), _oracle({F1: {short}}))
+    assert overlap(sc, other) == 1.0
+
+
 # --- macro metrics -----------------------------------------------------------
 
 

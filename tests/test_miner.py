@@ -289,7 +289,7 @@ def test_ancestors_and_descendants(labeled_sentences):
     tree = dict((l, t) for l, t, _, _ in labeled_sentences)["fixes_introduced_by"]
     assert [t.form for t in tree.ancestors(7)] == ["introduced", "bug", "fixes"]
     assert [t.form for t in tree.descendants(4)] == ["a", "search", "introduced", "by", "2508e12"]
-    assert tree.descendants(7) == [tree.token(6)]
+    assert tree.descendants(7) == [t for t in tree.tokens if t.index == 6]
 
 
 # --- proximity fallback ------------------------------------------------------------
@@ -792,7 +792,7 @@ def _eager_parses(path) -> dict:
                 if len(cols) != 5:
                     raise SchemaError(f"{path}:{line_no}: expected 5 tab-separated columns")
                 try:
-                    rows.append(Token(int(cols[0]), cols[1], cols[2], int(cols[3]), cols[4]))
+                    rows.append(Token(int(cols[0]), cols[1], cols[2], int(cols[3])))
                 except ValueError as exc:
                     raise SchemaError(f"{path}:{line_no}: {exc}") from None
     flush()

@@ -64,6 +64,7 @@ def test_parse_utc_rejects_naive_and_garbage():
 
 def test_valid_dataset_passes():
     validate_dataset(OracleDataset(entries=[_entry()]))
+    validate_dataset(OracleDataset(entries=[_entry(true_bics=("abcdef1", "abcdef2", "abcde0f"))]))
 
 
 def test_rejects_bad_hashes():
@@ -78,6 +79,10 @@ def test_rejects_bad_hashes():
         validate_dataset(OracleDataset(entries=[_entry(fix_commit="abcdef0\n")]))
     with pytest.raises(SchemaError):
         validate_dataset(OracleDataset(entries=[_entry(true_bics=("1234567\n",))]))
+    # a hash that abbreviates another names the same commit again
+    for bics in [("abcdef1", "abcdef1" + "0" * 33), ("b" * 40, "abcdef1", "b" * 8)]:
+        with pytest.raises(SchemaError, match="name one commit"):
+            validate_dataset(OracleDataset(entries=[_entry(true_bics=bics)]))
 
 
 def test_rejects_self_inducing_fix():

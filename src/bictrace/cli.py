@@ -125,7 +125,11 @@ def cmd_mine(args) -> int:
 
     events = (miner.read_events if args.format == "plain" else miner.read_gharchive)(args.events)
     analyses = miner.analyze_events(events, parses=parses, proximity=args.proximity)
-    summary = miner.write_mined(analyses, args.out, proximity=args.proximity)
+    try:
+        summary = miner.write_mined(analyses, args.out, proximity=args.proximity)
+    finally:
+        if parses is not None:
+            parses.close()
     print(
         f"mined {summary.total} events: {summary.accepted} accepted",
         file=sys.stderr,

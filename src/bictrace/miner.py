@@ -16,11 +16,11 @@ Dependency parses are consumed from a columnar file, never produced here.
 When no parses exist, an explicitly lower-fidelity proximity mode matches
 word stems in a six-token window before each hash.
 
-Each record is written as it is decided, to an unlinked temporary file,
-so memory does not grow with events. Accepted records that forks push
-again collapse to the one from the lexicographically first repository,
-flagged, as a push stream names no main repository; until the copy out,
-only their places and that repository are kept per accepted commit.
+Parsed sentences wait in an unlinked temporary file, and each record is
+written to another as it is decided, so memory holds where things are, not
+the things. Accepted records that forks push again collapse to the one
+from the lexicographically first repository, flagged, as a push stream
+names no main repository.
 """
 
 from __future__ import annotations
@@ -30,6 +30,8 @@ import json
 import re
 import sys
 import tempfile
+import weakref
+from array import array
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _json_str
@@ -401,6 +403,13 @@ def analyze_events(
             yield MessageAnalysis(repo, sha, "rejected", reason)
 
 
+def _add_place(places: dict, key: str, place: int) -> None:
+    """Note ``place`` under ``key``: the place alone, a list once ``key`` repeats."""
+    held = places.setdefault(key, place)
+    if held != place:
+        places[key] = [*held, place] if isinstance(held, list) else [held, place]
+
+
 def write_mined(analyses: Iterable[MessageAnalysis], out: str | None, proximity: bool = False) -> RunSummary:
     """Write a JSON line per analysis, then a summary line, to the file
     ``out`` (standard output when None), and return the summary.
@@ -413,8 +422,7 @@ def write_mined(analyses: Iterable[MessageAnalysis], out: str | None, proximity:
     flagged ``duplicate-unresolved`` as the stream names no main
     repository. Rejected records all stay."""
     summary = RunSummary(proximity_mode=proximity)
-    # commit -> [place of the record that stays, its repo, places of the others or None]
-    accepted: dict[str, list] = {}
+    accepted: dict[str, int | list[int]] = {}  # commit -> its place, or places if repeated
     with tempfile.TemporaryFile("w+", encoding="ascii", newline="\n") as spill:
         for i, a in enumerate(analyses):
             spill.write(a.json_line())
@@ -425,21 +433,18 @@ def write_mined(analyses: Iterable[MessageAnalysis], out: str | None, proximity:
             summary.accepted += 1
             summary.h2_matches += sum(m.heuristic == "h2" for m in a.matches)
             summary.h3_matches += sum(m.heuristic == "h3" for m in a.matches)
-            kept = accepted.get(a.commit)
-            if kept is None:
-                accepted[a.commit] = [i, a.repo, None]
-                continue
-            other = i
-            if a.repo < kept[1]:  # on a tie the earlier record stays
-                other, kept[0], kept[1] = kept[0], i, a.repo
-            kept[2] = (kept[2] or []) + [other]
+            _add_place(accepted, a.commit, i)
 
+        repeated = [places for places in accepted.values() if isinstance(places, list)]
+        wanted = {place for places in repeated for place in places}
+        spill.seek(0)
+        repo_at = {i: json.loads(line)["repo"] for i, line in enumerate(spill) if i in wanted}
         fate: dict[int, bool] = {}  # place -> True: stays flagged, False: dropped
-        for place, _, others in accepted.values():
-            if others:
-                fate[place] = True
-                fate.update(dict.fromkeys(others, False))
-                summary.duplicates_removed += len(others)
+        for places in repeated:
+            fate.update(dict.fromkeys(places, False))
+            # the lexicographically first repository stays, the earlier on a tie
+            fate[min(places, key=lambda p: (repo_at[p], p))] = True
+            summary.duplicates_removed += len(places) - 1
         summary.accepted -= summary.duplicates_removed
 
         spill.seek(0)
@@ -460,84 +465,104 @@ def write_mined(analyses: Iterable[MessageAnalysis], out: str | None, proximity:
 
 
 class Parses(Mapping):
-    """Dependency parses by commit, as ``load_parses`` read them: each
-    sentence one string, its text then its raw rows a line each. A lookup
-    converts a commit's rows and builds its trees in file order, or gives
-    None when one fails validation; a prefiltered message costs no token."""
+    """Dependency parses by commit, spilled by ``load_parses`` to an unlinked
+    temporary file that ``close()``, or collecting the mapping, closes. Only
+    where each commit's sentences lie is held: a lookup reads them back and
+    builds its trees in file order, or gives None when one fails validation."""
 
-    def __init__(self, sentences: dict[str, list[str]]):
-        self._sentences = sentences
+    def __init__(self, spill, bounds: array, runs: dict[str, int | list[int]]):
+        self._spill = spill
+        self._bounds = bounds  # run r lies at bounds[r]:bounds[r + 1] in the spill
+        self._runs = runs  # commit -> its run, or its runs if it comes back
+        weakref.finalize(self, spill.close)
+
+    def close(self) -> None:
+        self._spill.close()
 
     def __getitem__(self, commit: str) -> list[SentenceTree] | None:
+        runs = self._runs[commit]
         trees = []
-        for block in self._sentences[commit]:
-            text, *rows = block.split("\n")  # not splitlines(): forms may hold "\x85"
-            tokens = [Token(int(i), form, lemma, int(h))
-                      for i, form, lemma, h, _ in (row.split("\t") for row in rows)]
-            try:
-                trees.append(SentenceTree(text, tokens))
-            except SchemaError:
-                return None
+        for r in runs if isinstance(runs, list) else [runs]:
+            lo, hi = self._bounds[r : r + 2]
+            self._spill.seek(lo)
+            for block in self._spill.read(hi - lo).decode().split("\r")[:-1]:
+                text, *rows = block.split("\n")  # not splitlines(): forms may hold "\x85"
+                tokens = [Token(int(i), form, lemma, int(h))
+                          for i, form, lemma, h, _ in (row.split("\t") for row in rows)]
+                try:
+                    trees.append(SentenceTree(text, tokens))
+                except SchemaError:
+                    return None
         return trees
 
     def __contains__(self, commit: object) -> bool:
-        return commit in self._sentences
+        return commit in self._runs
 
     def __iter__(self):
-        return iter(self._sentences)
+        return iter(self._runs)
 
     def __len__(self) -> int:
-        return len(self._sentences)
+        return len(self._runs)
 
 
 def load_parses(path) -> Parses:
     """Read dependency parses: blocks of tab-separated token rows
     (index, form, lemma, head, unused relation) introduced by ``# commit =``
     and ``# text =`` lines and separated by blank lines. Every row is checked
-    here and kept as text; a commit whose block fails tree validation
+    here and spilled as text; a commit whose block fails tree validation
     maps to None on lookup so callers can report it as unparsed."""
-    sentences: dict[str, list[str]] = {}
-    commit: str | None = None
+    spill = tempfile.TemporaryFile()
+    bounds = array("q", [0])
+    runs: dict[str, int | list[int]] = {}
+    commit = last = None  # last: the commit of the sentence spilled last
     text = ""
     rows: list[str] = []
 
     def flush() -> None:
-        nonlocal rows, text
+        nonlocal rows, text, last
         if not rows:
             return
-        sentences.setdefault(commit, []).append("\n".join([text, *rows]))
-        rows = []
-        text = ""
+        if commit != last:  # a new run
+            _add_place(runs, commit, len(bounds) - 1)
+            bounds.append(bounds[-1])
+            last = commit
+        # text, then rows, a line each; lines read with universal newlines hold no "\r"
+        bounds[-1] += spill.write(("\n".join([text, *rows]) + "\r").encode())
+        rows, text = [], ""
 
-    for line_no, raw in _numbered_lines(path):
-        line = raw.rstrip("\n")
-        if not line.strip():
-            flush()
-            continue
-        if line.startswith("#"):
-            key, eq, value = line.lstrip("#").partition("=")
-            key = key.strip()
-            if key in ("commit", "text") and not eq:
-                raise SchemaError(f"{path}:{line_no}: expected '# {key} = ...'")
-            if key == "commit":
+    try:
+        for line_no, raw in _numbered_lines(path):
+            line = raw.rstrip("\n")
+            if not line.strip():
                 flush()
-                commit = value.strip()
-            elif key == "text":
-                flush()  # a text line inside a block starts a new sentence
-                text = value.strip()
-            continue
-        cols = line.split("\t")
-        if commit is None:
-            raise SchemaError(f"{path}:{line_no}: token row before any '# commit =' line")
-        if len(cols) != 5:
-            raise SchemaError(f"{path}:{line_no}: expected 5 tab-separated columns")
-        try:
-            int(cols[0]), int(cols[3])
-        except ValueError as exc:
-            raise SchemaError(f"{path}:{line_no}: {exc}") from None
-        rows.append(line)
-    flush()
-    return Parses(sentences)
+                continue
+            if line.startswith("#"):
+                key, eq, value = line.lstrip("#").partition("=")
+                key = key.strip()
+                if key in ("commit", "text") and not eq:
+                    raise SchemaError(f"{path}:{line_no}: expected '# {key} = ...'")
+                if key == "commit":
+                    flush()
+                    commit = value.strip()
+                elif key == "text":
+                    flush()  # a text line inside a block starts a new sentence
+                    text = value.strip()
+                continue
+            cols = line.split("\t")
+            if commit is None:
+                raise SchemaError(f"{path}:{line_no}: token row before any '# commit =' line")
+            if len(cols) != 5:
+                raise SchemaError(f"{path}:{line_no}: expected 5 tab-separated columns")
+            try:
+                int(cols[0]), int(cols[3])
+            except ValueError as exc:
+                raise SchemaError(f"{path}:{line_no}: {exc}") from None
+            rows.append(line)
+        flush()
+    except BaseException:
+        spill.close()
+        raise
+    return Parses(spill, bounds, runs)
 
 
 def _numbered_lines(path):

@@ -108,7 +108,7 @@ def validate_entry(entry: OracleEntry, index: int) -> None:
     for short, full in zip(bics, bics[1:]):
         if full.startswith(short):
             raise SchemaError(f"{where}: true_bics {short} and {full} name one commit")
-    if entry.fix_commit in entry.true_bics:
+    if any(b.startswith(entry.fix_commit) or entry.fix_commit.startswith(b) for b in bics):
         raise SchemaError(f"{where}: the fix commit cannot be its own inducing commit")
     if not isinstance(entry.repo, str) or not entry.repo:
         raise SchemaError(f"entry {index}: repo identifier is empty or not a string")
@@ -119,15 +119,15 @@ def validate_entry(entry: OracleEntry, index: int) -> None:
 
 
 def validate_dataset(dataset: OracleDataset) -> None:
-    seen: set[tuple[str, str]] = set()
+    fixes: dict[str, list[tuple[str, int]]] = {}  # repo -> (fix, entry index)
     for i, entry in enumerate(dataset.entries):
         validate_entry(entry, i)
-        key = (entry.repo, entry.fix_commit)
-        if key in seen:
-            raise SchemaError(
-                f"entry {i}: duplicate fix commit {entry.fix_commit} in {entry.repo}"
-            )
-        seen.add(key)
+        fixes.setdefault(entry.repo, []).append((entry.fix_commit, i))
+    for repo, named in fixes.items():
+        named.sort()  # as with true_bics, a fix starting another starts its successor
+        for (short, i), (full, j) in zip(named, named[1:]):
+            if full.startswith(short):
+                raise SchemaError(f"entry {max(i, j)}: duplicate fix commit {short} in {repo}")
 
 
 def entry_from_dict(obj: dict, index: int) -> OracleEntry:

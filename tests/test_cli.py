@@ -219,13 +219,18 @@ def test_mine_writes_the_same_bytes_to_stdout_as_to_out(tmp_path, capsys, monkey
     fork = {**EVENTS[2], "repo": "fork/app", "message": EVENTS[2]["message"] + " \u00e9\U0001f600"}
     events = tmp_path / "events.ndjson"
     events.write_text("".join(json.dumps(e) + "\n" for e in [fork, *EVENTS, fork]))
+    parses = tmp_path / "parses.txt"
+    parses.write_text(PARSES)
+    argv = ["mine", str(events), "--parses", str(parses), "--proximity"]
     out = tmp_path / "mined.ndjson"
-    assert main(["mine", str(events), "--proximity", "--out", str(out)]) == 0
+    assert main([*argv, "--out", str(out)]) == 0
     capsys.readouterr()
-    assert main(["mine", str(events), "--proximity"]) == 0
+    assert main(argv) == 0
     assert capsys.readouterr().out.encode() == out.read_bytes()
-    assert _read_ndjson(out)[0]["flags"] == ["duplicate-unresolved"]
-    assert list(spill_dir.iterdir()) == []  # the spill was never a named file
+    records = _read_ndjson(out)
+    assert records[0]["flags"] == ["duplicate-unresolved"]
+    assert records[1]["matches"][0]["heuristic"] == "h2"  # read back from the parse spill
+    assert list(spill_dir.iterdir()) == []  # neither spill was ever a named file
 
 
 # --- detect -------------------------------------------------------------------

@@ -597,6 +597,66 @@ def test_load_parses_text_line_inside_a_block_starts_a_sentence(tmp_path):
     assert [[tok.form for tok in t.tokens] for t in trees] == [["one"], ["two"]]
 
 
+def test_load_parses_reads_a_commit_that_comes_back(tmp_path):
+    path = tmp_path / "parses.txt"
+    path.write_text(
+        "# commit = a\n# text = one\n1\tone\tone\t0\troot\n\n"
+        "# commit = b\n# text = other\n1\tother\tother\t0\troot\n\n"
+        "# commit = a\n# text = two\n1\ttwo\ttwo\t0\troot\n"
+        "# text = three\n1\tthree\tthree\t0\troot\n"
+    )
+    parses = load_parses(path)
+    assert list(parses) == ["a", "b"]
+    assert [t.text for t in parses["a"]] == ["one", "two", "three"]
+    assert [t.text for t in parses["b"]] == ["other"]
+
+
+def test_load_parses_keeps_an_empty_text_after_a_text(tmp_path):
+    # a sentence is its text line, then rows that are never empty
+    path = tmp_path / "parses.txt"
+    path.write_text(
+        "# commit = a\n# text = one\n1\tone\tone\t0\troot\n\n"
+        "# text =\n1\ttwo\ttwo\t0\troot\n\n1\tthree\tthree\t0\troot\n"
+    )
+    trees = load_parses(path)["a"]
+    assert [t.text for t in trees] == ["one", "", ""]
+    assert [[tok.form for tok in t.tokens] for t in trees] == [["one"], ["two"], ["three"]]
+
+
+def test_load_parses_keeps_forms_that_other_readers_break_lines_on(tmp_path):
+    path = tmp_path / "parses.txt"
+    path.write_text(
+        "# commit = a\n# text = by\x85 the\u2028end\n"
+        "1\tby\x85\tb\u2028y\t0\troot\n2\tthe\u2028end\tthe\x85end\x00\t1\tobj\n",
+        encoding="utf-8",
+    )
+    (tree,) = load_parses(path)["a"]
+    assert tree.text == "by\x85 the\u2028end"
+    assert [(t.form, t.lemma) for t in tree.tokens] == [
+        ("by\x85", "b\u2028y"), ("the\u2028end", "the\x85end\x00")]
+
+
+def test_load_parses_closes_its_spill_on_a_schema_error_and_on_drop(tmp_path, monkeypatch):
+    opened = []
+
+    def spill(*args, **kwargs):
+        opened.append(real(*args, **kwargs))
+        return opened[-1]
+
+    real = tempfile.TemporaryFile
+    monkeypatch.setattr(tempfile, "TemporaryFile", spill)
+    path = tmp_path / "parses.txt"
+    path.write_text("# commit = a\n# text = one\n1\tone\tone\t0\troot\n\n1\ttwo\ttwo\t0\n")
+    with pytest.raises(SchemaError, match=":5: expected 5"):
+        load_parses(path)
+    assert len(opened) == 1 and opened[0].closed
+    path.write_text(GOOD_PARSE)
+    parses = load_parses(path)
+    assert parses["aal"] and not opened[1].closed
+    del parses
+    assert opened[1].closed
+
+
 def test_load_parses_invalid_tree_maps_to_none(tmp_path):
     path = tmp_path / "parses.txt"
     path.write_text(
@@ -669,23 +729,30 @@ _VOCAB = (
 )
 
 
-def test_parses_hold_at_most_three_times_the_file(tmp_path):
-    # rows stay text until a lookup: no tuple, int or token per row
-    rng = random.Random(7)
-    lines = []
-    for _ in range(1500):
-        lines.append(f"# commit = {rng.getrandbits(160):040x}")
-        for _ in range(rng.randint(1, 3)):
-            forms = [rng.choice(_VOCAB) for _ in range(rng.randint(5, 14))]
-            lines.append(f"# text = {' '.join(forms)}")
-            heads = [0] + [rng.randint(1, i) for i in range(1, len(forms))]
-            lines += [f"{i}\t{f}\t{f}\t{h}\tdep" for i, (f, h) in enumerate(zip(forms, heads), 1)]
-            lines.append("")
-    path = tmp_path / "parses.txt"
-    path.write_text("\n".join(lines) + "\n")
-    held, parses = _held_bytes(lambda: load_parses(path))
-    assert len(parses) == 1500
-    assert held <= 3 * path.stat().st_size
+def test_parses_hold_no_sentence_text(tmp_path):
+    # sentences wait in the spill: the same commits with every sentence
+    # three times longer leave only where they lie in memory
+    def held(scale):
+        rng = random.Random(7)
+        lines = []
+        for _ in range(1500):
+            lines.append(f"# commit = {rng.getrandbits(160):040x}")
+            for _ in range(rng.randint(1, 3)):
+                forms = [rng.choice(_VOCAB) for _ in range(rng.randint(5, 14))] * scale
+                lines.append(f"# text = {' '.join(forms)}")
+                lines += [f"{i}\t{f}\t{f}\t{i - 1}\tdep" for i, f in enumerate(forms, 1)]
+                lines.append("")
+        path = tmp_path / f"parses{scale}.txt"
+        path.write_text("\n".join(lines) + "\n")
+        size, parses = _held_bytes(lambda: load_parses(path))
+        assert len(parses) == 1500
+        parses.close()
+        return size, path.stat().st_size
+
+    held(1)  # the first spill also sets up tempfile's own state
+    (short, short_file), (long, long_file) = held(1), held(3)
+    assert long_file > 2 * short_file + 500_000
+    assert abs(long - short) < 4 * 1024
 
 
 def test_mining_memory_does_not_grow_with_rejected_events(tmp_path):
@@ -705,6 +772,26 @@ def test_mining_memory_does_not_grow_with_rejected_events(tmp_path):
     large, summary = peak(40000)
     assert summary.rejected_by_reason == {PREFILTER: 40000}
     assert abs(large - small) < 16 * 1024
+
+
+def test_fork_dedupe_holds_no_repository_name(tmp_path):
+    # per accepted commit only its place is held; the repository names of
+    # the few repeated commits are read back from the spill at the end
+    def peak(pad):
+        analyses = (
+            _hit(f"fork{i}/{pad}", f"{i % 2996:040x}") for i in range(3000)
+        )
+        tracemalloc.start()
+        try:
+            summary = write_mined(analyses, str(tmp_path / "mined.ndjson"))
+            return tracemalloc.get_traced_memory()[1], summary
+        finally:
+            tracemalloc.stop()
+
+    short, summary = peak("")
+    assert (summary.accepted, summary.duplicates_removed) == (2996, 4)
+    long, _ = peak("x" * 1024)
+    assert long - short < 16 * 1024
 
 
 # --- lazy parses against eagerly built trees ---------------------------------------------
@@ -753,11 +840,18 @@ class _EagerTree(SentenceTree):
         return sorted(out, key=lambda t: t.index)
 
 
-def _eager_parses(path) -> dict:
+class _EagerParses(dict):
+    """Trees by commit, with the ``close()`` that ``cmd_mine`` calls."""
+
+    def close(self) -> None:
+        pass
+
+
+def _eager_parses(path) -> _EagerParses:
     """``load_parses`` as first written: every tree is built and validated
     while the file is read, and a commit maps to None from its first
     failing sentence on."""
-    result = {}
+    result = _EagerParses()
     commit, text, rows = None, "", []
 
     def flush():

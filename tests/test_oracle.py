@@ -90,11 +90,19 @@ def test_rejects_self_inducing_fix():
         validate_dataset(
             OracleDataset(entries=[_entry(true_bics=("b" * 40, "f" * 40))])
         )
+    # a prefix names the fix too, whichever of the two is given short
+    for fix, bics in [("f" * 40, ("f" * 7,)), ("f" * 7, ("b" * 40, "f" * 40))]:
+        with pytest.raises(SchemaError, match="its own inducing commit"):
+            validate_dataset(OracleDataset(entries=[_entry(fix_commit=fix, true_bics=bics)]))
 
 
 def test_rejects_duplicate_fix_in_same_repo():
     with pytest.raises(SchemaError):
         validate_dataset(OracleDataset(entries=[_entry(), _entry()]))
+    # one fix given in full and short would be scored twice
+    for fixes in [("f" * 40, "f" * 7), ("f" * 7, "a" * 40, "f" * 12)]:
+        with pytest.raises(SchemaError, match=f"entry {len(fixes) - 1}: duplicate fix commit f{{7}} in org/app"):
+            validate_dataset(OracleDataset(entries=[_entry(fix_commit=f) for f in fixes]))
     # the same fix hash in two different repos is fine (forks)
     validate_dataset(OracleDataset(entries=[_entry(), _entry(repo="fork/app")]))
 

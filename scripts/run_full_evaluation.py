@@ -1,24 +1,24 @@
 """Evaluation driver: detect, evaluate and report in one go.
 
 Takes an oracle dataset plus a directory of repository clones, runs the
-detector presets under each chosen regime over a slice of it, and scores
-the results. Typical replication sequence:
+detector presets once over its supported entries under every date regime,
+and scores that one run on each slice of the oracle: the supported
+entries, those of them with issues, and those of each language. Each
+slice's tables go to eval/<slice>/ under --out-dir. The replication
+sequence is one command:
 
     python scripts/run_full_evaluation.py --dataset oracle.json \
-        --clones-root /data/clones --subset supported --out-dir runs_all
-    python scripts/run_full_evaluation.py --dataset oracle.json \
-        --clones-root /data/clones --subset issues \
-        --regime none,issue-date,best-case-date --out-dir runs_issues
+        --clones-root /data/clones --out-dir runs_all
 
 Expect hours of wall time on the ~1,900 entry corpus; entries whose
-clone is missing are skipped and flagged in the run files.
+clone is missing are skipped and flagged in the run files. A slice
+without entries is skipped with a note. The exit status is the worst of
+detect's and each slice's evaluation: 1, then 2, then 0.
 
 `--desk` instead builds the scripted history suite under --out-dir and
-uses its oracle, clones and refactoring ranges; every regime over it
-takes a few seconds:
+uses its oracle, clones and refactoring ranges; it takes a few seconds:
 
-    python scripts/run_full_evaluation.py --desk \
-        --regime none,issue-date,best-case-date --out-dir desk_run
+    python scripts/run_full_evaluation.py --desk --out-dir desk_run
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import sys
 from pathlib import Path
 
 from bictrace.cli import CLONES_ROOT_ENV, DEFAULT_PRESETS, main as cli
-from bictrace.engine import preset_name
+from bictrace.engine import REGIMES, preset_name
 from bictrace.errors import ConfigurationError
 from bictrace.oracle import load_oracle, save_oracle, subset_issues, subset_language, subset_supported
 from desk import build_all, suite_oracle, write_suite_refactorings
@@ -56,14 +56,6 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="build and use the scripted suite in place of --dataset and --clones-root",
     )
-    ap.add_argument(
-        "--subset",
-        choices=("full", "supported", "issues", "language"),
-        default="supported",
-        help="slice of the dataset to evaluate (default: supported)",
-    )
-    ap.add_argument("--language", help="language name when --subset language")
-    ap.add_argument("--regime", default="none", help="comma-separated date regimes")
     ap.add_argument("--presets", default=DEFAULT_PRESETS)
     ap.add_argument("--refactorings", help="CSV of refactored ranges (enables RA-lite)")
     ap.add_argument("--workers", type=int, default=8)
@@ -71,8 +63,6 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--out-dir", required=True)
     args = ap.parse_args(argv)
 
-    if args.subset == "language" and not args.language:
-        ap.error("--subset language needs --language")
     out = Path(args.out_dir)
     if args.desk:
         clones = out / "clones"
@@ -91,17 +81,13 @@ def main(argv: list[str] | None = None) -> int:
         dataset = load_oracle(args.dataset)
 
     print(f"loaded {len(dataset)} oracle entries")
-    if args.subset != "full":
-        dataset = subset_supported(dataset)
-        if args.subset == "issues":
-            dataset = subset_issues(dataset)
-        elif args.subset == "language":
-            dataset = subset_language(dataset, args.language)
-        print(f"subset {args.subset}: {len(dataset)} entries")
-
-    out.mkdir(parents=True, exist_ok=True)
-    dataset_path = out / "dataset.json"
-    save_oracle(dataset, dataset_path)
+    supported = subset_supported(dataset)
+    if not supported.entries:
+        print("error: no entry touches only supported languages", file=sys.stderr)
+        return 1
+    slices = {"supported": supported, "issues": subset_issues(supported)}
+    for language in supported.counts_by_language():
+        slices[language.lower()] = subset_language(supported, language)
 
     presets = args.presets
     try:
@@ -112,13 +98,21 @@ def main(argv: list[str] | None = None) -> int:
     if args.refactorings and "RA-lite" not in requested:
         presets += ",RA-lite"
 
+    slices_dir = out / "slices"
+    slices_dir.mkdir(parents=True, exist_ok=True)
+    for name, cut in list(slices.items()):
+        if cut.entries:
+            save_oracle(cut, slices_dir / f"{name}.json")
+        else:
+            print(f"slice {name}: no entries, skipped")
+            del slices[name]
     runs_dir = out / "runs"
     detect_args = [
         "detect",
-        "--dataset", str(dataset_path),
+        "--dataset", str(slices_dir / "supported.json"),
         "--clones-root", args.clones_root,
         "--presets", presets,
-        "--regime", args.regime,
+        "--regime", ",".join(REGIMES),
         "--workers", str(args.workers),
         "--out-dir", str(runs_dir),
     ]
@@ -128,22 +122,20 @@ def main(argv: list[str] | None = None) -> int:
     if rc not in (0, 2):
         return rc
 
-    eval_dir = out / "eval"
-    eval_args = [
-        "evaluate",
-        "--runs-dir", str(runs_dir),
-        "--dataset", str(dataset_path),
-        "--out-dir", str(eval_dir),
-    ]
-    if args.outlier_threshold is not None:
-        eval_args += ["--outlier-threshold", str(args.outlier_threshold)]
-    eval_rc = cli(eval_args)
-    if eval_rc != 0:
-        return eval_rc
-
-    print()
-    report_rc = cli(["report", "--eval-dir", str(eval_dir)])
-    return rc if report_rc == 0 else report_rc
+    statuses = [rc]
+    for name, cut in slices.items():
+        print(f"\nslice {name}: {len(cut)} entries")
+        eval_dir = out / "eval" / name
+        eval_args = [
+            "evaluate",
+            "--runs-dir", str(runs_dir),
+            "--dataset", str(slices_dir / f"{name}.json"),
+            "--out-dir", str(eval_dir),
+        ]
+        if args.outlier_threshold is not None:
+            eval_args += ["--outlier-threshold", str(args.outlier_threshold)]
+        statuses.append(cli(eval_args) or cli(["report", "--eval-dir", str(eval_dir)]))
+    return 1 if 1 in statuses else max(statuses)
 
 
 if __name__ == "__main__":

@@ -237,22 +237,28 @@ def load_run(path: str | Path) -> DetectionRun:
     run = DetectionRun(variant=doc["variant"], regime=doc.get("regime", "none"))
     if not isinstance(run.variant, str) or not isinstance(run.regime, str):
         raise SchemaError(f"{path}: variant and regime must be strings")
-    first: dict[tuple[str, str], int] = {}
+    first: dict[EntryKey, tuple[str, int]] = {}  # a second record would count twice
+
+    def claim(repo: str, fix: str, where: str, i: int) -> None:
+        place, j = first.setdefault((repo, fix), (where, i))
+        if (place, j) != (where, i):
+            both = f"{place} {j} and {i}" if place == where else f"{place} {j} and {where} {i}"
+            raise SchemaError(f"{path}: {both} both name {fix} in {repo}")
+
     for i, rec in enumerate(lists["entries"]):
         repo, fix, identified = _record(rec, ("repo", "fix_commit", "identified"), path, "entry", i)
-        if (j := first.setdefault((repo, fix), i)) != i:
-            raise SchemaError(f"{path}: entries {j} and {i} both name {fix} in {repo}")
+        claim(repo, fix, "entries", i)
         run.identified[(repo, fix)] = frozenset(identified)
         if rec.get("flags"):
             run.entry_flags[(repo, fix)] = tuple(_record(rec, ("flags",), path, "entry", i)[0])
-    run.skipped = [
-        tuple(_record(s, ("repo", "fix_commit"), path, "skipped entry", i))
-        for i, s in enumerate(lists["skipped"])
-    ]
-    run.outliers_removed = [
-        tuple(_record(o, ("repo", "fix_commit", "identified_count"), path, "outlier", i))
-        for i, o in enumerate(lists["outliers_removed"])
-    ]
+    for i, rec in enumerate(lists["skipped"]):
+        repo, fix = _record(rec, ("repo", "fix_commit"), path, "skipped entry", i)
+        claim(repo, fix, "skipped", i)
+        run.skipped.append((repo, fix))
+    for i, rec in enumerate(lists["outliers_removed"]):
+        repo, fix, n = _record(rec, ("repo", "fix_commit", "identified_count"), path, "outlier", i)
+        claim(repo, fix, "outliers_removed", i)
+        run.outliers_removed.append((repo, fix, n))
     return run
 
 
@@ -281,12 +287,19 @@ def emit_report(
     """Write metric tables for a set of runs: ``metrics.csv`` with pooled
     and macro rows, one symmetric overlap matrix per regime, an
     exclusive-correct table, outlier diagnostics when thresholding was
-    requested, and a plain-text summary. Output is deterministic: equal
-    inputs produce byte-identical files."""
+    requested, and a plain-text summary. Each run is first cut to the
+    oracle's entries, so a run over a whole dataset scores any slice of it
+    as a run over that slice would. Output is deterministic: equal inputs
+    produce byte-identical files."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: dict[str, Path] = {}
 
+    keys = {(e.repo, e.fix_commit) for e in oracle.entries}
+    runs = [replace(r, identified={k: v for k, v in r.identified.items() if k in keys},
+                    skipped=[k for k in r.skipped if k in keys],
+                    outliers_removed=[o for o in r.outliers_removed if o[:2] in keys])
+            for r in runs]
     if outlier_threshold is not None:
         runs = [outlier_filter(r, outlier_threshold) for r in runs]
     runs = sorted(runs, key=lambda r: (r.regime, r.variant))

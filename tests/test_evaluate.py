@@ -273,7 +273,7 @@ def test_run_round_trip(tmp_path):
     run = _run({F1: {A, B}, F2: set()}, variant="MA", regime="issue-date")
     run.entry_flags[("org/app", F1)] = ("no-issue-dates",)
     run.skipped = [("org/app", "0" * 40)]
-    run.outliers_removed = [("org/app", F2, 9)]
+    run.outliers_removed = [("org/app", "e" * 40, 9)]
     path = tmp_path / "run.json"
     save_run(run, path)
     loaded = load_run(path)
@@ -320,6 +320,22 @@ BAD_RUN_FILES = [
         ' {"repo": "s", "fix_commit": "f", "identified": []},'
         ' {"repo": "r", "fix_commit": "f", "identified": ["b"]}]}',
         "entries 0 and 2 both name f in r",
+    ),
+    # an entry skipped twice, or both identified and skipped, would count twice
+    (
+        '{"variant": "MA", "entries": [], "skipped": [{"repo": "r", "fix_commit": "f"},'
+        ' {"repo": "r", "fix_commit": "f"}]}',
+        "skipped 0 and 1 both name f in r",
+    ),
+    (
+        '{"variant": "MA", "entries": [{"repo": "r", "fix_commit": "f", "identified": []}],'
+        ' "skipped": [{"repo": "s", "fix_commit": "f"}, {"repo": "r", "fix_commit": "f"}]}',
+        "entries 0 and skipped 1 both name f in r",
+    ),
+    (
+        '{"variant": "MA", "entries": [], "skipped": [{"repo": "r", "fix_commit": "f"}],'
+        ' "outliers_removed": [{"repo": "r", "fix_commit": "f", "identified_count": 9}]}',
+        "skipped 0 and outliers_removed 0 both name f in r",
     ),
 ]
 
@@ -410,6 +426,31 @@ def test_emit_report_with_outlier_threshold(tmp_path):
     # exclusive-correct is undefined for that group too
     exclusive = (tmp_path / "exclusive.csv").read_text().splitlines()
     assert exclusive[1:] == ["B,none,,,", "MA,none,,,"]
+
+
+def test_emit_report_counts_only_the_oracles_entries(tmp_path):
+    # runs over a larger dataset, scored on a slice of it, read as runs
+    # over the slice alone: entries, skips, outliers and coverage
+    oracle, runs = _report_fixture()
+    emit_report(runs, oracle, tmp_path / "slice", outlier_threshold=3)
+    runs[0].identified[("org/other", F1)] = frozenset({A})  # MA alone covers it
+    runs[1].identified[("org/other", F2)] = frozenset({A, B, C, "d" * 40})  # an outlier
+    for run in runs:
+        run.skipped = [("org/gone", F1)]
+        run.outliers_removed = [("org/big", F1, 9)]
+    emit_report(runs, oracle, tmp_path / "union", outlier_threshold=3)
+
+    union = tmp_path / "union"
+    metrics = (union / "metrics.csv").read_text().splitlines()
+    assert [row.split(",")[3] for row in metrics[1:]] == ["2", "2", "2", "2"]
+    summary = (union / "summary.txt").read_text()
+    assert "skipped entries" not in summary and "outliers removed" not in summary
+    assert (union / "outliers.csv").read_text().splitlines()[1:] == []
+    assert _read_matrix(union / "overlap_none.csv")[("B", "MA")] == pytest.approx(1 / 3)
+    exclusive = (union / "exclusive.csv").read_text().splitlines()
+    assert [row.split(",")[:4] for row in exclusive[1:]] == [["B", "none", "1", "3"], ["MA", "none", "1", "3"]]
+    for name in ("metrics.csv", "overlap_none.csv", "exclusive.csv", "outliers.csv", "summary.txt"):
+        assert (union / name).read_bytes() == (tmp_path / "slice" / name).read_bytes()
 
 
 def test_emit_report_groups_overlap_by_regime(tmp_path):

@@ -1,11 +1,12 @@
-"""Evaluation driver: detect, evaluate and report in one go.
+"""Evaluation driver: detect and evaluate in one go.
 
 Takes an oracle dataset plus a directory of repository clones, runs the
 detector presets once over its supported entries under every date regime,
 and scores that one run on each slice of the oracle: the supported
 entries, those of them with issues, and those of each language. Each
-slice's tables go to eval/<slice>/ under --out-dir. The replication
-sequence is one command:
+slice's tables go to eval/<slice>/ under --out-dir, and its summary to
+stdout; a slice whose evaluation is refused writes no eval/<slice>/. The
+replication sequence is one command:
 
     python scripts/run_full_evaluation.py --dataset oracle.json \
         --clones-root /data/clones --out-dir runs_all
@@ -125,16 +126,15 @@ def main(argv: list[str] | None = None) -> int:
     statuses = [rc]
     for name, cut in slices.items():
         print(f"\nslice {name}: {len(cut)} entries")
-        eval_dir = out / "eval" / name
         eval_args = [
             "evaluate",
             "--runs-dir", str(runs_dir),
             "--dataset", str(slices_dir / f"{name}.json"),
-            "--out-dir", str(eval_dir),
+            "--out-dir", str(out / "eval" / name),
         ]
         if args.outlier_threshold is not None:
             eval_args += ["--outlier-threshold", str(args.outlier_threshold)]
-        statuses.append(cli(eval_args) or cli(["report", "--eval-dir", str(eval_dir)]))
+        statuses.append(cli(eval_args))
     return 1 if 1 in statuses else max(statuses)
 
 

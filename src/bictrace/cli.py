@@ -1,4 +1,4 @@
-"""Batch entry points: mine messages, detect inducers, evaluate, report.
+"""Batch entry points: mine messages, detect inducers, evaluate them.
 
 Detection processes oracle entries with a bounded thread pool; all work
 for one repository stays on one worker so a repository is never read
@@ -8,7 +8,9 @@ timestamps, making reruns byte-identical.
 Exit status: 0 when every entry was processed, 2 when some entries were
 skipped (missing clone, unresolvable commit, a git that cannot be
 started; each skip is reported), 1 on hard failures such as unreadable
-inputs or no usable repository at all.
+inputs or no usable repository at all. A command refuses by raising to
+``main``, which prints one ``error:`` line and returns 1; ``evaluate``
+refuses before it writes anything, and prints the summary it wrote.
 A ``detect`` over several regimes exits with the worst status one call
 per regime would give.
 """
@@ -22,7 +24,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import engine, evaluate, miner, oracle
-from .errors import BictraceError, NotARepositoryError, SchemaError
+from .errors import BictraceError, ConfigurationError, NotARepositoryError, SchemaError
 from .gitrepo import GitRepo
 
 CLONES_ROOT_ENV = "BICTRACE_CLONES_ROOT"
@@ -34,10 +36,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except BictraceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (BictraceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -97,10 +96,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--out-dir", required=True)
     ev.add_argument("--outlier-threshold", type=int)
     ev.set_defaults(func=cmd_evaluate)
-
-    rep = sub.add_parser("report", help="print the summary of an evaluation")
-    rep.add_argument("--eval-dir", required=True)
-    rep.set_defaults(func=cmd_report)
 
     return parser
 
@@ -202,32 +197,25 @@ def _detect_group(path: Path, entries, configs, regimes, ranges):
 
 def cmd_detect(args) -> int:
     if not args.clones_root:
-        print(
-            f"error: --clones-root not given and ${CLONES_ROOT_ENV} unset",
-            file=sys.stderr,
-        )
-        return 1
+        raise ConfigurationError(f"--clones-root not given and ${CLONES_ROOT_ENV} unset")
     dataset = oracle.load_oracle(args.dataset)
     # a preset named twice, in any spelling, runs once
     names = list(dict.fromkeys(
         engine.preset_name(p) for p in args.presets.split(",") if p.strip()
     ))
     if not names:
-        print("error: no presets requested", file=sys.stderr)
-        return 1
+        raise ConfigurationError("no presets requested")
     # likewise a regime named twice
     regimes = list(dict.fromkeys(r.strip() for r in args.regime.split(",") if r.strip()))
     if not regimes or not set(regimes) <= set(engine.REGIMES):
-        print(f"error: unknown regime in {args.regime!r}; expected some of "
-              f"{', '.join(engine.REGIMES)}", file=sys.stderr)
-        return 1
+        raise ConfigurationError(f"unknown regime in {args.regime!r}; expected some of "
+                                 f"{', '.join(engine.REGIMES)}")
 
     ranges = None
     if args.refactorings:
         ranges = engine.load_refactoring_ranges(args.refactorings)
     elif engine.preset_name("RA-lite") in names:
-        print("error: RA-lite requires --refactorings", file=sys.stderr)
-        return 1
+        raise ConfigurationError("RA-lite requires --refactorings")
     configs = [(n, engine.preset(n)) for n in names]
 
     root = Path(args.clones_root)
@@ -286,7 +274,7 @@ def cmd_detect(args) -> int:
     return status
 
 
-# -- evaluate / report ----------------------------------------------------------
+# -- evaluate -------------------------------------------------------------------
 
 
 def cmd_evaluate(args) -> int:
@@ -294,8 +282,7 @@ def cmd_evaluate(args) -> int:
     runs_dir = Path(args.runs_dir)
     run_files = sorted(runs_dir.glob("*.json"))
     if not run_files:
-        print(f"error: no run files in {runs_dir}", file=sys.stderr)
-        return 1
+        raise ConfigurationError(f"no run files in {runs_dir}")
     runs = [evaluate.load_run(p) for p in run_files]
     first: dict[tuple[str, str], Path] = {}
     for path, run in zip(run_files, runs):
@@ -310,15 +297,7 @@ def cmd_evaluate(args) -> int:
         return 1
     for name in sorted(written):
         print(f"wrote {written[name]}", file=sys.stderr)
-    return 0
-
-
-def cmd_report(args) -> int:
-    summary = Path(args.eval_dir) / "summary.txt"
-    if not summary.is_file():
-        print(f"error: {summary} not found; run evaluate first", file=sys.stderr)
-        return 1
-    sys.stdout.write(summary.read_text(encoding="utf-8"))
+    sys.stdout.write(written["summary"].read_bytes().decode("utf-8"))
     return 0
 
 

@@ -126,8 +126,8 @@ class RefactoringRanges:
     """Externally supplied line ranges of a fix's pre-image that were only
     touched by refactoring, keyed by (full fix hash, file path)."""
 
-    def __init__(self, ranges: dict[tuple[str, str], list[tuple[int, int]]] | None = None):
-        self._ranges = dict(ranges or {})
+    def __init__(self):
+        self._ranges: dict[tuple[str, str], list[tuple[int, int]]] = {}
 
     def covers(self, commit: str, file: str, line_no: int) -> bool:
         for start, end in self._ranges.get((commit, file), ()):

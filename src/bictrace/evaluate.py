@@ -7,7 +7,8 @@ two repositories, or supporting two different fixes, never collides.
 Corner conventions are fixed rather than left undefined: precision is 0
 when nothing was identified, F1 is 0 when precision and recall are both 0,
 and the overlap of two empty true-positive sets is 1 (two detectors that
-both found nothing agree perfectly).
+both found nothing agree perfectly). Only a run that outlier trimming
+leaves with no entry has no metrics, no overlap and no exclusive share.
 """
 
 from __future__ import annotations
@@ -36,9 +37,9 @@ class DetectionRun:
 
 @dataclass(frozen=True)
 class Metrics:
-    recall: float
-    precision: float
-    f1: float
+    recall: float | None  # None, as precision and f1, when no entry is covered
+    precision: float | None
+    f1: float | None
     correct: int = 0
     identified: int = 0
     true_positives: int = 0
@@ -121,6 +122,8 @@ def _same_coverage(s_i: Score, others: list[Score]) -> None:
     for s_j in others:
         if s_j.entries != s_i.entries:
             raise ValueError(f"runs {s_i.variant} and {s_j.variant} cover different entries")
+        if not s_i.entries:
+            raise ValueError(f"run {s_i.variant} covers no entries")
 
 
 def overlap(s_i: Score, s_j: Score) -> float:
@@ -264,6 +267,11 @@ def load_run(path: str | Path) -> DetectionRun:
 
 # -- report emission ---------------------------------------------------------
 
+def _cells(m: Metrics, form=repr) -> list[str]:
+    """Recall, precision and f1 as table cells; empty when undefined."""
+    return ["" if v is None else form(v) for v in (m.recall, m.precision, m.f1)]
+
+
 METRICS_COLUMNS = (
     "variant",
     "regime",
@@ -289,21 +297,23 @@ def emit_report(
     exclusive-correct table, outlier diagnostics when thresholding was
     requested, and a plain-text summary. Each run is first cut to the
     oracle's entries, so a run over a whole dataset scores any slice of it
-    as a run over that slice would. Output is deterministic: equal inputs
-    produce byte-identical files."""
+    as a run over that slice would. A run that outlier trimming empties
+    scores as undefined. Nothing is written unless every run scores.
+    Output is deterministic: equal inputs produce byte-identical files."""
+    keys = {(e.repo, e.fix_commit) for e in oracle.entries}
+    runs = sorted((replace(r, identified={k: v for k, v in r.identified.items() if k in keys},
+                           skipped=[k for k in r.skipped if k in keys],
+                           outliers_removed=[o for o in r.outliers_removed if o[:2] in keys])
+                   for r in runs), key=lambda r: (r.regime, r.variant))
+    scores = [score(run, oracle) for run in runs]  # refuses an empty oracle, or a run outside it
+    if outlier_threshold is not None:
+        runs = [outlier_filter(r, outlier_threshold) for r in runs]
+        undefined = Metrics(None, None, None)
+        scores = [score(r, oracle) if r.identified
+                  else Score(r.variant, frozenset(), undefined, undefined, frozenset()) for r in runs]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: dict[str, Path] = {}
-
-    keys = {(e.repo, e.fix_commit) for e in oracle.entries}
-    runs = [replace(r, identified={k: v for k, v in r.identified.items() if k in keys},
-                    skipped=[k for k in r.skipped if k in keys],
-                    outliers_removed=[o for o in r.outliers_removed if o[:2] in keys])
-            for r in runs]
-    if outlier_threshold is not None:
-        runs = [outlier_filter(r, outlier_threshold) for r in runs]
-    runs = sorted(runs, key=lambda r: (r.regime, r.variant))
-    scores = [score(run, oracle) for run in runs]
 
     metrics_path = out / "metrics.csv"
     with open(metrics_path, "w", newline="", encoding="utf-8") as fh:
@@ -316,15 +326,10 @@ def emit_report(
                 [
                     run.variant, run.regime, "pooled", n,
                     pooled.correct, pooled.identified, pooled.true_positives,
-                    repr(pooled.recall), repr(pooled.precision), repr(pooled.f1),
+                    *_cells(pooled),
                 ]
             )
-            writer.writerow(
-                [
-                    run.variant, run.regime, "macro", n, "", "", "",
-                    repr(macro.recall), repr(macro.precision), repr(macro.f1),
-                ]
-            )
+            writer.writerow([run.variant, run.regime, "macro", n, "", "", "", *_cells(macro)])
     written["metrics"] = metrics_path
 
     by_regime: dict[str, list[Score]] = {}
@@ -386,11 +391,9 @@ def emit_report(
         fh.write(header + "\n")
         fh.write("-" * len(header) + "\n")
         for run, sc in zip(runs, scores):
-            m = sc.pooled
-            fh.write(
-                f"{run.variant:<10} {run.regime:<16} "
-                f"{m.recall:>8.3f} {m.precision:>10.3f} {m.f1:>8.3f}\n"
-            )
+            recall, precision, f1 = _cells(sc.pooled, "{:.3f}".format)
+            row = f"{run.variant:<10} {run.regime:<16} {recall:>8} {precision:>10} {f1:>8}"
+            fh.write(row.rstrip() + "\n")
             if run.skipped:
                 fh.write(f"  skipped entries: {len(run.skipped)}\n")
             if run.outliers_removed:

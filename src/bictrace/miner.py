@@ -306,7 +306,10 @@ def _norm_tokens(sentence: str) -> list[str]:
     return [t.strip("\"'`([{<.,:;!?)]}>*#") .lower() for t in sentence.split()]
 
 
-def proximity_matches(sentence: str, window: int = 6) -> tuple[list[str], str]:
+_PROXIMITY_WINDOW = 6  # tokens before a hash that proximity mode reads
+
+
+def proximity_matches(sentence: str) -> tuple[list[str], str]:
     """Stem matching in a token window before each hash. Lower fidelity
     than the tree heuristics: declensions are prefix-matched and any
     stop-word stem in the window rejects the hash."""
@@ -325,7 +328,7 @@ def proximity_matches(sentence: str, window: int = 6) -> tuple[list[str], str]:
         if not _HEX_RE.fullmatch(tok):
             continue
         saw_hash = True
-        win = tokens[max(0, i - window) : i]
+        win = tokens[max(0, i - _PROXIMITY_WINDOW) : i]
         if any(w.startswith(stop_stems) for w in win):
             continue
         if any(w.startswith(FIX_STEMS) for w in win) and any(

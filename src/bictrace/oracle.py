@@ -254,7 +254,7 @@ def subset_supported(dataset: OracleDataset) -> OracleDataset:
     )
 
 
-def from_legacy_records(records: list[dict], provenance: str = "imported") -> OracleDataset:
+def from_legacy_records(records: list[dict]) -> OracleDataset:
     """Adapt replication-style flat records into a dataset.
 
     Recognized field spellings: ``repo_name``/``repo``,
@@ -305,6 +305,6 @@ def from_legacy_records(records: list[dict], provenance: str = "imported") -> Or
                 clone_path=slot["clone"],
             )
         )
-    dataset = OracleDataset(entries=entries, provenance=provenance)
+    dataset = OracleDataset(entries=entries, provenance="imported")
     validate_dataset(dataset)
     return dataset

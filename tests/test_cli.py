@@ -15,7 +15,7 @@ import pytest
 
 from bictrace import cli, gitrepo
 from bictrace.cli import main
-from bictrace.evaluate import load_run
+from bictrace.evaluate import DetectionRun, load_run, save_run
 from bictrace.oracle import OracleDataset, OracleEntry, save_oracle
 from desk import GitScripter
 
@@ -998,7 +998,7 @@ def test_detect_output_is_deterministic(corpus, tmp_path):
         assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
 
 
-# --- evaluate and report --------------------------------------------------------
+# --- evaluate -------------------------------------------------------------------
 
 
 @pytest.fixture()
@@ -1017,9 +1017,10 @@ def finished_runs(corpus, tmp_path):
     return dataset_path, runs_dir
 
 
-def test_evaluate_then_report(finished_runs, tmp_path, capsys):
+def test_evaluate_prints_the_summary_it_wrote(finished_runs, tmp_path, capsys):
     dataset_path, runs_dir = finished_runs
     eval_dir = tmp_path / "eval"
+    capsys.readouterr()
     code = main(
         [
             "evaluate",
@@ -1031,10 +1032,8 @@ def test_evaluate_then_report(finished_runs, tmp_path, capsys):
     assert code == 0
     for name in ("metrics.csv", "overlap_none.csv", "exclusive.csv", "summary.txt"):
         assert (eval_dir / name).is_file()
-    capsys.readouterr()
-
-    assert main(["report", "--eval-dir", str(eval_dir)]) == 0
     out = capsys.readouterr().out
+    assert out.encode() == (eval_dir / "summary.txt").read_bytes()
     assert "oracle entries: 13" in out
     for preset in ("B", "AG", "MA", "L", "R"):
         assert preset in out
@@ -1178,6 +1177,73 @@ def test_evaluate_rejects_a_run_file_that_is_not_utf8(corpus, tmp_path, capsys):
     assert err.startswith(f"error: {bad}: not valid UTF-8: ") and err.count("\n") == 1
 
 
-def test_report_without_evaluation_fails(tmp_path, capsys):
-    assert main(["report", "--eval-dir", str(tmp_path)]) == 1
-    assert "run evaluate first" in capsys.readouterr().err
+REFUSALS = {
+    "detect-no-clones-root": (
+        ["detect", "--dataset", "oracle.json"],
+        "--clones-root not given and $BICTRACE_CLONES_ROOT unset",
+    ),
+    "detect-no-presets": (
+        ["detect", "--dataset", "oracle.json", "--clones-root", ".", "--presets", " ,"],
+        "no presets requested",
+    ),
+    "detect-unknown-regime": (
+        ["detect", "--dataset", "oracle.json", "--clones-root", ".", "--regime", "none,later"],
+        "unknown regime in 'none,later'; expected some of none, issue-date, best-case-date",
+    ),
+    "detect-ra-lite-without-ranges": (
+        ["detect", "--dataset", "oracle.json", "--clones-root", ".", "--presets", "B,RA-lite"],
+        "RA-lite requires --refactorings",
+    ),
+    "detect-bad-dataset": (
+        ["detect", "--dataset", "bad.json", "--clones-root", "."],
+        "bad.json: entry 0: expected an object",
+    ),
+    "evaluate-no-run-files": (
+        ["evaluate", "--runs-dir", "none", "--dataset", "oracle.json"],
+        "no run files in none",
+    ),
+    "evaluate-duplicate-run": (
+        ["evaluate", "--runs-dir", "dup", "--dataset", "oracle.json"],
+        f"{Path('dup', 'b_none.json')} and {Path('dup', 'b_none_copy.json')} both hold B under none",
+    ),
+    "evaluate-bad-run-file": (
+        ["evaluate", "--runs-dir", "badrun", "--dataset", "oracle.json"],
+        f"{Path('badrun', 'b_none.json')}: entry 0 missing field 'identified'",
+    ),
+    "evaluate-empty-oracle": (
+        ["evaluate", "--runs-dir", "runs", "--dataset", "empty.json"],
+        "cannot evaluate against an empty oracle",
+    ),
+    "evaluate-threshold-below-1": (
+        ["evaluate", "--runs-dir", "runs", "--dataset", "oracle.json", "--outlier-threshold", "0"],
+        "outlier threshold must be >= 1",
+    ),
+    "evaluate-run-covers-no-entry": (
+        ["evaluate", "--runs-dir", "runs", "--dataset", "other.json"],
+        "run covers no oracle entries",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, message", REFUSALS.values(), ids=REFUSALS)
+def test_a_refusal_prints_one_error_and_writes_nothing(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(cli.CLONES_ROOT_ENV, raising=False)
+    fix, inducer = "f" * 40, "a" * 40
+    save_oracle(OracleDataset([OracleEntry("org/app", fix, (inducer,))]), tmp_path / "oracle.json")
+    save_oracle(OracleDataset([OracleEntry("org/lib", fix, (inducer,))]), tmp_path / "other.json")
+    save_oracle(OracleDataset([]), tmp_path / "empty.json")
+    (tmp_path / "bad.json").write_text('{"entries": [5]}')
+    (tmp_path / "none").mkdir()
+    run = DetectionRun("B", identified={("org/app", fix): frozenset({inducer, "b" * 40})})
+    for name in ("runs/b_none.json", "dup/b_none.json", "dup/b_none_copy.json"):
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        save_run(run, tmp_path / name)
+    (tmp_path / "badrun").mkdir()
+    (tmp_path / "badrun" / "b_none.json").write_text(
+        '{"variant": "B", "entries": [{"repo": "org/app", "fix_commit": "%s"}]}' % fix
+    )
+    capsys.readouterr()
+    assert main([*argv, "--out-dir", "out"]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not (tmp_path / "out").exists()

@@ -50,12 +50,25 @@ def test_desk_outlier_drops_leave_exclusive_correct_undefined(tmp_path):
             "--out-dir", str(tmp_path),
         ]
     )
-    # the one entry with an issue is an outlier of AG, B, MA and RA-lite
-    # under none: their runs cover none of the issues slice, so evaluate
-    # refuses that slice alone and the driver exits 1
-    assert code == 1
-    assert not any((tmp_path / "eval" / "issues").iterdir())
+    assert code == 0
     assert (tmp_path / "eval" / "c" / "summary.txt").is_file()
+    # the one entry with an issue is an outlier of AG, B, MA and RA-lite
+    # under none: trimming empties their runs of the issues slice, which
+    # score as undefined while the other runs keep their metrics
+    issues = tmp_path / "eval" / "issues"
+    metrics = {(row["variant"], row["regime"], row["aggregation"]): row for row in _rows(issues / "metrics.csv")}
+    assert len(metrics) == 36
+    for variant in ("AG", "B", "MA", "RA-lite"):
+        pooled, macro = metrics[variant, "none", "pooled"], metrics[variant, "none", "macro"]
+        assert [pooled[c] for c in ("entries", "correct", "identified", "true_positives")] == ["0"] * 4
+        assert {pooled[c] for c in ("recall", "precision", "f1")} == {macro[c] for c in ("recall", "precision", "f1")} == {""}
+        assert f"\n{variant:<10} none\n  outliers removed: 1\n" in (issues / "summary.txt").read_text()
+        assert metrics[variant, "issue-date", "pooled"]["recall"] == "1.0"
+    assert metrics["L", "none", "pooled"]["entries"] == "1"
+    matrix = {row["variant"]: row for row in _rows(issues / "overlap_none.csv")}
+    assert matrix["B"]["B"] == matrix["B"]["L"] == "" and matrix["L"]["R"] == "1.0"
+    exclusive = {(row["variant"], row["regime"]): row for row in _rows(issues / "exclusive.csv")}
+    assert exclusive["B", "none"]["exclusive"] == exclusive["L", "none"]["exclusive"] == ""
     eval_dir = tmp_path / "eval" / "supported"
     dropped = {
         (row["variant"], row["regime"])
@@ -101,8 +114,8 @@ def test_one_detect_scores_each_slice_as_a_detect_over_it(suite, suite_dataset, 
     supported = subset_supported(OracleDataset(entries))
     slices = {"supported": supported, "issues": subset_issues(supported)}
     slices.update((lang.lower(), subset_language(supported, lang)) for lang in ("C", "Java", "Python", "Ruby"))
-    for name in thresholds:
-        assert sorted(p.name for p in (tmp_path / "new" / name / "eval").iterdir()) == sorted(slices)
+    for name in thresholds:  # a refused slice writes no directory
+        assert sorted(p.name for p in (tmp_path / "new" / name / "eval").iterdir()) == sorted(slices.keys() - {"ruby"})
     refused = set()
     for slice_name, cut in slices.items():
         ref = tmp_path / "ref" / slice_name
@@ -115,11 +128,12 @@ def test_one_detect_scores_each_slice_as_a_detect_over_it(suite, suite_dataset, 
             rc = cli(["evaluate", "--runs-dir", str(ref / "runs"), "--dataset", str(ref / "oracle.json"),
                       *threshold, "--out-dir", str(ref / name)])
             ours = tmp_path / "new" / name / "eval" / slice_name
-            files = sorted(p.name for p in (ref / name).iterdir())
-            assert files == sorted(p.name for p in ours.iterdir()), (slice_name, name)
-            assert (rc == 1) == (files == []), (slice_name, name)
+            assert (rc == 1) != (ref / name).exists(), (slice_name, name)
             if rc:
                 refused.add(slice_name)
+                continue
+            files = sorted(p.name for p in (ref / name).iterdir())
+            assert files == sorted(p.name for p in ours.iterdir()), (slice_name, name)
             for file in files:
                 assert (ref / name / file).read_bytes() == (ours / file).read_bytes(), (slice_name, name, file)
     assert refused == {"ruby"}

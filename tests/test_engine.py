@@ -222,6 +222,32 @@ def test_fix_that_bumps_a_submodule_keeps_its_entry(tmp_path):
     assert [[c.commit for c in cands] for cands in found] == [[bug]] * len(PRESETS)
 
 
+def test_a_reformatted_or_joined_fix_line_is_cosmetic(tmp_path):
+    # one hunk reformats a line beside a real change (the positional pair),
+    # another only joins two lines (the whole-hunk squash)
+    s = GitScripter(tmp_path / "app")
+    filler = "".join(f"int f{i};\n" for i in range(8))
+    s.write("m.c", "int a = 0;\nint b = 2;\n" + filler)
+    root = s.commit("add m")
+    s.write("m.c", "int a = 1;\nint b = 2;\n" + filler)
+    set_a = s.commit("set a")
+    s.write("m.c", "int a = 1;\nint b = 2;\n" + filler + "int s = a +\n    b;\n")
+    add_s = s.commit("add s")
+    s.write("m.c", "int a=1;\nint b = 3;\n" + filler + "int s = a + b;\n")
+    fix = s.commit("fix b")
+    s.finish()
+    with GitRepo(s.path) as repo:
+        ctx = extract_fix_lines(repo, fix)
+        assert [(fl.line_no, fl.cosmetic) for fl in ctx.fix_lines] == [
+            (1, True), (2, False), (11, True), (12, True)
+        ]
+        names = ["B", "AG", "MA"]
+        found = run_configs(repo, fix, [(PRESETS[n], None) for n in names])
+    assert {n: {c.commit for c in cands} for n, cands in zip(names, found)} == {
+        "B": {root, set_a, add_s}, "AG": {root}, "MA": {root}
+    }
+
+
 def test_ra_lite_needs_ranges(suite):
     sc = suite["refactoring_range"]
     repo = GitRepo(sc.path)
@@ -468,7 +494,8 @@ def test_walk_matches_the_per_key_reference_on_random_histories(monkeypatch, dep
     for seed in range(100):
         planted = random_history(seed)
         repo = planted.repo
-        ranges = RefactoringRanges({(planted.fix, MODEL_FILE): [(2, 3)]})
+        ranges = RefactoringRanges()
+        ranges.add(planted.fix, MODEL_FILE, 2, 3)
         mid = repo.commit_meta(planted.fix).committer_time - timedelta(minutes=4)
         runs = [(PRESETS[key], cutoff) for cutoff in (None, mid) for key in PRESETS]
         together = run_configs(repo, planted.fix, runs, ranges)

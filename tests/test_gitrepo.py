@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bictrace import gitrepo, langfilters
-from bictrace.engine import extract_fix_lines
+from bictrace.engine import PRESETS, extract_fix_lines, run_configs
 from bictrace.errors import (
     AmbiguousCommitError,
     ConfigurationError,
@@ -682,6 +682,26 @@ def test_paths_with_escaped_control_characters(tmp_path):
         assert hunk == DiffHunk(name, name, ((2, "two"),), ((2, "TWO"),))
         assert repo.file_at(root, hunk.file_pre) == "one\ntwo\n"
         assert repo.blame(fix, hunk.file_post, [1, 2]) == {1: root, 2: fix}
+
+
+def test_paths_with_octal_quoted_characters(tmp_path):
+    # other control characters are quoted in octal; the UTF-8 of é stays
+    # unquoted with core.quotePath=false
+    names = ["odd\x01name.c", "é\x7f.c"]
+    s = GitScripter(tmp_path)
+    for name in names:
+        s.write(name, "int a;\nint b;\n")
+    root = s.commit("add files")
+    for name in names:
+        s.write(name, "int a;\nint b = 1;\n")
+    fix = s.commit("fix files")
+    s.finish()
+    assert b'"a/odd\\001name.c"' in _git_out(tmp_path, "diff", root, fix)
+    with GitRepo(tmp_path) as repo:
+        hunks = repo.diff_against_parent(fix, root)
+        assert sorted(h.file_pre for h in hunks) == sorted(h.file_post for h in hunks) == sorted(names)
+        [found] = run_configs(repo, fix, [(PRESETS["B"], None)])
+    assert [c.commit for c in found] == [root]
 
 
 def test_parse_unified_diff_shapes():

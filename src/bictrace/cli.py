@@ -288,13 +288,9 @@ def cmd_evaluate(args) -> int:
     for path, run in zip(run_files, runs):
         if (other := first.setdefault((run.variant, run.regime), path)) != path:
             raise SchemaError(f"{other} and {path} both hold {run.variant} under {run.regime}")
-    try:
-        written = evaluate.emit_report(
-            runs, dataset, args.out_dir, outlier_threshold=args.outlier_threshold
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    written = evaluate.emit_report(
+        runs, dataset, args.out_dir, outlier_threshold=args.outlier_threshold
+    )
     for name in sorted(written):
         print(f"wrote {written[name]}", file=sys.stderr)
     sys.stdout.write(written["summary"].read_bytes().decode("utf-8"))

@@ -372,6 +372,6 @@ def regime_cutoff(repo, regime: str, issue_dates, true_bics) -> datetime | None:
     if regime == "best-case-date":
         bics = list(true_bics)
         if not bics:
-            raise ValueError("cannot simulate an issue date from an empty commit set")
+            raise ConfigurationError("cannot simulate an issue date from an empty commit set")
         return max(repo.commit_meta(b).committer_time for b in bics) + BEST_CASE_DELTA
     return None

@@ -7,8 +7,9 @@ two repositories, or supporting two different fixes, never collides.
 Corner conventions are fixed rather than left undefined: precision is 0
 when nothing was identified, F1 is 0 when precision and recall are both 0,
 and the overlap of two empty true-positive sets is 1 (two detectors that
-both found nothing agree perfectly). Only a run that outlier trimming
-leaves with no entry has no metrics, no overlap and no exclusive share.
+both found nothing agree perfectly). Undefined is a value, None: a run
+that covers no oracle entry has None metrics, and two runs that cover
+different entries, or none, have None overlap and exclusive share.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .errors import SchemaError
+from .errors import ConfigurationError, SchemaError
 from .oracle import OracleDataset
 
 EntryKey = tuple[str, str]  # (repo, fix_commit)
@@ -69,9 +70,8 @@ def score(run: DetectionRun, oracle: OracleDataset) -> Score:
     metrics are micro-averaged over those entries; macro metrics weigh each
     bug fix equally and are summed in oracle order. Entry keys are unique
     in an oracle, as ``load_oracle`` checks. A short oracle hash is found
-    when the run reports a hash it starts, and tags one true positive."""
-    if not oracle.entries:
-        raise ValueError("cannot evaluate against an empty oracle")
+    when the run reports a hash it starts, and tags one true positive. A
+    run that covers no entry scores None metrics and no entries."""
     correct = identified = 0
     tps: set[Tagged] = set()
     recalls: list[float] = []
@@ -94,7 +94,8 @@ def score(run: DetectionRun, oracle: OracleDataset) -> Score:
         precisions.append(p)
         f1s.append(_f1(p, r))
     if not recalls:
-        raise ValueError("run covers no oracle entries")
+        undefined = Metrics(None, None, None)
+        return Score(run.variant, frozenset(), undefined, undefined, frozenset())
     recall = len(tps) / correct
     precision = len(tps) / identified if identified else 0.0
     n = len(recalls)
@@ -118,34 +119,28 @@ def score(run: DetectionRun, oracle: OracleDataset) -> Score:
     )
 
 
-def _same_coverage(s_i: Score, others: list[Score]) -> None:
-    for s_j in others:
-        if s_j.entries != s_i.entries:
-            raise ValueError(f"runs {s_i.variant} and {s_j.variant} cover different entries")
-        if not s_i.entries:
-            raise ValueError(f"run {s_i.variant} covers no entries")
-
-
-def overlap(s_i: Score, s_j: Score) -> float:
+def overlap(s_i: Score, s_j: Score) -> float | None:
     """Jaccard agreement of two runs' true-positive sets; 1 when both
-    are empty."""
-    _same_coverage(s_i, [s_j])
+    are empty, None when the runs cover different entries, or none."""
+    if s_i.entries != s_j.entries or not s_i.entries:
+        return None
     union = s_i.true_positives | s_j.true_positives
     if not union:
         return 1.0
     return len(s_i.true_positives & s_j.true_positives) / len(union)
 
 
-def exclusive_correct(s_i: Score, scores: list[Score]) -> tuple[int, int, float]:
+def exclusive_correct(s_i: Score, scores: list[Score]) -> tuple[int, int, float] | None:
     """How much of the pooled truth only this run found: count of true
     positives unique to s_i, the size of the union of everyone's true
     positives, and their ratio (0 when the union is empty). Like
-    ``overlap``, it refuses runs that cover different entries: a true
-    positive on an entry another run dropped is not exclusive."""
+    ``overlap``, it is None when the runs cover different entries, or
+    none: a true positive on an entry another run dropped is not exclusive."""
     others = [s for s in scores if s is not s_i]
     if not others:
         raise ValueError("exclusive-correct needs at least two runs")
-    _same_coverage(s_i, others)
+    if not s_i.entries or any(s.entries != s_i.entries for s in others):
+        return None
     tp_rest = frozenset().union(*(s.true_positives for s in others))
     numerator = len(s_i.true_positives - tp_rest)
     denominator = len(s_i.true_positives | tp_rest)
@@ -159,7 +154,7 @@ def outlier_filter(run: DetectionRun, threshold: int) -> DetectionRun:
     the pooled denominators, and are reported separately. The result
     shares ``run``'s entry flags and skip list; neither is changed."""
     if threshold < 1:
-        raise ValueError("outlier threshold must be >= 1")
+        raise ConfigurationError("outlier threshold must be >= 1")
     kept: dict[EntryKey, frozenset[str]] = {}
     removed = list(run.outliers_removed)
     for key, hashes in run.identified.items():
@@ -267,9 +262,9 @@ def load_run(path: str | Path) -> DetectionRun:
 
 # -- report emission ---------------------------------------------------------
 
-def _cells(m: Metrics, form=repr) -> list[str]:
-    """Recall, precision and f1 as table cells; empty when undefined."""
-    return ["" if v is None else form(v) for v in (m.recall, m.precision, m.f1)]
+def _cells(*values, form=repr) -> list[str]:
+    """Values as table cells; empty when undefined."""
+    return ["" if v is None else form(v) for v in values]
 
 
 METRICS_COLUMNS = (
@@ -297,20 +292,22 @@ def emit_report(
     exclusive-correct table, outlier diagnostics when thresholding was
     requested, and a plain-text summary. Each run is first cut to the
     oracle's entries, so a run over a whole dataset scores any slice of it
-    as a run over that slice would. A run that outlier trimming empties
-    scores as undefined. Nothing is written unless every run scores.
+    as a run over that slice would. An empty oracle, a run that the cut
+    leaves with no entry, or a threshold below 1 is refused before anything
+    is written; a run that outlier trimming empties scores as undefined.
     Output is deterministic: equal inputs produce byte-identical files."""
+    if not oracle.entries:
+        raise ConfigurationError("cannot evaluate against an empty oracle")
     keys = {(e.repo, e.fix_commit) for e in oracle.entries}
     runs = sorted((replace(r, identified={k: v for k, v in r.identified.items() if k in keys},
                            skipped=[k for k in r.skipped if k in keys],
                            outliers_removed=[o for o in r.outliers_removed if o[:2] in keys])
                    for r in runs), key=lambda r: (r.regime, r.variant))
-    scores = [score(run, oracle) for run in runs]  # refuses an empty oracle, or a run outside it
+    if not all(r.identified for r in runs):
+        raise ConfigurationError("run covers no oracle entries")
     if outlier_threshold is not None:
         runs = [outlier_filter(r, outlier_threshold) for r in runs]
-        undefined = Metrics(None, None, None)
-        scores = [score(r, oracle) if r.identified
-                  else Score(r.variant, frozenset(), undefined, undefined, frozenset()) for r in runs]
+    scores = [score(r, oracle) for r in runs]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: dict[str, Path] = {}
@@ -326,10 +323,11 @@ def emit_report(
                 [
                     run.variant, run.regime, "pooled", n,
                     pooled.correct, pooled.identified, pooled.true_positives,
-                    *_cells(pooled),
+                    *_cells(pooled.recall, pooled.precision, pooled.f1),
                 ]
             )
-            writer.writerow([run.variant, run.regime, "macro", n, "", "", "", *_cells(macro)])
+            writer.writerow([run.variant, run.regime, "macro", n, "", "", "",
+                             *_cells(macro.recall, macro.precision, macro.f1)])
     written["metrics"] = metrics_path
 
     by_regime: dict[str, list[Score]] = {}
@@ -342,15 +340,9 @@ def emit_report(
             writer = csv.writer(fh)
             writer.writerow(["variant", *(s.variant for s in group)])
             for s_i in group:
-                row = [s_i.variant]
-                for s_j in group:
-                    try:
-                        row.append(repr(overlap(s_i, s_j)))
-                    except ValueError:
-                        # outlier drops can de-align two runs' coverage;
-                        # the cell is undefined then, not zero
-                        row.append("")
-                writer.writerow(row)
+                # outlier drops can de-align two runs' coverage; the cell
+                # is undefined then, not zero
+                writer.writerow([s_i.variant, *_cells(*(overlap(s_i, s_j) for s_j in group))])
         written[f"overlap_{regime}"] = matrix_path
 
     exclusive_path = out / "exclusive.csv"
@@ -361,12 +353,8 @@ def emit_report(
             if len(group) < 2:
                 continue
             for sc in group:
-                try:
-                    count, denom, fraction = exclusive_correct(sc, group)
-                    writer.writerow([sc.variant, regime, count, denom, repr(fraction)])
-                except ValueError:
-                    # undefined when outlier drops de-align coverage, as overlap
-                    writer.writerow([sc.variant, regime, "", "", ""])
+                cells = exclusive_correct(sc, group) or (None, None, None)
+                writer.writerow([sc.variant, regime, *_cells(*cells)])
     written["exclusive"] = exclusive_path
 
     if outlier_threshold is not None:
@@ -391,7 +379,9 @@ def emit_report(
         fh.write(header + "\n")
         fh.write("-" * len(header) + "\n")
         for run, sc in zip(runs, scores):
-            recall, precision, f1 = _cells(sc.pooled, "{:.3f}".format)
+            pooled = sc.pooled
+            recall, precision, f1 = _cells(pooled.recall, pooled.precision, pooled.f1,
+                                           form="{:.3f}".format)
             row = f"{run.variant:<10} {run.regime:<16} {recall:>8} {precision:>10} {f1:>8}"
             fh.write(row.rstrip() + "\n")
             if run.skipped:

@@ -504,7 +504,7 @@ class GitRepo:
             lambda stdout: _read_diff(stdout, head),
             f"diff {full} against {parent}",
         )
-        hunks = parse_unified_diff(out.decode("utf-8", "replace"))
+        hunks = parse_unified_diff(out.decode("utf-8", "surrogateescape"))
         self._diff_cache[key] = hunks
         return hunks
 

@@ -76,9 +76,13 @@ def parse_utc(value: str) -> datetime:
     return dt.astimezone(timezone.utc)
 
 
-def _timestamp(value, where: str) -> datetime:
+def _issue(url, opened_at, where: str) -> IssueRef:
+    """An issue reference from its url string and timestamp; the error
+    names ``where``."""
+    if not isinstance(url, str):
+        raise SchemaError(f"{where}: issue url {url!r} is not a string")
     try:
-        return parse_utc(value)
+        return IssueRef(url, parse_utc(opened_at))
     except SchemaError as exc:
         raise SchemaError(f"{where}: {exc}") from None
 
@@ -135,7 +139,7 @@ def entry_from_dict(obj: dict, index: int) -> OracleEntry:
         raise SchemaError(f"entry {index}: expected an object")
     try:
         issues = tuple(
-            IssueRef(url=i.get("url", ""), opened_at=_timestamp(i["opened_at"], f"entry {index}"))
+            _issue(i.get("url", ""), i["opened_at"], f"entry {index}")
             for i in obj.get("issues", [])
         )
     except (KeyError, TypeError, AttributeError):
@@ -279,9 +283,7 @@ def from_legacy_records(records: list[dict]) -> OracleDataset:
         slot["bics"].extend(_strings(rec.get("true_bics", []), where))
         date = rec.get("earliest_issue_date")
         if date:
-            slot["issues"].append(
-                IssueRef(url=rec.get("issue_url", ""), opened_at=_timestamp(date, where))
-            )
+            slot["issues"].append(_issue(rec.get("issue_url", ""), date, where))
         slot["languages"].extend(_strings(rec.get("languages", rec.get("language", [])), where))
 
     entries = []

@@ -1198,6 +1198,10 @@ REFUSALS = {
         ["detect", "--dataset", "bad.json", "--clones-root", "."],
         "bad.json: entry 0: expected an object",
     ),
+    "detect-issue-url-not-a-string": (
+        ["detect", "--dataset", "legacy.json", "--clones-root", "."],
+        "legacy.json: record 0: issue url ['x'] is not a string",
+    ),
     "evaluate-no-run-files": (
         ["evaluate", "--runs-dir", "none", "--dataset", "oracle.json"],
         "no run files in none",
@@ -1234,6 +1238,10 @@ def test_a_refusal_prints_one_error_and_writes_nothing(tmp_path, monkeypatch, ca
     save_oracle(OracleDataset([OracleEntry("org/lib", fix, (inducer,))]), tmp_path / "other.json")
     save_oracle(OracleDataset([]), tmp_path / "empty.json")
     (tmp_path / "bad.json").write_text('{"entries": [5]}')
+    (tmp_path / "legacy.json").write_text(json.dumps([{
+        "repo_name": "r", "fix_commit_hash": fix, "inducing_commit_hash": inducer,
+        "earliest_issue_date": "2020-01-01T00:00:00Z", "issue_url": ["x"],
+    }]))
     (tmp_path / "none").mkdir()
     run = DetectionRun("B", identified={("org/app", fix): frozenset({inducer, "b" * 40})})
     for name in ("runs/b_none.json", "dup/b_none.json", "dup/b_none_copy.json"):

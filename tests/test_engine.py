@@ -342,7 +342,7 @@ def test_best_case_issue_date_value(suite):
     assert regime_cutoff(repo, "best-case-date", [], sc.true_bics) == latest + timedelta(
         seconds=60
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError, match="cannot simulate an issue date from an empty"):
         regime_cutoff(repo, "best-case-date", [], [])
 
 

@@ -6,9 +6,10 @@ import csv
 
 import pytest
 
-from bictrace.errors import SchemaError
+from bictrace.errors import ConfigurationError, SchemaError
 from bictrace.evaluate import (
     DetectionRun,
+    Metrics,
     emit_report,
     exclusive_correct,
     load_run,
@@ -101,12 +102,20 @@ def test_pooled_only_counts_covered_entries():
     assert m.recall == 1.0
 
 
-def test_pooled_rejects_disjoint_run():
+def test_pooled_rejects_disjoint_run(tmp_path):
+    # a run that covers no entry scores as undefined, and emit_report
+    # refuses it, as it refuses an empty oracle, before it writes
     oracle = _oracle({F1: {A}})
-    with pytest.raises(ValueError, match="covers no oracle entries"):
-        score(_run({F2: {A}}), oracle)
-    with pytest.raises(ValueError, match="empty oracle"):
-        score(_run({F1: {A}}), OracleDataset(entries=[]))
+    undefined = Metrics(None, None, None)
+    sc = score(_run({F2: {A}}), oracle)
+    assert (sc.pooled, sc.macro, sc.entries, sc.true_positives) == (
+        undefined, undefined, frozenset(), frozenset())
+    assert score(_run({F1: {A}}), OracleDataset(entries=[])).pooled == undefined
+    with pytest.raises(ConfigurationError, match="^run covers no oracle entries$"):
+        emit_report([_run({F1: {A}}), _run({F2: {A}}, variant="Y")], oracle, tmp_path / "out")
+    with pytest.raises(ConfigurationError, match="^cannot evaluate against an empty oracle$"):
+        emit_report([_run({F1: {A}})], OracleDataset(entries=[]), tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 def test_duplicate_true_inducing_hash_counts_once():
@@ -189,8 +198,9 @@ def test_overlap_requires_equal_coverage():
     oracle = _oracle({F1: {A}, F2: {B}})
     s_i = score(_run({F1: {A}}, variant="I"), oracle)
     s_j = score(_run({F1: {A}, F2: {B}}, variant="J"), oracle)
-    with pytest.raises(ValueError, match="runs I and J cover different entries"):
-        overlap(s_i, s_j)
+    assert overlap(s_i, s_j) is None
+    s_0 = score(_run({}, variant="0"), oracle)  # covers no entry
+    assert overlap(s_0, s_0) is None
 
 
 def test_overlap_symmetry():
@@ -236,8 +246,8 @@ def test_exclusive_correct_requires_equal_coverage():
     oracle = _oracle({F1: {A}, F2: {B}})
     s_i = score(_run({F1: {A}, F2: {B}}, variant="I"), oracle)
     s_j = score(_run({F1: {A}}, variant="J"), oracle)
-    with pytest.raises(ValueError, match="runs I and J cover different entries"):
-        exclusive_correct(s_i, [s_i, s_j])
+    assert exclusive_correct(s_i, [s_i, s_j]) is None
+    assert exclusive_correct(s_j, [s_i, s_j]) is None
 
 
 # --- outlier filter ----------------------------------------------------------------
@@ -253,7 +263,7 @@ def test_outlier_filter_drops_strictly_above_threshold():
     assert filtered.outliers_removed == [("org/app", F2, 6)]
     # the original run is untouched
     assert ("org/app", F2) in run.identified
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError, match="^outlier threshold must be >= 1$"):
         outlier_filter(run, 0)
 
 

@@ -686,8 +686,9 @@ def test_paths_with_escaped_control_characters(tmp_path):
 
 def test_paths_with_octal_quoted_characters(tmp_path):
     # other control characters are quoted in octal; the UTF-8 of é stays
-    # unquoted with core.quotePath=false
-    names = ["odd\x01name.c", "é\x7f.c"]
+    # unquoted with core.quotePath=false, and so do bytes that are not
+    # UTF-8, which round-trip as the file system's own names
+    names = ["odd\x01name.c", "é\x7f.c", os.fsdecode(b"bad\xff.c"), os.fsdecode(b"odd\x01\xfe.c")]
     s = GitScripter(tmp_path)
     for name in names:
         s.write(name, "int a;\nint b;\n")

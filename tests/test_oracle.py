@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import ast
 import json
+import shlex
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
+import build_fixture_suite
 import pytest
 
+from bictrace import cli
 from bictrace.errors import SchemaError
 from bictrace.oracle import (
     IssueRef,
@@ -110,6 +113,8 @@ def test_rejects_duplicate_fix_in_same_repo():
 def test_rejects_empty_repo():
     with pytest.raises(SchemaError):
         validate_dataset(OracleDataset(entries=[_entry(repo="")]))
+    with pytest.raises(SchemaError, match="clone_path is not a string"):
+        validate_dataset(OracleDataset(entries=[_entry(clone_path=["zeta"])]))
 
 
 # --- save / load ------------------------------------------------------------
@@ -183,6 +188,26 @@ def test_load_rejects_issue_without_date(tmp_path):
         ' "true_bics": ["%s"], "issues": [{"url": "u"}]}]}' % ("f" * 40, "b" * 40)
     )
     with pytest.raises(SchemaError):
+        load_oracle(path)
+    path.write_text(path.read_text().replace('{"url": "u"}', '{"url": "u", "opened_at": 5}'))
+    with pytest.raises(SchemaError, match="entry 0: timestamp 5 is not a string"):
+        load_oracle(path)
+
+
+def test_an_issue_url_must_be_a_string(tmp_path):
+    # a number or a list where a url belongs is a schema error, not a crash
+    # or a url written back as a number
+    path = tmp_path / "bad.json"
+    issue = {"url": 5, "opened_at": "2020-01-01T00:00:00Z"}
+    path.write_text(json.dumps(
+        {"entries": [{"repo": "r", "fix_commit": "f" * 40, "true_bics": ["b" * 40], "issues": [issue]}]}
+    ))
+    with pytest.raises(SchemaError, match=r"bad.json: entry 0: issue url 5 is not a string"):
+        load_oracle(path)
+    record = {"repo_name": "r", "fix_commit_hash": "f" * 40, "inducing_commit_hash": "b" * 40,
+              "earliest_issue_date": "2020-01-01T00:00:00Z", "issue_url": ["x"]}
+    path.write_text(json.dumps([record]))
+    with pytest.raises(SchemaError, match=r"bad.json: record 0: issue url \['x'\] is not a string"):
         load_oracle(path)
 
 
@@ -317,3 +342,19 @@ def test_readme_python_example_prints_the_ma_expectation(suite, capsys):
     exec(example.replace(clone, str(sc.path)), {})
     printed = ast.literal_eval(capsys.readouterr().out)
     assert printed == {sc.labels["c1"]} == sc.expected["MA"]
+
+
+def test_readme_quick_start_prints_the_table_it_shows(tmp_path, capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Quick start\n", 1)[1]
+    commands, _, table = section.split("```\n")[1:4]
+    desk = str(tmp_path / "desk")
+    argvs = [shlex.split(line.replace("/tmp/desk", desk))
+             for line in commands.replace("\\\n", " ").splitlines()]
+    assert [argv[:2] for argv in argvs] == [
+        ["python", "scripts/build_fixture_suite.py"], ["bictrace", "detect"], ["bictrace", "evaluate"]]
+    assert build_fixture_suite.main(argvs[0][2:]) == 0
+    assert cli.main(argvs[1][1:]) == 0
+    capsys.readouterr()
+    assert cli.main(argvs[2][1:]) == 0
+    assert table in capsys.readouterr().out

@@ -8,9 +8,10 @@ timestamps, making reruns byte-identical.
 Exit status: 0 when every entry was processed, 2 when some entries were
 skipped (missing clone, unresolvable commit, a git that cannot be
 started; each skip is reported), 1 on hard failures such as unreadable
-inputs or no usable repository at all. A command refuses by raising to
-``main``, which prints one ``error:`` line and returns 1; ``evaluate``
-refuses before it writes anything, and prints the summary it wrote.
+inputs, an empty oracle or no usable repository at all. A command
+refuses by raising to ``main``, which prints one ``error:`` line and
+returns 1, before it writes anything; ``evaluate`` prints the summary it
+wrote.
 A ``detect`` over several regimes exits with the worst status one call
 per regime would give.
 """
@@ -199,6 +200,8 @@ def cmd_detect(args) -> int:
     if not args.clones_root:
         raise ConfigurationError(f"--clones-root not given and ${CLONES_ROOT_ENV} unset")
     dataset = oracle.load_oracle(args.dataset)
+    if not dataset.entries:
+        raise ConfigurationError("cannot detect over an empty oracle")
     # a preset named twice, in any spelling, runs once
     names = list(dict.fromkeys(
         engine.preset_name(p) for p in args.presets.split(",") if p.strip()
@@ -211,12 +214,12 @@ def cmd_detect(args) -> int:
         raise ConfigurationError(f"unknown regime in {args.regime!r}; expected some of "
                                  f"{', '.join(engine.REGIMES)}")
 
+    configs = [(n, engine.preset(n)) for n in names]
     ranges = None
     if args.refactorings:
         ranges = engine.load_refactoring_ranges(args.refactorings)
-    elif engine.preset_name("RA-lite") in names:
+    elif any(cfg.drop_refactored for _, cfg in configs):
         raise ConfigurationError("RA-lite requires --refactorings")
-    configs = [(n, engine.preset(n)) for n in names]
 
     root = Path(args.clones_root)
     groups: dict[Path, list[oracle.OracleEntry]] = {}

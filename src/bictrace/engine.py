@@ -1,16 +1,17 @@
 """Configurable bug-inducing-commit detection pipeline.
 
-A variant is three choices: whether to skip cosmetic work (drop comment,
-blank and reformatted fix lines, and blame past commits that only
-reformat), which candidate commits to filter out, and whether to reduce
-the survivors to a single pick. The named presets wire those choices
-into the classic algorithm family:
+A variant is a row of plain facts (``VariantConfig``): whether it skips
+cosmetic work (drops comment, blank and reformatted fix lines, and blames
+past commits that only reformat), whether it drops meta-change origins,
+whether it drops fix lines in supplied refactoring ranges, and the order
+whose first candidate it keeps (``None`` keeps them all). ``PRESETS``
+holds the rows of the classic algorithm family:
 
     B        keep all lines, plain blame, no filters, keep all candidates
     AG       skip cosmetic lines and commits
     MA       AG plus dropping meta-changes (merges, empty-text diffs)
-    L        MA reduced to the candidate with the most supporting lines
-    R        MA reduced to the candidate with the latest committer time
+    L        MA reduced to the ``largest`` candidate (most supporting lines)
+    R        MA reduced to the ``latest`` candidate (latest committer time)
     RA-lite  MA plus dropping fix lines covered by supplied refactoring ranges
 
 All tracing happens against the first-parent pre-image of the fix commit,
@@ -23,7 +24,9 @@ extracts and classifies a fix's lines once and ``walk`` blames them once.
 The walk plain-blames every line some run keeps, then re-blames the lines
 a cosmetic-skipping run keeps past origins that only reformat, and keeps
 every hop in one ``TracedLine`` per fix line. Filters, cutoffs and
-selections then run per (preset, cutoff) over those read-only lines.
+selections then run per (preset, cutoff) over those read-only lines; they
+ask the repository only for an origin's committer time and meta verdict,
+each at most once per fix.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from __future__ import annotations
 import csv
 import functools
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -38,13 +42,6 @@ from pathlib import Path
 from . import langfilters
 from .errors import ConfigurationError, RootCommitError, SchemaError
 from .langfilters import LineClass
-
-DROP_META_CHANGES = "drop-meta-changes"
-DROP_REFACTORED_LINES = "drop-refactored-lines"
-
-SELECT_ALL = "all"
-SELECT_LARGEST = "largest"
-SELECT_LATEST = "latest"
 
 DEPTH_LIMIT = 10  # re-blames of one line; the walk keeps the commit it reached
 
@@ -54,24 +51,32 @@ BEST_CASE_DELTA = timedelta(seconds=60)
 _FULL_HASH_RE = re.compile(r"[0-9a-f]{40}")
 
 
+def largest(c: BicCandidate) -> tuple:
+    """L's order: most supporting lines, then the later committer time,
+    then the lexicographically smaller hash."""
+    return (-len(c.supporting_lines), -c.committer_time.timestamp(), c.commit)
+
+
+def latest(c: BicCandidate) -> tuple:
+    """R's order: the later committer time, then the smaller hash."""
+    return (-c.committer_time.timestamp(), c.commit)
+
+
 @dataclass(frozen=True)
 class VariantConfig:
     skip_cosmetic: bool = False
-    bic_filters: frozenset[str] = frozenset()
-    selection: str = SELECT_ALL
+    drop_meta: bool = False
+    drop_refactored: bool = False
+    order: Callable[[BicCandidate], tuple] | None = None  # None keeps every candidate
 
-
-_META = frozenset({DROP_META_CHANGES})
 
 PRESETS: dict[str, VariantConfig] = {
     "B": VariantConfig(),
     "AG": VariantConfig(skip_cosmetic=True),
-    "MA": VariantConfig(skip_cosmetic=True, bic_filters=_META),
-    "L": VariantConfig(skip_cosmetic=True, bic_filters=_META, selection=SELECT_LARGEST),
-    "R": VariantConfig(skip_cosmetic=True, bic_filters=_META, selection=SELECT_LATEST),
-    "RA-lite": VariantConfig(
-        skip_cosmetic=True, bic_filters=_META | {DROP_REFACTORED_LINES}
-    ),
+    "MA": VariantConfig(skip_cosmetic=True, drop_meta=True),
+    "L": VariantConfig(skip_cosmetic=True, drop_meta=True, order=largest),
+    "R": VariantConfig(skip_cosmetic=True, drop_meta=True, order=latest),
+    "RA-lite": VariantConfig(skip_cosmetic=True, drop_meta=True, drop_refactored=True),
 }
 
 _PRESET_KEYS = {name.upper(): name for name in PRESETS}
@@ -282,59 +287,12 @@ def is_meta_change(repo, commit_id: str) -> bool:
     return len(repo.diff_against_parent(meta.id, meta.parents[0])) == 0
 
 
-def filter_candidates(
-    repo,
-    traced: list[TracedLine],
-    ctx: FixContext,
-    config: VariantConfig,
-    refactorings: RefactoringRanges | None = None,
-    cutoff: datetime | None = None,
-) -> list[BicCandidate]:
-    """Keep the traced lines the variant keeps, at the origin it takes, and
-    drop those whose origin is a meta-change or was committed after
-    ``cutoff`` when one is given, and those in a refactored range of the
-    fix's pre-image. The surviving lines are grouped by origin into
-    candidates, ordered by hash. ``traced`` is left as it was."""
-    drop_refactored = DROP_REFACTORED_LINES in config.bic_filters
-    if drop_refactored and refactorings is None:
-        raise ConfigurationError(
-            "drop-refactored-lines is enabled but no refactoring ranges were supplied"
-        )
-    by_origin: dict[str, list[FixLine]] = {}
-    for t in traced:
-        fl = t.line
-        if fl.kept_by(config) and not (
-            drop_refactored and refactorings.covers(ctx.fix_commit, fl.file, fl.line_no)
-        ):
-            by_origin.setdefault(t.origin(config), []).append(fl)
-
-    candidates = []
-    for sha, lines in sorted(by_origin.items()):
-        if DROP_META_CHANGES in config.bic_filters and is_meta_change(repo, sha):
-            continue
-        when = repo.commit_meta(sha).committer_time
-        if cutoff is not None and when > cutoff:
-            continue
-        candidates.append(BicCandidate(sha, lines, when))
-    return candidates
-
-
 def select(candidates: list[BicCandidate], config: VariantConfig) -> list[BicCandidate]:
-    """Reduce candidates per the variant's selection rule.
-
-    Largest keeps the candidate with the most supporting lines, Latest the
-    one with the greatest committer time. Ties prefer the later committer
-    time, then the lexicographically smaller full hash. Empty input stays
-    empty."""
-    if config.selection == SELECT_ALL or not candidates:
+    """The first candidate in the variant's order, or every candidate when
+    it has none. Empty input stays empty."""
+    if config.order is None or not candidates:
         return list(candidates)
-    if config.selection == SELECT_LARGEST:
-        key = lambda c: (-len(c.supporting_lines), -c.committer_time.timestamp(), c.commit)
-    elif config.selection == SELECT_LATEST:
-        key = lambda c: (-c.committer_time.timestamp(), c.commit)
-    else:
-        raise ConfigurationError(f"unknown selection {config.selection!r}")
-    return [sorted(candidates, key=key)[0]]
+    return [min(candidates, key=config.order)]
 
 
 def run_configs(
@@ -346,15 +304,32 @@ def run_configs(
     """Full pipeline for one fix under several (configuration, cutoff)
     runs, one candidate list per run, in order.
 
-    A cutoff drops candidates committed after it; ``None`` keeps them all.
-    The work the runs share is done once: the fix's lines are extracted,
-    classified and walked once, whatever the presets and cutoffs. Every
-    run then only filters and selects from those read-only traced lines."""
+    The fix's lines are extracted, classified and walked once for all
+    runs, and an origin's committer time and meta verdict are looked up at
+    most once, when a run first needs them. Each run keeps its traced lines
+    at the origin it takes, less those in a refactored range of the fix's
+    pre-image, groups them by origin into candidates ordered by hash, drops
+    meta-changes and origins committed after its cutoff (``None`` keeps
+    them all), and selects."""
+    if refactorings is None and any(config.drop_refactored for config, _ in runs):
+        raise ConfigurationError("a run drops refactored lines but no ranges were supplied")
     ctx = extract_fix_lines(repo, fix_commit)
     traced = walk(repo, ctx, [config for config, _ in runs])
+    when = functools.cache(lambda sha: repo.commit_meta(sha).committer_time)
+    meta = functools.cache(lambda sha: is_meta_change(repo, sha))
     results = []
     for config, cutoff in runs:
-        candidates = filter_candidates(repo, traced, ctx, config, refactorings, cutoff)
+        by_origin: dict[str, list[FixLine]] = {}
+        for t in traced:
+            fl = t.line
+            if fl.kept_by(config) and not (config.drop_refactored and refactorings.covers(
+                    ctx.fix_commit, fl.file, fl.line_no)):
+                by_origin.setdefault(t.origin(config), []).append(fl)
+        candidates = [
+            BicCandidate(sha, lines, when(sha))
+            for sha, lines in sorted(by_origin.items())
+            if not (config.drop_meta and meta(sha)) and (cutoff is None or when(sha) <= cutoff)
+        ]
         results.append(select(candidates, config))
     return results
 

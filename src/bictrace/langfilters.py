@@ -103,26 +103,6 @@ class _Scan:
 _C_FAMILY = {C, CPP, CSHARP, JAVA, JAVASCRIPT}
 
 
-def _classify_file(content: str, language: str) -> list[LineClass]:
-    lines = content.split("\n")
-    if lines and lines[-1] == "" and content.endswith("\n"):
-        lines.pop()
-    st = _Scan()
-    out: list[LineClass] = []
-    for raw in lines:
-        st.reset_line()
-        _scan_line(raw, language, st)
-        if raw.strip() == "":
-            out.append(LineClass.BLANK)
-        elif st.has_code and st.has_comment:
-            out.append(LineClass.MIXED)
-        elif st.has_comment:
-            out.append(LineClass.COMMENT)
-        else:
-            out.append(LineClass.CODE)
-    return out
-
-
 def _scan_line(line: str, language: str, st: _Scan) -> None:
     i = 0
     n = len(line)
@@ -261,17 +241,28 @@ def classify_lines(content: str, language: str) -> list[LineClass]:
     """Assign one class per physical line of ``content``.
 
     Whitespace-only lines are Blank no matter the surrounding lexical
-    context. Unsupported languages conservatively class every non-blank
-    line as Code so downstream filters never discard unknown content.
+    context. Unsupported languages are not scanned, so every non-blank
+    line is Code and downstream filters never discard unknown content.
     """
-    if language not in SUPPORTED_LANGUAGES:
-        lines = content.split("\n")
-        if lines and lines[-1] == "" and content.endswith("\n"):
-            lines.pop()
-        return [
-            LineClass.BLANK if ln.strip() == "" else LineClass.CODE for ln in lines
-        ]
-    return _classify_file(content, language)
+    lines = content.split("\n")
+    if lines and lines[-1] == "" and content.endswith("\n"):
+        lines.pop()
+    scan = language in SUPPORTED_LANGUAGES
+    st = _Scan()
+    out: list[LineClass] = []
+    for raw in lines:
+        st.reset_line()
+        if scan:
+            _scan_line(raw, language, st)
+        if raw.strip() == "":
+            out.append(LineClass.BLANK)
+        elif st.has_code and st.has_comment:
+            out.append(LineClass.MIXED)
+        elif st.has_comment:
+            out.append(LineClass.COMMENT)
+        else:
+            out.append(LineClass.CODE)
+    return out
 
 
 def squash_whitespace(text: str) -> str:

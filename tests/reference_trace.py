@@ -10,8 +10,6 @@ import functools
 
 from bictrace import langfilters
 from bictrace.engine import (
-    DROP_META_CHANGES,
-    DROP_REFACTORED_LINES,
     BicCandidate,
     FixLine,
     extract_fix_lines,
@@ -105,12 +103,11 @@ def reference_candidates(repo, fix_commit, config, depth_limit, refactorings=Non
     by_origin: dict[str, list[tuple[FixLine, str, int, bool]]] = {}
     for t in traced:
         fl = t[0]
-        if not (DROP_REFACTORED_LINES in config.bic_filters
-                and refactorings.covers(ctx.fix_commit, fl.file, fl.line_no)):
+        if not (config.drop_refactored and refactorings.covers(ctx.fix_commit, fl.file, fl.line_no)):
             by_origin.setdefault(t[1], []).append(t)
     candidates = []
     for sha, lines in sorted(by_origin.items()):
-        if DROP_META_CHANGES in config.bic_filters and is_meta_change(repo, sha):
+        if config.drop_meta and is_meta_change(repo, sha):
             continue
         when = repo.commit_meta(sha).committer_time
         if cutoff is not None and when > cutoff:

@@ -1194,6 +1194,10 @@ REFUSALS = {
         ["detect", "--dataset", "oracle.json", "--clones-root", ".", "--presets", "B,RA-lite"],
         "RA-lite requires --refactorings",
     ),
+    "detect-empty-oracle": (
+        ["detect", "--dataset", "empty.json", "--clones-root", "."],
+        "cannot detect over an empty oracle",
+    ),
     "detect-bad-dataset": (
         ["detect", "--dataset", "bad.json", "--clones-root", "."],
         "bad.json: entry 0: expected an object",

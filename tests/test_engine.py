@@ -10,17 +10,15 @@ import pytest
 
 from bictrace import engine
 from bictrace.engine import (
-    DROP_REFACTORED_LINES,
     PRESETS,
     REGIMES,
-    SELECT_ALL,
-    SELECT_LARGEST,
-    SELECT_LATEST,
     BicCandidate,
     FixLine,
     RefactoringRanges,
     VariantConfig,
     extract_fix_lines,
+    largest,
+    latest,
     load_refactoring_ranges,
     preset,
     preset_name,
@@ -48,20 +46,17 @@ def test_preset_names_and_order():
 
 
 def test_preset_wiring():
-    assert [f.name for f in fields(VariantConfig)] == ["skip_cosmetic", "bic_filters", "selection"]
+    assert [f.name for f in fields(VariantConfig)] == [
+        "skip_cosmetic", "drop_meta", "drop_refactored", "order",
+    ]
     assert PRESETS["B"] == VariantConfig(
-        skip_cosmetic=False, bic_filters=frozenset(), selection=SELECT_ALL,
+        skip_cosmetic=False, drop_meta=False, drop_refactored=False, order=None,
     )
     assert PRESETS["AG"] == replace(PRESETS["B"], skip_cosmetic=True)
-    assert PRESETS["MA"] == replace(
-        PRESETS["AG"], bic_filters=frozenset({"drop-meta-changes"})
-    )
-    assert PRESETS["L"] == replace(PRESETS["MA"], selection=SELECT_LARGEST)
-    assert PRESETS["R"] == replace(PRESETS["MA"], selection=SELECT_LATEST)
-    assert PRESETS["RA-lite"] == replace(
-        PRESETS["MA"],
-        bic_filters=PRESETS["MA"].bic_filters | {DROP_REFACTORED_LINES},
-    )
+    assert PRESETS["MA"] == replace(PRESETS["AG"], drop_meta=True)
+    assert PRESETS["L"] == replace(PRESETS["MA"], order=largest)
+    assert PRESETS["R"] == replace(PRESETS["MA"], order=latest)
+    assert PRESETS["RA-lite"] == replace(PRESETS["MA"], drop_refactored=True)
 
 
 @pytest.mark.parametrize(
@@ -248,11 +243,16 @@ def test_a_reformatted_or_joined_fix_line_is_cosmetic(tmp_path):
     }
 
 
-def test_ra_lite_needs_ranges(suite):
+def test_ra_lite_needs_ranges(suite, git_subcommands):
     sc = suite["refactoring_range"]
     repo = GitRepo(sc.path)
     with pytest.raises(ConfigurationError):
         run_variant(repo, sc.fix, "RA-lite")
+    # refused before any git work, whatever other runs come with it
+    started = len(git_subcommands)
+    with pytest.raises(ConfigurationError):
+        run_configs(repo, sc.fix, [(PRESETS["B"], None), (PRESETS["RA-lite"], None)])
+    assert len(git_subcommands) == started
 
 
 # --- cosmetic skip depth ------------------------------------------------------
@@ -453,6 +453,30 @@ def test_all_presets_walk_once(suite, suite_ranges, monkeypatch):
         assert together.blames == plain.blames + skipping.blames - shared, name
 
 
+def test_an_origin_is_asked_whether_it_is_a_meta_change_once_per_fix(
+    suite, suite_ranges, monkeypatch
+):
+    asked = []
+    real_is_meta_change = engine.is_meta_change
+
+    def counting_is_meta_change(repo, sha):
+        asked.append(sha)
+        return real_is_meta_change(repo, sha)
+
+    monkeypatch.setattr(engine, "is_meta_change", counting_is_meta_change)
+    ever = 0
+    for name, sc in sorted(suite.items()):
+        with GitRepo(sc.path) as repo:
+            asked.clear()
+            run_configs(repo, sc.fix, _runs(repo, sc), suite_ranges)
+            assert len(asked) == len(set(asked)), name
+            ever += len(asked)
+            asked.clear()
+            run_configs(repo, sc.fix, [(PRESETS["B"], None)])
+            assert asked == [], name
+    assert ever
+
+
 def test_a_file_of_dropped_lines_is_blamed_only_for_a_run_that_keeps_them(
     tmp_path, git_subcommands
 ):
@@ -537,14 +561,14 @@ def _latest_key(c):
 def test_largest_prefers_more_supporting_lines():
     a = _cand("a" * 40, 3, T0)
     b = _cand("b" * 40, 1, T0 + timedelta(hours=5))
-    cfg = VariantConfig(selection=SELECT_LARGEST)
+    cfg = VariantConfig(order=largest)
     assert select([a, b], cfg) == [a]
 
 
 def test_largest_breaks_size_tie_on_recency_then_hash():
     older = _cand("0" * 40, 2, T0)
     newer = _cand("f" * 40, 2, T0 + timedelta(minutes=1))
-    cfg = VariantConfig(selection=SELECT_LARGEST)
+    cfg = VariantConfig(order=largest)
     assert select([older, newer], cfg) == [newer]
 
     same_time_hi = _cand("e" * 40, 2, T0)
@@ -555,7 +579,7 @@ def test_largest_breaks_size_tie_on_recency_then_hash():
 def test_latest_ignores_support_size():
     big_old = _cand("a" * 40, 9, T0)
     small_new = _cand("b" * 40, 1, T0 + timedelta(seconds=1))
-    cfg = VariantConfig(selection=SELECT_LATEST)
+    cfg = VariantConfig(order=latest)
     assert select([big_old, small_new], cfg) == [small_new]
 
 
@@ -567,8 +591,8 @@ def test_selection_is_order_independent():
         _cand("d" * 40, 1, T0 + timedelta(days=1)),
     ]
     for cfg, key in [
-        (VariantConfig(selection=SELECT_LARGEST), _largest_key),
-        (VariantConfig(selection=SELECT_LATEST), _latest_key),
+        (VariantConfig(order=largest), _largest_key),
+        (VariantConfig(order=latest), _latest_key),
     ]:
         want = [min(cands, key=key)]
         for perm in itertools.permutations(cands):
@@ -577,5 +601,5 @@ def test_selection_is_order_independent():
 
 def test_select_all_and_empty_are_passthrough():
     cands = [_cand("a" * 40, 1, T0), _cand("b" * 40, 2, T0)]
-    assert select(cands, VariantConfig(selection=SELECT_ALL)) == cands
-    assert select([], VariantConfig(selection=SELECT_LARGEST)) == []
+    assert select(cands, VariantConfig(order=None)) == cands
+    assert select([], VariantConfig(order=largest)) == []

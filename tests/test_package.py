@@ -53,14 +53,21 @@ UNREFERENCED_BY_DESIGN: frozenset[str] = frozenset()
 
 def _public_definitions():
     """(qualified name, file, definition node, pattern of a reference) for
-    every public module-level function and class of the package, and every
-    public method and annotated field of its classes."""
+    every public module-level function, class and constant (``NAME = ...``)
+    of the package, and every public method and annotated field of its
+    classes."""
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                name = node.name
+            elif isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+                name = node.targets[0].id
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                name = node.target.id
+            else:
                 continue
-            if not node.name.startswith("_"):
-                yield f"{path.stem}.{node.name}", path, node, rf"\b{node.name}\b"
+            if not name.startswith("_"):
+                yield f"{path.stem}.{name}", path, node, rf"\b{name}\b"
             for member in node.body if isinstance(node, ast.ClassDef) else ():
                 if isinstance(member, ast.FunctionDef):
                     name = member.name

@@ -25,10 +25,12 @@ batch, that runs a request past ``GIT_TIMEOUT_S``; the call then raises
 follows renames by default; diffs are asked for rename detection at a
 fixed 50% similarity threshold so results are reproducible).
 
-Answers depend only on the repository's objects: every call pins the
-config settings that change diff or blame output, turns off external
-diff drivers, textconv filters and ignore-revs files, and runs git in the
-C locale so that its error messages read as ``_raise_for`` expects.
+Every call pins the config settings that change diff or blame output,
+turns off external diff drivers, textconv filters and ignore-revs files,
+and runs git in the C locale so that its error messages read as
+``_raise_for`` expects. Git still inherits the caller's environment (a
+``GIT_DIR`` there names another repository) and reads user and system
+config (a ``core.attributesFile`` marking files ``-diff`` empties diffs).
 Commit parents are those ``git show`` prints: a graft's (``info/grafts``),
 and none for a shallow clone's boundary commits, though the commit
 objects list their own. One setting cannot be undone: git opens

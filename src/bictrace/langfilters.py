@@ -1,12 +1,14 @@
 """Line classification and cosmetic-change detection.
 
-A single-pass scanner per language family assigns each physical line one of
-four classes: Code, Comment, Blank, or MixedCodeComment. The
-scanner tracks just enough lexical state (strings, block comments, here-docs)
-that comment markers inside string literals never count as comments. It is
-deliberately not a full lexer: regex literals, preprocessor tricks, and
-multiple here-docs per line are out of scope, and a line continuation at the
-end of a single-line string is treated as the string ending.
+``LANGUAGES`` holds one row of syntax facts per supported language. One
+scanner reads any row and gives each physical line one of four classes:
+Code, Comment, Blank, or MixedCodeComment. It tracks just enough lexical
+state (strings, block comments, here-docs) that comment markers inside
+strings never count as comments, and a line that a string spans has code.
+Adding a language means adding a row and a hand-labeled fixture under
+``tests/data/lexer``. The scanner is deliberately not a full lexer: regex
+literals, preprocessor tricks, and multiple here-docs per line are out of
+scope, and a line continuation at the end of a single-line string ends it.
 
 Cosmetic comparison is whitespace squashing: two texts are cosmetically equal
 when they are identical after removing every whitespace character, which is
@@ -16,6 +18,8 @@ the same as comparing their token streams with tokens glued back together.
 from __future__ import annotations
 
 import enum
+import functools
+import re
 from dataclasses import dataclass
 
 
@@ -26,62 +30,76 @@ class LineClass(enum.Enum):
     MIXED = "mixed-code-comment"
 
 
-C = "C"
-CPP = "C++"
-CSHARP = "C#"
-JAVA = "Java"
-JAVASCRIPT = "JavaScript"
-RUBY = "Ruby"
-PHP = "PHP"
-PYTHON = "Python"
+@dataclass(frozen=True)
+class Quote:
+    opener: str
+    closer: str
+    escape: str  # a pattern for what inside the string never closes it
+    spans: bool  # whether the string may run on past its line's end
+
+    @functools.cached_property
+    def end(self) -> re.Pattern:
+        """Finds the next escape or closer; only a closer fills group 1."""
+        return re.compile(f"(?:{self.escape})|({re.escape(self.closer)})")
+
+
+@dataclass(frozen=True)
+class Syntax:
+    """The lexical facts the scanner reads for one language."""
+
+    extensions: tuple[str, ...]
+    line_comments: tuple[str, ...]
+    block_comments: bool  # whether ``/* */`` comments the language
+    quotes: tuple[Quote, ...]  # longest opener first
+    heredoc: str | None = None  # the here-doc opener
+    begin_end: bool = False  # whether ``=begin``/``=end`` lines are comments
+    aliases: tuple[str, ...] = ()  # names besides the lowercased row name
+
+    @functools.cached_property
+    def opener(self) -> re.Pattern:
+        """Finds the next comment, string or here-doc opener."""
+        block = ("/*",) if self.block_comments else ()
+        heredoc = (self.heredoc,) if self.heredoc else ()
+        tokens = (*self.line_comments, *block, *(q.opener for q in self.quotes), *heredoc)
+        return re.compile("|".join(map(re.escape, tokens)))
+
+    @functools.cached_property
+    def quote_for(self) -> dict[str, Quote]:
+        return {q.opener: q for q in self.quotes}
+
+
+_BACKSLASH = r"\\."  # a backslash escapes the character after it
+_LINE_QUOTES = tuple(Quote(q, q, _BACKSLASH, False) for q in "\"'")
+_SPANNING_QUOTES = tuple(Quote(q, q, _BACKSLASH, True) for q in "\"'")
+
+LANGUAGES: dict[str, Syntax] = {
+    "C": Syntax((".c", ".h"), ("//",), True, _LINE_QUOTES),
+    "C++": Syntax((".cpp", ".cc", ".cxx", ".hpp", ".hh", ".hxx"), ("//",), True, _LINE_QUOTES,
+                  aliases=("cpp",)),
+    "C#": Syntax((".cs",), ("//",), True, (Quote('@"', '"', '""', True), *_LINE_QUOTES),
+                 aliases=("csharp",)),
+    "Java": Syntax((".java",), ("//",), True, _LINE_QUOTES),
+    "JavaScript": Syntax((".js", ".jsx", ".mjs", ".cjs"), ("//",), True,
+                         (Quote("`", "`", _BACKSLASH, True), *_LINE_QUOTES), aliases=("js",)),
+    "Ruby": Syntax((".rb",), ("#",), False, _SPANNING_QUOTES, heredoc="<<", begin_end=True),
+    "PHP": Syntax((".php",), ("//", "#"), True, _SPANNING_QUOTES, heredoc="<<<"),
+    "Python": Syntax((".py",), ("#",), False,
+                     (*(Quote(q * 3, q * 3, _BACKSLASH, True) for q in "\"'"), *_LINE_QUOTES)),
+}
 UNSUPPORTED = "Unsupported"
-
-SUPPORTED_LANGUAGES = (C, CPP, CSHARP, JAVA, JAVASCRIPT, RUBY, PHP, PYTHON)
-
-EXTENSION_MAP: dict[str, str] = {
-    ".c": C,
-    ".h": C,
-    ".cpp": CPP,
-    ".cc": CPP,
-    ".cxx": CPP,
-    ".hpp": CPP,
-    ".hh": CPP,
-    ".hxx": CPP,
-    ".cs": CSHARP,
-    ".java": JAVA,
-    ".js": JAVASCRIPT,
-    ".jsx": JAVASCRIPT,
-    ".mjs": JAVASCRIPT,
-    ".cjs": JAVASCRIPT,
-    ".rb": RUBY,
-    ".php": PHP,
-    ".py": PYTHON,
-}
-
-LANGUAGE_ALIASES: dict[str, str] = {
-    "c": C,
-    "c++": CPP,
-    "cpp": CPP,
-    "c#": CSHARP,
-    "csharp": CSHARP,
-    "java": JAVA,
-    "javascript": JAVASCRIPT,
-    "js": JAVASCRIPT,
-    "ruby": RUBY,
-    "php": PHP,
-    "python": PYTHON,
-}
+SUPPORTED_LANGUAGES = tuple(LANGUAGES)
+_BY_EXTENSION = {ext: name for name, row in LANGUAGES.items() for ext in row.extensions}
+_BY_ALIAS = {alias: name for name, row in LANGUAGES.items()
+             for alias in (name.lower(), *row.aliases)}
 
 
 def canonical_language(name: str) -> str:
-    return LANGUAGE_ALIASES.get(name.strip().lower(), name.strip())
+    return _BY_ALIAS.get(name.strip().lower(), name.strip())
 
 
 def language_for_path(path: str) -> str:
     dot = path.rfind(".")
-    if dot == -1:
-        return UNSUPPORTED
-    return EXTENSION_MAP.get(path[dot:].lower(), UNSUPPORTED)
+    return UNSUPPORTED if dot == -1 else _BY_EXTENSION.get(path[dot:].lower(), UNSUPPORTED)
 
 
 @dataclass
@@ -89,144 +107,82 @@ class _Scan:
     # per-line accumulators plus carry-over lexical state
     has_code: bool = False
     has_comment: bool = False
-    block_comment: bool = False      # inside /* */ or =begin/=end
-    string_quote: str | None = None  # active quote token, e.g. '"' or '"""'
-    string_escapes: bool = True
-    string_multiline: bool = False
+    block_comment: bool = False  # inside /* */ or =begin/=end
+    quote: Quote | None = None  # the string the scan is inside
     heredoc_end: str | None = None
 
-    def reset_line(self) -> None:
-        self.has_code = False
-        self.has_comment = False
+
+_BLANKS = " \t\r\f\v"  # not str.strip()'s set: other Unicode spaces are code
 
 
-_C_FAMILY = {C, CPP, CSHARP, JAVA, JAVASCRIPT}
-
-
-def _scan_line(line: str, language: str, st: _Scan) -> None:
-    i = 0
-    n = len(line)
-
+def _scan_line(line: str, row: Syntax, st: _Scan) -> None:
     if st.heredoc_end is not None:
         if line.strip().rstrip(";,") == st.heredoc_end:
             st.heredoc_end = None
-        if line.strip():
-            st.has_code = True
+        st.has_code = bool(line.strip())
         return
 
-    if st.block_comment and language == RUBY:
+    if row.begin_end and (st.block_comment or st.quote is None and line.startswith("=begin")):
         st.has_comment = bool(line.strip())
-        if line.startswith("=end"):
-            st.block_comment = False
+        st.block_comment = not line.startswith("=end")
         return
 
-    if language == RUBY and st.string_quote is None and line.startswith("=begin"):
-        st.block_comment = True
-        st.has_comment = bool(line.strip())
-        return
-
-    while i < n:
-        ch = line[i]
-
+    i = 0
+    while i < len(line):
         if st.block_comment:
             end = line.find("*/", i)
             if end == -1:
-                if line[i:].strip():
-                    st.has_comment = True
+                st.has_comment |= bool(line[i:].strip())
                 return
-            st.has_comment = True
-            i = end + 2
-            st.block_comment = False
-            continue
-
-        if st.string_quote is not None:
-            q = st.string_quote
-            if st.string_escapes and ch == "\\":
-                i += 2
-                continue
-            if q == '@"':
-                # verbatim string: doubled quote is a literal quote
-                if ch == '"':
-                    if i + 1 < n and line[i + 1] == '"':
-                        i += 2
-                        continue
-                    st.string_quote = None
-                i += 1
-                continue
-            if line.startswith(q, i):
-                st.string_quote = None
-                i += len(q)
-                continue
-            i += 1
-            continue
-
-        if ch in " \t\r\f\v":
-            i += 1
-            continue
-
-        # comment openers
-        if language in _C_FAMILY or language == PHP:
-            if line.startswith("//", i):
+            st.has_comment, st.block_comment, i = True, False, end + 2
+        elif st.quote is not None:
+            st.has_code = True  # a line that a string spans has code
+            m = st.quote.end.search(line, i)
+            if m is None:
+                break
+            if m.group(1) is not None:
+                st.quote = None
+            i = m.end()
+        else:
+            m = row.opener.search(line, i)
+            st.has_code |= bool(line[i : m.start() if m else None].strip(_BLANKS))
+            if m is None:
+                break
+            token, i = m.group(), m.end()
+            if token in row.line_comments:
                 st.has_comment = True
                 return
-            if line.startswith("/*", i):
-                st.has_comment = True
-                st.block_comment = True
-                i += 2
-                continue
-        if language in (PYTHON, RUBY, PHP) and ch == "#":
-            st.has_comment = True
-            return
-
-        # string openers
-        if language == PYTHON and (line.startswith('"""', i) or line.startswith("'''", i)):
-            st.string_quote = line[i] * 3
-            st.string_escapes = True
-            st.string_multiline = True
-            st.has_code = True
-            i += 3
-            continue
-        if language == CSHARP and line.startswith('@"', i):
-            st.string_quote = '@"'
-            st.string_escapes = False
-            st.string_multiline = True
-            st.has_code = True
-            i += 2
-            continue
-        if ch in "\"'" or (language == JAVASCRIPT and ch == "`"):
-            st.string_quote = ch
-            st.string_escapes = True
-            st.string_multiline = ch == "`" or language in (RUBY, PHP)
-            st.has_code = True
-            i += 1
-            continue
-
-        # here-doc openers (consume the rest of the line as code);
-        # an identifier char right before << means shift/append, not a here-doc
-        tag = None
-        if language == RUBY and line.startswith("<<", i):
-            prev = line[i - 1] if i > 0 else " "
-            j = i + 3 if line[i + 2 : i + 3] in ("-", "~") else i + 2
-            if not (prev.isalnum() or prev in "_)]"):
-                tag = _heredoc_tag(line, j, "\"'`")
-        elif language == PHP and line.startswith("<<<", i):
-            tag = _heredoc_tag(line, len(line) - len(line[i + 3 :].lstrip(" \t")), "\"'")
-        if tag is not None:
-            st.heredoc_end = tag
-            st.has_code = True
-            return
-
-        st.has_code = True
-        i += 1
+            if token == "/*":
+                st.has_comment = st.block_comment = True
+            elif token == row.heredoc:
+                tag = _heredoc_tag(line, m.start(), token)
+                st.has_code = True
+                if tag is not None:
+                    st.heredoc_end = tag
+                    return
+                i = m.start() + 1  # Ruby's <<<EOS opens at its second <
+            else:
+                st.quote, st.has_code = row.quote_for[token], True
 
     # single-line strings do not survive the line break
-    if st.string_quote is not None and not st.string_multiline:
-        st.string_quote = None
+    if st.quote is not None and not st.quote.spans:
+        st.quote = None
 
 
-def _heredoc_tag(line: str, j: int, quotes: str) -> str | None:
-    """The here-doc tag starting at ``line[j]``: an identifier, perhaps in
-    one of ``quotes`` that must close right after it; None if there is none."""
+def _heredoc_tag(line: str, i: int, opener: str) -> str | None:
+    """The tag of a here-doc whose ``opener`` starts at ``line[i]``: an
+    identifier, perhaps in quotes that must close right after it; None if
+    there is none. Ruby's ``<<`` takes one ``-`` or ``~`` and after an
+    operand is a shift; PHP's ``<<<`` skips blanks."""
+    j = i + len(opener)
+    if opener == "<<":
+        if i > 0 and (line[i - 1].isalnum() or line[i - 1] in "_)]"):
+            return None
+        j += line[j : j + 1] in ("-", "~")
+        quotes = "\"'`"
+    else:
+        j = len(line) - len(line[j:].lstrip(" \t"))
+        quotes = "\"'"
     quote = line[j] if j < len(line) and line[j] in quotes else ""
     j += len(quote)
     k = j
@@ -247,13 +203,13 @@ def classify_lines(content: str, language: str) -> list[LineClass]:
     lines = content.split("\n")
     if lines and lines[-1] == "" and content.endswith("\n"):
         lines.pop()
-    scan = language in SUPPORTED_LANGUAGES
+    row = LANGUAGES.get(language)
     st = _Scan()
     out: list[LineClass] = []
     for raw in lines:
-        st.reset_line()
-        if scan:
-            _scan_line(raw, language, st)
+        st.has_code = st.has_comment = False
+        if row is not None:
+            _scan_line(raw, row, st)
         if raw.strip() == "":
             out.append(LineClass.BLANK)
         elif st.has_code and st.has_comment:

@@ -9,19 +9,13 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from bictrace.langfilters import LineClass
+from bictrace.langfilters import LineClass, canonical_language
 
 DATA_DIR = Path(__file__).parent / "data" / "lexer"
 
+# each fixture's stem names its language: cpp.txt is C++, csharp.txt is C#
 FIXTURE_LANGUAGES = {
-    "c.txt": "C",
-    "cpp.txt": "C++",
-    "csharp.txt": "C#",
-    "java.txt": "Java",
-    "javascript.txt": "JavaScript",
-    "ruby.txt": "Ruby",
-    "php.txt": "PHP",
-    "python.txt": "Python",
+    path.name: canonical_language(path.stem) for path in sorted(DATA_DIR.glob("*.txt"))
 }
 
 _LABELS = {

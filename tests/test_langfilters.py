@@ -1,12 +1,17 @@
 """Line classification and cosmetic-equality checks.
 
 The eight fixture files under data/lexer were labeled by hand, line by
-line, while writing them; the classifier must reproduce every label.
+line, while writing them; the classifier must reproduce every label. For
+Python, the standard library's ``tokenize`` is a second, independent oracle.
 """
 
 from __future__ import annotations
 
+import io
 import string
+import sysconfig
+import tokenize
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -50,6 +55,10 @@ def test_fixture_exercises_every_class(filename):
     assert set(expected) == set(LineClass)
 
 
+def test_fixtures_cover_every_language_row():
+    assert sorted(FIXTURE_LANGUAGES.values()) == sorted(SUPPORTED_LANGUAGES)
+
+
 # --- string literals never read as comments --------------------------------
 
 STRING_TRAPS = [
@@ -80,6 +89,44 @@ def test_javascript_template_literal_spans_lines():
     content = "const t = `one\n// still string\n`;\nlet n = 0; // done\n"
     got = classify_lines(content, "JavaScript")
     assert got == [LineClass.CODE, LineClass.CODE, LineClass.CODE, LineClass.MIXED]
+
+
+def _classes(names: str) -> list[LineClass]:
+    return [LineClass[name.upper()] for name in names.split()]
+
+
+STRINGS_ACROSS_LINES = [
+    ("Ruby", 's = "one\n# inside\ntwo"\n# after\n', "code code code comment"),
+    ("Ruby", "s = 'one\n# inside\ntwo'\n# after\n", "code code code comment"),
+    ("PHP", '$s = "one\n// inside\ntwo";\n// after\n', "code code code comment"),
+    ("PHP", "$s = 'one\n# inside\ntwo';\n# after\n", "code code code comment"),
+    ("Python", "'''doc\n# not a comment\n'''\n# real comment\n", "code code code comment"),
+    # =begin inside an open Ruby string starts no comment block
+    ("Ruby", 's = "one\n=begin\ntwo"\n# after\n', "code code code comment"),
+    # a C string ends at the line break, closed or not
+    ("C", 's = "open\n// real\n', "code comment"),
+]
+
+
+@pytest.mark.parametrize("language,content,expected", STRINGS_ACROSS_LINES)
+def test_string_state_across_lines(language, content, expected):
+    assert classify_lines(content, language) == _classes(expected)
+
+
+# The closing line of a string that spans lines is code even when only a
+# comment follows the closer, so AG, MA, L, R and RA-lite keep it in a fix.
+CLOSING_LINES = [
+    ("Python", '    """Summary.\n    """  # noqa: D212\n'),
+    ("Ruby", 'a = "a\nb" # c\n'),
+    ("JavaScript", "t = `a\nb` // c\n"),
+    ("C#", 'var s = @"a\nb" // c\n'),
+    ("PHP", "$s = 'a\nb' # c\n"),
+]
+
+
+@pytest.mark.parametrize("language,content", CLOSING_LINES)
+def test_a_line_that_a_string_spans_has_code(language, content):
+    assert classify_lines(content, language) == [LineClass.CODE, LineClass.MIXED]
 
 
 def test_python_docstring_interior_is_code():
@@ -165,6 +212,61 @@ def test_language_aliases():
     assert canonical_language("Fortran") == "Fortran"
     for lang in SUPPORTED_LANGUAGES:
         assert canonical_language(lang.lower()) == lang
+
+
+# --- Python against the standard library's tokenize -------------------------
+
+# The one documented limit the sample reaches: test/test_tokenize.py continues
+# single-line raw strings past a backslash at the line's end, which the
+# scanner reads as the string ending; it is out of step with the file for a
+# stretch after.
+_TOKENIZE_LIMITS = {"test/test_tokenize.py"}
+
+
+def _tokenize_classes(text: str) -> list[LineClass]:
+    """Reference classes: a whitespace line is blank; any token other than a
+    comment makes every line it covers code; a comment token makes its line
+    comment, and both together make it mixed."""
+    code: set[int] = set()
+    comment: set[int] = set()
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type == tokenize.COMMENT:
+            comment.add(tok.start[0])
+        elif tok.string.strip():
+            code.update(range(tok.start[0], tok.end[0] + 1))
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return [
+        LineClass.BLANK if not line.strip()
+        else LineClass.MIXED if n in code and n in comment
+        else LineClass.COMMENT if n in comment
+        else LineClass.CODE
+        for n, line in enumerate(lines, start=1)
+    ]
+
+
+def test_python_classes_agree_with_tokenize_on_the_standard_library():
+    stdlib = Path(sysconfig.get_paths()["stdlib"])
+    paths = sorted(
+        path for path in stdlib.rglob("*.py")
+        if "site-packages" not in path.relative_to(stdlib).parts
+    )[::20]
+    checked, differences = 0, []
+    for path in paths:
+        name = path.relative_to(stdlib).as_posix()
+        try:
+            with tokenize.open(path) as f:
+                text = f.read()
+            want = _tokenize_classes(text)
+        except (SyntaxError, UnicodeDecodeError, tokenize.TokenError):
+            continue  # not Python to the reference either
+        checked += 1
+        got = classify_lines(text, "Python")
+        if name not in _TOKENIZE_LIMITS:
+            differences += [(name, n, w, g) for n, (w, g) in enumerate(zip(want, got), 1) if w != g]
+    assert checked >= 0.9 * len(paths)
+    assert differences == []
 
 
 def test_unsupported_language_uses_blank_code_only():

@@ -267,20 +267,6 @@ def _cells(*values, form=repr) -> list[str]:
     return ["" if v is None else form(v) for v in values]
 
 
-METRICS_COLUMNS = (
-    "variant",
-    "regime",
-    "aggregation",
-    "entries",
-    "correct",
-    "identified",
-    "true_positives",
-    "recall",
-    "precision",
-    "f1",
-)
-
-
 def emit_report(
     runs: list[DetectionRun],
     oracle: OracleDataset,
@@ -295,7 +281,8 @@ def emit_report(
     as a run over that slice would. An empty oracle, a run that the cut
     leaves with no entry, or a threshold below 1 is refused before anything
     is written; a run that outlier trimming empties scores as undefined.
-    Output is deterministic: equal inputs produce byte-identical files."""
+    Every table is built as rows, header first, before the directory is
+    made. Output is deterministic: equal inputs produce byte-identical files."""
     if not oracle.entries:
         raise ConfigurationError("cannot evaluate against an empty oracle")
     keys = {(e.repo, e.fix_commit) for e in oracle.entries}
@@ -308,69 +295,53 @@ def emit_report(
     if outlier_threshold is not None:
         runs = [outlier_filter(r, outlier_threshold) for r in runs]
     scores = [score(r, oracle) for r in runs]
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written: dict[str, Path] = {}
-
-    metrics_path = out / "metrics.csv"
-    with open(metrics_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(METRICS_COLUMNS)
-        for run, sc in zip(runs, scores):
-            pooled, macro = sc.pooled, sc.macro
-            n = len(run.identified)
-            writer.writerow(
-                [
-                    run.variant, run.regime, "pooled", n,
-                    pooled.correct, pooled.identified, pooled.true_positives,
-                    *_cells(pooled.recall, pooled.precision, pooled.f1),
-                ]
-            )
-            writer.writerow([run.variant, run.regime, "macro", n, "", "", "",
-                             *_cells(macro.recall, macro.precision, macro.f1)])
-    written["metrics"] = metrics_path
+    metrics = [["variant", "regime", "aggregation", "entries", "correct", "identified",
+                "true_positives", "recall", "precision", "f1"]]
+    for run, sc in zip(runs, scores):
+        pooled, macro = sc.pooled, sc.macro
+        n = len(run.identified)
+        metrics.append([run.variant, run.regime, "pooled", n,
+                        pooled.correct, pooled.identified, pooled.true_positives,
+                        *_cells(pooled.recall, pooled.precision, pooled.f1)])
+        metrics.append([run.variant, run.regime, "macro", n, "", "", "",
+                        *_cells(macro.recall, macro.precision, macro.f1)])
+    tables = {"metrics": metrics}
 
     by_regime: dict[str, list[Score]] = {}
     for run, sc in zip(runs, scores):
         by_regime.setdefault(run.regime, []).append(sc)
-
+    exclusive = [["variant", "regime", "exclusive", "union", "fraction"]]
     for regime, group in sorted(by_regime.items()):
-        matrix_path = out / f"overlap_{regime}.csv"
-        with open(matrix_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["variant", *(s.variant for s in group)])
-            for s_i in group:
-                # outlier drops can de-align two runs' coverage; the cell
-                # is undefined then, not zero
-                writer.writerow([s_i.variant, *_cells(*(overlap(s_i, s_j) for s_j in group))])
-        written[f"overlap_{regime}"] = matrix_path
-
-    exclusive_path = out / "exclusive.csv"
-    with open(exclusive_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["variant", "regime", "exclusive", "union", "fraction"])
-        for regime, group in sorted(by_regime.items()):
-            if len(group) < 2:
-                continue
-            for sc in group:
-                cells = exclusive_correct(sc, group) or (None, None, None)
-                writer.writerow([sc.variant, regime, *_cells(*cells)])
-    written["exclusive"] = exclusive_path
+        # outlier drops can de-align two runs' coverage; a cell is
+        # undefined then, not zero
+        matrix = [["variant", *(s.variant for s in group)]]
+        for s_i in group:
+            matrix.append([s_i.variant, *_cells(*(overlap(s_i, s_j) for s_j in group))])
+        tables[f"overlap_{regime}"] = matrix
+        if len(group) < 2:
+            continue
+        for sc in group:
+            cells = exclusive_correct(sc, group) or (None, None, None)
+            exclusive.append([sc.variant, regime, *_cells(*cells)])
+    tables["exclusive"] = exclusive
 
     if outlier_threshold is not None:
-        outliers_path = out / "outliers.csv"
-        with open(outliers_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["variant", "regime", "repo", "fix_commit", "identified_count"]
-            )
-            for run in runs:
-                for repo, fix, n in sorted(run.outliers_removed):
-                    writer.writerow([run.variant, run.regime, repo, fix, n])
-        written["outliers"] = outliers_path
+        outliers = [["variant", "regime", "repo", "fix_commit", "identified_count"]]
+        for run in runs:
+            for repo, fix, n in sorted(run.outliers_removed):
+                outliers.append([run.variant, run.regime, repo, fix, n])
+        tables["outliers"] = outliers
 
-    summary_path = out / "summary.txt"
-    with open(summary_path, "w", encoding="utf-8") as fh:
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    written: dict[str, Path] = {}
+    for name, rows in tables.items():
+        written[name] = out / f"{name}.csv"
+        with open(written[name], "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(rows)
+
+    written["summary"] = out / "summary.txt"
+    with open(written["summary"], "w", encoding="utf-8") as fh:
         fh.write(f"oracle entries: {len(oracle.entries)}\n")
         if outlier_threshold is not None:
             fh.write(f"outlier threshold: >{outlier_threshold} identified per fix\n")
@@ -388,6 +359,4 @@ def emit_report(
                 fh.write(f"  skipped entries: {len(run.skipped)}\n")
             if run.outliers_removed:
                 fh.write(f"  outliers removed: {len(run.outliers_removed)}\n")
-    written["summary"] = summary_path
-
     return written

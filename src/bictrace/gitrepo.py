@@ -25,12 +25,15 @@ batch, that runs a request past ``GIT_TIMEOUT_S``; the call then raises
 follows renames by default; diffs are asked for rename detection at a
 fixed 50% similarity threshold so results are reproducible).
 
-Every call pins the config settings that change diff or blame output,
-turns off external diff drivers, textconv filters and ignore-revs files,
-and runs git in the C locale so that its error messages read as
-``_raise_for`` expects. Git still inherits the caller's environment (a
-``GIT_DIR`` there names another repository) and reads user and system
-config (a ``core.attributesFile`` marking files ``-diff`` empties diffs).
+Git sees only the clone: it runs with the caller's environment less
+every ``GIT_*`` variable (one such as ``GIT_DIR`` would name another
+repository), without user or system config and attributes, and in the C
+locale, so that its error messages read as ``_raise_for`` expects. Every
+call pins the repository config settings that change diff or blame
+output, and turns off external diff drivers, textconv filters and
+ignore-revs files. The clone's own attributes (``info/attributes``, a
+``.gitattributes`` in its work tree) still apply: one that marks a file
+``-diff`` or ``binary`` leaves its changes without lines.
 Commit parents are those ``git show`` prints: a graft's (``info/grafts``),
 and none for a shallow clone's boundary commits, though the commit
 objects list their own. One setting cannot be undone: git opens
@@ -76,7 +79,7 @@ RENAME_THRESHOLD = "50%"
 # seconds a git process may spend on one request before its entry is given up
 GIT_TIMEOUT_S = 600
 
-# user or repository config that would change what git prints
+# repository config that would change what git prints
 PINNED_CONFIG = (
     "core.quotePath=false",
     "diff.noprefix=false",
@@ -84,6 +87,7 @@ PINNED_CONFIG = (
     "diff.algorithm=myers",
     "diff.indentHeuristic=true",
     "color.ui=never",
+    "core.attributesFile=/dev/null",
 )
 
 _DIFF_ARGS = (
@@ -323,7 +327,9 @@ class GitRepo:
 
     def __init__(self, path: str | Path):
         self.path = str(path)
-        self._env = {**os.environ, "LC_ALL": "C"}
+        self._env = {k: v for k, v in os.environ.items() if not k.startswith("GIT_")}
+        self._env.update(GIT_CONFIG_NOSYSTEM="1", GIT_CONFIG_GLOBAL="/dev/null",
+                         GIT_ATTR_NOSYSTEM="1", LC_ALL="C")
         self._cat_file = _Batch(self._argv("cat-file", "--batch", "-z"), self._env)
         self._diff_tree = _Batch(
             self._argv("diff-tree", "--stdin", "-r", "-p", *_DIFF_ARGS), self._env

@@ -6,9 +6,14 @@ Code, Comment, Blank, or MixedCodeComment. It tracks just enough lexical
 state (strings, block comments, here-docs) that comment markers inside
 strings never count as comments, and a line that a string spans has code.
 Adding a language means adding a row and a hand-labeled fixture under
-``tests/data/lexer``. The scanner is deliberately not a full lexer: regex
-literals, preprocessor tricks, and multiple here-docs per line are out of
-scope, and a line continuation at the end of a single-line string ends it.
+``tests/data/lexer``. Rows name PHP 8's ``#[`` attribute opener as
+code, not a ``#`` comment, and the raw strings of C++ (``R"(`` to
+``)"``) and C# 11 (three double quotes each way), which span lines and
+have no escape. The scanner is deliberately not a full lexer: regex
+literals, preprocessor tricks, and multiple here-docs per line are out
+of scope; a line continuation at the end of a single-line string ends
+it; and a C++ raw string with a delimiter (``R"x(`` to ``)x"``) or a C#
+raw string with more than three quotes is not read as a raw string.
 
 Cosmetic comparison is whitespace squashing: two texts are cosmetically equal
 when they are identical after removing every whitespace character, which is
@@ -54,13 +59,16 @@ class Syntax:
     heredoc: str | None = None  # the here-doc opener
     begin_end: bool = False  # whether ``=begin``/``=end`` lines are comments
     aliases: tuple[str, ...] = ()  # names besides the lowercased row name
+    code_openers: tuple[str, ...] = ()  # code that a line-comment marker starts
 
     @functools.cached_property
     def opener(self) -> re.Pattern:
-        """Finds the next comment, string or here-doc opener."""
+        """Finds the next code, comment, string or here-doc opener; code
+        openers come first, so PHP's ``#[`` wins over ``#``."""
         block = ("/*",) if self.block_comments else ()
         heredoc = (self.heredoc,) if self.heredoc else ()
-        tokens = (*self.line_comments, *block, *(q.opener for q in self.quotes), *heredoc)
+        tokens = (*self.code_openers, *self.line_comments, *block,
+                  *(q.opener for q in self.quotes), *heredoc)
         return re.compile("|".join(map(re.escape, tokens)))
 
     @functools.cached_property
@@ -69,20 +77,23 @@ class Syntax:
 
 
 _BACKSLASH = r"\\."  # a backslash escapes the character after it
+_RAW = "(?!)"  # nothing escapes anything in a raw string
 _LINE_QUOTES = tuple(Quote(q, q, _BACKSLASH, False) for q in "\"'")
 _SPANNING_QUOTES = tuple(Quote(q, q, _BACKSLASH, True) for q in "\"'")
 
 LANGUAGES: dict[str, Syntax] = {
     "C": Syntax((".c", ".h"), ("//",), True, _LINE_QUOTES),
-    "C++": Syntax((".cpp", ".cc", ".cxx", ".hpp", ".hh", ".hxx"), ("//",), True, _LINE_QUOTES,
-                  aliases=("cpp",)),
-    "C#": Syntax((".cs",), ("//",), True, (Quote('@"', '"', '""', True), *_LINE_QUOTES),
+    "C++": Syntax((".cpp", ".cc", ".cxx", ".hpp", ".hh", ".hxx"), ("//",), True,
+                  (Quote('R"(', ')"', _RAW, True), *_LINE_QUOTES), aliases=("cpp",)),
+    "C#": Syntax((".cs",), ("//",), True,
+                 (Quote('"""', '"""', _RAW, True), Quote('@"', '"', '""', True), *_LINE_QUOTES),
                  aliases=("csharp",)),
     "Java": Syntax((".java",), ("//",), True, _LINE_QUOTES),
     "JavaScript": Syntax((".js", ".jsx", ".mjs", ".cjs"), ("//",), True,
                          (Quote("`", "`", _BACKSLASH, True), *_LINE_QUOTES), aliases=("js",)),
     "Ruby": Syntax((".rb",), ("#",), False, _SPANNING_QUOTES, heredoc="<<", begin_end=True),
-    "PHP": Syntax((".php",), ("//", "#"), True, _SPANNING_QUOTES, heredoc="<<<"),
+    "PHP": Syntax((".php",), ("//", "#"), True, _SPANNING_QUOTES, heredoc="<<<",
+                  code_openers=("#[",)),
     "Python": Syntax((".py",), ("#",), False,
                      (*(Quote(q * 3, q * 3, _BACKSLASH, True) for q in "\"'"), *_LINE_QUOTES)),
 }
@@ -154,6 +165,8 @@ def _scan_line(line: str, row: Syntax, st: _Scan) -> None:
                 return
             if token == "/*":
                 st.has_comment = st.block_comment = True
+            elif token in row.code_openers:
+                st.has_code = True
             elif token == row.heredoc:
                 tag = _heredoc_tag(line, m.start(), token)
                 st.has_code = True
@@ -201,7 +214,7 @@ def classify_lines(content: str, language: str) -> list[LineClass]:
     line is Code and downstream filters never discard unknown content.
     """
     lines = content.split("\n")
-    if lines and lines[-1] == "" and content.endswith("\n"):
+    if lines[-1] == "":  # a line break ends a line; empty text has none
         lines.pop()
     row = LANGUAGES.get(language)
     st = _Scan()

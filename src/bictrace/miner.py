@@ -33,7 +33,7 @@ import tempfile
 import weakref
 from array import array
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from json.encoder import encode_basestring_ascii as _json_str
 
 from .errors import SchemaError
@@ -68,14 +68,7 @@ HEURISTICS_FAILED = "h2h3-failed"
 
 # later stages outrank earlier ones when summarizing why a message failed:
 # a message reports its sentences' highest-ranked reason, the earlier on a tie
-_REASON_RANK = {
-    PREFILTER: 0,
-    PARSE_UNAVAILABLE: 1,
-    NO_HASH: 2,
-    STARTS_WITH_HASH: 3,
-    REVERT: 4,
-    HEURISTICS_FAILED: 5,
-}
+_REASON_RANK = (PREFILTER, PARSE_UNAVAILABLE, NO_HASH, STARTS_WITH_HASH, REVERT, HEURISTICS_FAILED)
 
 
 @dataclass(frozen=True)
@@ -88,12 +81,13 @@ class Token:
 
 class SentenceTree:
     """One sentence's dependency tree. Head index 0 is the artificial
-    root; token indices are 1-based."""
+    root; token indices are 1-based. A root given as its own head is
+    stored with head 0."""
 
     def __init__(self, text: str, tokens: list[Token]):
         self.text = text
-        self.tokens = tokens
-        self._by_index = {t.index: t for t in tokens}
+        self.tokens = [replace(t, head=0) if t.head == t.index else t for t in tokens]
+        self._by_index = {t.index: t for t in self.tokens}
         self._children: dict[int, list[int]] | None = None
         self._validate()
 
@@ -106,12 +100,9 @@ class SentenceTree:
         for t in self.tokens:
             if t.index < 1:
                 raise SchemaError(f"token index {t.index} is not positive")
-            head = t.head
-            if head == t.index:  # self-loop convention for roots
-                head = 0
-            if head == 0:
+            if t.head == 0:
                 roots += 1
-            elif head not in self._by_index:
+            elif t.head not in self._by_index:
                 raise SchemaError(f"token {t.index} has out-of-range head {t.head}")
         if roots != 1:
             raise SchemaError(f"expected exactly one root, found {roots}")
@@ -123,8 +114,7 @@ class SentenceTree:
             cur = t.index
             while cur not in walk:
                 walk[cur] = n
-                head = self._by_index[cur].head
-                cur = 0 if head == cur else head
+                cur = self._by_index[cur].head
             if walk[cur] == n:
                 raise SchemaError("dependency tree contains a cycle")
 
@@ -133,13 +123,10 @@ class SentenceTree:
         the token itself."""
         out = []
         cur = self._by_index[index].head
-        if cur == index:
-            cur = 0
         while cur != 0:
             t = self._by_index[cur]
             out.append(t)
-            nxt = t.head
-            cur = 0 if nxt == cur else nxt
+            cur = t.head
         return out
 
     def descendants(self, index: int) -> list[Token]:
@@ -149,8 +136,7 @@ class SentenceTree:
         if children is None:
             children = self._children = {}
             for t in self.tokens:
-                head = 0 if t.head == t.index else t.head
-                children.setdefault(head, []).append(t.index)
+                children.setdefault(t.head, []).append(t.index)
         out: list[Token] = []
         stack = list(children.get(index, ()))
         while stack:
@@ -274,24 +260,35 @@ class MessageAnalysis:
         return f'{line}, "repo": {_json_str(self.repo)}, "verdict": {_json_str(self.verdict)}}}\n'
 
 
+def _fold(sentences: Iterable[tuple[list, str]]) -> tuple[list[SentenceMatch], str]:
+    """A message's matches and the highest-ranked reason its sentences
+    reached, from one (hashes found with their heuristic, reason) pair
+    per sentence."""
+    matches: list[SentenceMatch] = []
+    worst = NO_HASH
+    for s_index, (found, reason) in enumerate(sentences):
+        matches += (SentenceMatch(s_index, h, heuristic) for h, heuristic in found)
+        worst = max(worst, reason, key=_REASON_RANK.index)  # the earlier on a tie
+    return matches, worst
+
+
+def _tree_matches(tree: SentenceTree) -> tuple[list[tuple[str, str]], str]:
+    ok, reason = h1_filter(tree)
+    if not ok:
+        return [], reason
+    found = []
+    for idx, hash_str in tree.hash_token_indices():
+        if h2_filter(tree, idx):
+            found.append((hash_str, "h2"))
+        elif h3_filter(tree, idx):
+            found.append((hash_str, "h3"))
+    return found, HEURISTICS_FAILED  # a passing sentence reaches H2/H3
+
+
 def analyze_with_trees(trees: list[SentenceTree]) -> tuple[list[SentenceMatch], str]:
     """Run H1 then H2/H3 over every sentence; returns the accepted matches
     and the deepest rejection reason reached when nothing matched."""
-    matches: list[SentenceMatch] = []
-    worst = NO_HASH
-    for s_index, tree in enumerate(trees):
-        ok, reason = h1_filter(tree)
-        reason = reason or HEURISTICS_FAILED  # a passing sentence reaches H2/H3
-        if _REASON_RANK[reason] > _REASON_RANK[worst]:
-            worst = reason
-        if not ok:
-            continue
-        for idx, hash_str in tree.hash_token_indices():
-            if h2_filter(tree, idx):
-                matches.append(SentenceMatch(s_index, hash_str, "h2"))
-            elif h3_filter(tree, idx):
-                matches.append(SentenceMatch(s_index, hash_str, "h3"))
-    return matches, worst
+    return _fold(map(_tree_matches, trees))
 
 
 # -- proximity fallback (no parses) --------------------------------------
@@ -343,15 +340,8 @@ def proximity_matches(sentence: str) -> tuple[list[str], str]:
 def analyze_with_proximity(message: str) -> tuple[list[SentenceMatch], str]:
     """``proximity_matches`` over every sentence of a message; returns the
     accepted matches and the deepest rejection reason reached."""
-    matches: list[SentenceMatch] = []
-    worst = NO_HASH
-    for s_index, sentence in enumerate(split_sentences(message)):
-        found, reason = proximity_matches(sentence)
-        for h in found:
-            matches.append(SentenceMatch(s_index, h, "proximity"))
-        if _REASON_RANK[reason] > _REASON_RANK[worst]:
-            worst = reason
-    return matches, worst
+    return _fold(([(h, "proximity") for h in found], reason)
+                 for found, reason in map(proximity_matches, split_sentences(message)))
 
 
 # -- event stream processing ----------------------------------------------

@@ -288,19 +288,12 @@ def from_legacy_records(records: list[dict]) -> OracleDataset:
 
     entries = []
     for (repo, fix), slot in merged.items():
-        seen_issue = set()
-        issues = []
-        for issue in slot["issues"]:
-            key = (issue.url, issue.opened_at)
-            if key not in seen_issue:
-                seen_issue.add(key)
-                issues.append(issue)
         entries.append(
             OracleEntry(
                 repo=repo,
                 fix_commit=fix,
                 true_bics=tuple(dict.fromkeys(slot["bics"])),
-                issues=tuple(issues),
+                issues=tuple(dict.fromkeys(slot["issues"])),
                 languages=tuple(
                     dict.fromkeys(canonical_language(l) for l in slot["languages"])
                 ),

@@ -964,6 +964,40 @@ def test_detect_walks_each_fix_once(corpus, suite_ranges_path, tmp_path, git_sub
     assert Counter(git_subcommands) == {"blame": 14, "rev-parse": 13, "cat-file": 13, "diff-tree": 13}
 
 
+def test_detect_sees_only_the_clone(corpus, suite, suite_ranges_path, tmp_path, monkeypatch):
+    # git exports GIT_DIR to hooks and to `git bisect run`; neither git's
+    # environment nor the caller's config and attributes reach a clone
+    dataset_path, clones_root = corpus
+    regimes = ",".join(ALL_REGIMES)
+    clean, hostile = tmp_path / "clean", tmp_path / "hostile"
+    assert _detect_all_presets(dataset_path, clones_root, suite_ranges_path, regimes, clean) == 0
+
+    home = tmp_path / "home"
+    (home / ".config" / "git").mkdir(parents=True)
+    binary = home / "binary"
+    binary.write_text("* -diff\n")
+    (home / ".config" / "git" / "attributes").write_text("* -diff\n")
+    config = (f"[core]\n\tattributesFile = {binary}\n[diff]\n\tnoprefix = true\n"
+              f"[blame]\n\tignoreRevsFile = {home / 'missing'}\n")
+    (home / ".gitconfig").write_text(config)
+    (home / ".config" / "git" / "config").write_text(config)
+    other = suite["plain_bug_fix"].path
+    env = {
+        "HOME": home, "XDG_CONFIG_HOME": home / ".config",
+        "GIT_DIR": other / ".git", "GIT_WORK_TREE": other,
+        "GIT_OBJECT_DIRECTORY": other / ".git" / "objects", "GIT_INDEX_FILE": tmp_path / "index",
+        "GIT_CONFIG_COUNT": 1, "GIT_CONFIG_KEY_0": "core.attributesFile", "GIT_CONFIG_VALUE_0": binary,
+    }
+    for name, value in env.items():
+        monkeypatch.setenv(name, str(value))
+    assert _detect_all_presets(dataset_path, clones_root, suite_ranges_path, regimes, hostile) == 0
+    names = sorted(p.name for p in clean.glob("*.json"))
+    assert len(names) == 18
+    assert names == sorted(p.name for p in hostile.glob("*.json"))
+    for name in names:
+        assert (clean / name).read_bytes() == (hostile / name).read_bytes(), name
+
+
 def test_detect_rejects_unknown_regime(corpus, tmp_path, capsys):
     dataset_path, clones_root = corpus
     code = main(

@@ -265,6 +265,7 @@ def configurable(tmp_path):
         ("diff.external", "true"),
         ("diff.shift.textconv", "sed 1d"),
         ("blame.ignoreRevsFile", "IGNORE_REVS"),
+        ("core.attributesFile", "ATTRIBUTES_FILE"),
     ],
 )
 def test_repository_config_changes_no_answer(configurable, key, value, git_subcommands):
@@ -280,11 +281,11 @@ def test_repository_config_changes_no_answer(configurable, key, value, git_subco
     (path / ".git" / "info" / "attributes").write_text("*.c diff=shift\n")
     order_file = path.parent / "order"
     order_file.write_text("ind.txt\nalg.txt\n")
-    if value == "IGNORE_REVS":
-        value = str(ignore_revs)
-    elif value == "ORDER_FILE":
-        value = str(order_file)
-    subprocess.run(["git", "-C", str(path), "config", key, value], check=True)
+    attributes_file = path.parent / "attributes"
+    attributes_file.write_text("* -diff\n")
+    value = {"IGNORE_REVS": ignore_revs, "ORDER_FILE": order_file,
+             "ATTRIBUTES_FILE": attributes_file}.get(value, value)
+    subprocess.run(["git", "-C", str(path), "config", key, str(value)], check=True)
 
     configured = GitRepo(path)
     assert configured.diff_against_parent(fix, root) == want_diff
@@ -292,6 +293,17 @@ def test_repository_config_changes_no_answer(configurable, key, value, git_subco
     # diff-tree answered every diff; it ignores diff.interHunkContext and
     # diff.orderFile, so neither setting needs a pin
     assert "diff-tree" in git_subcommands and "diff" not in git_subcommands
+
+
+def test_the_clones_own_attributes_still_apply(configurable):
+    # the clone's info/attributes speaks for its files as a committed
+    # .gitattributes does: a file it marks -diff changes without lines
+    path, root, fix = configurable
+    files = {h.file_pre for h in GitRepo(path).diff_against_parent(fix, root)}
+    assert files == {"a/core.c", "alg.txt", "ind.txt"}
+    (path / ".git" / "info" / "attributes").write_text("*.c -diff\n")
+    files = {h.file_pre for h in GitRepo(path).diff_against_parent(fix, root)}
+    assert files == {"alg.txt", "ind.txt"}
 
 
 def test_missing_ignore_revs_file_is_a_configuration_error(configurable):

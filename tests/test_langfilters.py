@@ -14,7 +14,7 @@ import tokenize
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bictrace.gitrepo import DiffHunk, GitRepo
@@ -127,6 +127,26 @@ CLOSING_LINES = [
 @pytest.mark.parametrize("language,content", CLOSING_LINES)
 def test_a_line_that_a_string_spans_has_code(language, content):
     assert classify_lines(content, language) == [LineClass.CODE, LineClass.MIXED]
+
+
+def test_php_attributes_are_code():
+    content = '#[Route("/x")]\n#[A] // c\n# c\n'
+    assert classify_lines(content, "PHP") == _classes("code mixed comment")
+
+
+# A raw string spans lines, and neither a quote nor a backslash in it
+# closes it or escapes its closer.
+RAW_STRINGS = [
+    ("C++", 'auto s = R"(first\n// inside the raw string\n)";\n', "code code code"),
+    ("C++", 'auto s = R"(")"; // c\n', "mixed"),
+    ("C#", 'var s = """\n    // inside the raw string\n    """;\n', "code code code"),
+    ("C#", 'var s = """a\\"""; // c\n', "mixed"),
+]
+
+
+@pytest.mark.parametrize("language,content,expected", RAW_STRINGS)
+def test_raw_strings_span_lines_and_have_no_escape(language, content, expected):
+    assert classify_lines(content, language) == _classes(expected)
 
 
 def test_python_docstring_interior_is_code():
@@ -269,6 +289,50 @@ def test_python_classes_agree_with_tokenize_on_the_standard_library():
     assert differences == []
 
 
+def _python_string(quote: str) -> st.SearchStrategy[str]:
+    """A string literal holding escaped quotes, ``#`` and the other quote;
+    a triple-quoted one also holds line breaks, backslash-newlines and
+    its own quote character."""
+    pieces = ["a", " ", "#", "\\'", '\\"', "\\\\", "'" if quote[0] == '"' else '"']
+    if len(quote) == 3:
+        pieces += ["\n", "\\\n", quote[0]]
+    return st.lists(st.sampled_from(pieces), max_size=6).map(lambda ps: quote + "".join(ps) + quote)
+
+
+_PYTHON_FRAGMENTS = st.one_of(
+    st.sampled_from([" x", " foo", " = ", " + ", "(", ")", "    ", "\n", "\n\n"]),
+    st.text(alphabet=" a#'\"\\", max_size=8).map(lambda body: "#" + body + "\n"),
+    *map(_python_string, ("'", '"', "'''", '"""')),
+    st.just(" \\\n"),  # a line continuation outside strings
+)
+
+
+def _continues_a_single_line_string(token: tokenize.TokenInfo) -> bool:
+    """The scanner's documented limit: a backslash that ends a line inside
+    a single-line string, which fragments meeting quote to quote can make."""
+    return token.type == tokenize.STRING and token.start[0] != token.end[0] and not (
+        token.string.startswith(("'''", '"""')))
+
+
+@settings(max_examples=400, deadline=None)
+@given(fragments=st.lists(_PYTHON_FRAGMENTS, max_size=24))
+def test_python_classes_agree_with_tokenize_on_generated_lines(fragments):
+    text = "".join(fragments)
+    try:
+        tokens = list(tokenize.generate_tokens(io.StringIO(text).readline))
+    except (SyntaxError, tokenize.TokenError):
+        tokens = None
+    assume(tokens is not None and all(t.type != tokenize.ERRORTOKEN for t in tokens))
+    assume(not any(map(_continues_a_single_line_string, tokens)))
+    assert classify_lines(text, "Python") == _tokenize_classes(text)
+
+
+def test_empty_text_has_no_lines():
+    # found by the generated-lines test: tokenize reads no line in it
+    for language in (*SUPPORTED_LANGUAGES, "Unsupported"):
+        assert classify_lines("", language) == []
+
+
 def test_unsupported_language_uses_blank_code_only():
     content = "# looks like a comment\n\nreal text\n"
     got = classify_lines(content, "Unsupported")
@@ -344,7 +408,7 @@ _text = st.text(
 def test_one_class_per_line(content, language):
     got = classify_lines(content, language)
     lines = content.split("\n")
-    if lines and lines[-1] == "" and content.endswith("\n"):
+    if lines[-1] == "":
         lines.pop()
     assert len(got) == len(lines)
     for cls, line in zip(got, lines):

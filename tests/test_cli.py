@@ -1013,23 +1013,51 @@ def test_detect_rejects_unknown_regime(corpus, tmp_path, capsys):
     assert "unknown regime in 'none,late'" in capsys.readouterr().err
 
 
-def test_detect_output_is_deterministic(corpus, tmp_path):
-    dataset_path, clones_root = corpus
-    dirs = [tmp_path / "one", tmp_path / "two"]
-    for out_dir, workers in zip(dirs, ("1", "4")):
+def test_detect_output_is_deterministic(corpus, suite, suite_dataset, tmp_path, capsys):
+    # a fix that fails, a true inducer missing from the clone, a missing
+    # clone and entries with no issue dates, under every regime: the same
+    # run files and skip lines whatever the workers and the preset order
+    _, clones_root = corpus
+    unresolvable = ("plain_bug_fix", "0" * 40)
+    bic_missing = ("plain_bug_fix", suite["plain_bug_fix"].labels["c1"])
+    ghost = ("ghost/app", "f" * 40)
+    dataset = OracleDataset(
+        entries=list(suite_dataset.entries)
+        + [
+            OracleEntry(repo=repo, fix_commit=fix, true_bics=("b" * 40,), clone_path=repo)
+            for repo, fix in (unresolvable, bic_missing, ghost)
+        ],
+    )
+    dataset_path = tmp_path / "sick.json"
+    save_oracle(dataset, dataset_path)
+    outputs = []
+    for workers, presets in (("1", "B,MA,R"), ("4", "B,MA,R"), ("1", "R,MA,B"), ("4", "R,MA,B")):
+        out_dir = tmp_path / f"{workers}-{presets}"
         code = main(
             [
                 "detect",
                 "--dataset", str(dataset_path),
                 "--clones-root", str(clones_root),
-                "--presets", "B,MA",
+                "--presets", presets,
+                "--regime", ",".join(ALL_REGIMES),
                 "--workers", workers,
                 "--out-dir", str(out_dir),
             ]
         )
-        assert code == 0
-    for name in ("b_none.json", "ma_none.json"):
-        assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        files = {p.name: p.read_bytes() for p in out_dir.glob("*.json")}
+        outputs.append((files, [line for line in err if line.startswith("skipped ")]))
+    assert len(outputs[0][0]) == 9
+    assert all(output == outputs[0] for output in outputs[1:])
+
+    run = load_run(tmp_path / "1-B,MA,R" / "r_issue-date.json")
+    assert run.entry_flags[bic_missing] == ("no-issue-dates",)
+    assert run.skipped == [ghost, unresolvable]
+    assert load_run(tmp_path / "1-B,MA,R" / "b_best-case-date.json").skipped == sorted(
+        [ghost, unresolvable, bic_missing]
+    )
+    assert len(outputs[0][1]) == 7
 
 
 # --- evaluate -------------------------------------------------------------------

@@ -21,11 +21,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import engine, evaluate, miner, oracle
-from .errors import BictraceError, ConfigurationError, NotARepositoryError, SchemaError
+from .errors import BictraceError, ConfigurationError, SchemaError
 from .gitrepo import GitRepo
 
 CLONES_ROOT_ENV = "BICTRACE_CLONES_ROOT"
@@ -136,30 +137,29 @@ def cmd_mine(args) -> int:
 # -- detect -------------------------------------------------------------------
 
 
-def _clone_dir(root: Path, entry: oracle.OracleEntry) -> Path:
-    return root / (entry.clone_path or entry.repo)
+def _reason(exc: BaseException) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
 
 def _detect_group(path: Path, entries, configs, regimes, ranges):
     """Run every preset under every regime over one repository's entries,
     one shared pipeline call per entry.
 
-    Returns (results, flags, skips): results maps (repo, fix, preset name,
-    regime) to the hashes found, flags and skips map (repo, fix, regime)
-    to the entry's flags and to a skip reason. A missing or unreadable
-    clone, or a fix that fails, skips the entry in every regime; a
-    best-case cutoff that cannot be simulated skips it in that regime. A
-    git that cannot be started (an ``OSError``, such as an argument list
-    too long) fails only the entry that started it."""
-    results: dict[tuple[str, str, str, str], frozenset[str]] = {}
-    flags: dict[tuple[str, str, str], tuple[str, ...]] = {}
+    Returns (results, flags, skips): results maps (preset name, regime) to
+    the hashes found for each (repo, fix), flags maps a regime to each
+    (repo, fix)'s flags, and skips maps (repo, fix, regime) to a skip
+    reason. A clone directory that does not exist is ``clone-missing``; one
+    git refuses, or a fix that fails, skips the entry in every regime with
+    the error; a best-case cutoff that cannot be simulated skips it in that
+    regime. A git that cannot be started (an ``OSError``, such as an
+    argument list too long) fails only the entry that started it."""
+    results: dict[tuple[str, str], dict[tuple[str, str], frozenset[str]]] = defaultdict(dict)
+    flags: dict[str, dict[tuple[str, str], tuple[str, ...]]] = defaultdict(dict)
     skips: dict[tuple[str, str, str], str] = {}
     try:
         repo = GitRepo(path)
     except BictraceError as exc:
-        reason = "clone-missing"
-        if not isinstance(exc, NotARepositoryError):  # a git that did not answer in time
-            reason = f"{type(exc).__name__}: {exc}"
+        reason = _reason(exc) if path.exists() else "clone-missing"
         for e in entries:
             for regime in regimes:
                 skips[(e.repo, e.fix_commit, regime)] = reason
@@ -167,32 +167,29 @@ def _detect_group(path: Path, entries, configs, regimes, ranges):
 
     with repo:  # waits for the batch process before the task ends
         for e in entries:
-            cutoffs = []
+            key = (e.repo, e.fix_commit)
+            runs = {}  # (preset name, regime) -> (config, cutoff)
             for regime in regimes:
                 try:
                     cutoff = engine.regime_cutoff(repo, regime, e.issue_dates, e.true_bics)
-                    cutoffs.append((regime, cutoff))
                 except (BictraceError, OSError) as exc:
-                    skips[(e.repo, e.fix_commit, regime)] = f"{type(exc).__name__}: {exc}"
-            if not cutoffs:
+                    skips[(*key, regime)] = _reason(exc)
+                    continue
+                runs.update({(name, regime): (cfg, cutoff) for name, cfg in configs})
+            if not runs:
                 continue
             try:
                 found = engine.run_configs(
-                    repo, e.fix_commit,
-                    [(cfg, cutoff) for _, cutoff in cutoffs for _, cfg in configs],
-                    refactorings=ranges,
+                    repo, e.fix_commit, list(runs.values()), refactorings=ranges
                 )
             except (BictraceError, OSError) as exc:
                 for regime in regimes:
-                    skips[(e.repo, e.fix_commit, regime)] = f"{type(exc).__name__}: {exc}"
+                    skips[(*key, regime)] = _reason(exc)
                 continue
-            pairs = [(name, regime) for regime, _ in cutoffs for name, _ in configs]
-            for (name, regime), cands in zip(pairs, found):
-                results[(e.repo, e.fix_commit, name, regime)] = frozenset(
-                    c.commit for c in cands
-                )
+            for run, cands in zip(runs, found):
+                results[run][key] = frozenset(c.commit for c in cands)
             if "issue-date" in regimes and not e.issue_dates:
-                flags[(e.repo, e.fix_commit, "issue-date")] = ("no-issue-dates",)
+                flags["issue-date"][key] = ("no-issue-dates",)
     return results, flags, skips
 
 
@@ -224,7 +221,7 @@ def cmd_detect(args) -> int:
     root = Path(args.clones_root)
     groups: dict[Path, list[oracle.OracleEntry]] = {}
     for e in dataset.entries:
-        groups.setdefault(_clone_dir(root, e), []).append(e)
+        groups.setdefault(root / (e.clone_path or e.repo), []).append(e)
 
     # one task per repository keeps each clone single-reader
     with ThreadPoolExecutor(max_workers=max(1, args.workers)) as pool:
@@ -234,37 +231,36 @@ def cmd_detect(args) -> int:
         ]
         outcomes = [f.result() for f in futures]
 
-    runs = {
-        (name, regime): evaluate.DetectionRun(variant=name, regime=regime)
-        for regime in regimes
-        for name in names
-    }
-    all_skips: dict[tuple[str, str, str], str] = {}
-    for results, flags, skips in outcomes:
-        all_skips.update(skips)
-        for (repo_name, fix, name, regime), shas in results.items():
-            runs[name, regime].identified[(repo_name, fix)] = shas
-        for (repo_name, fix, regime), entry_flags in flags.items():
-            for name in names:
-                runs[name, regime].entry_flags[(repo_name, fix)] = entry_flags
+    identified: dict[tuple[str, str], dict] = defaultdict(dict)
+    flags: dict[str, dict] = defaultdict(dict)
+    skips: dict[tuple[str, str, str], str] = {}
+    for group_results, group_flags, group_skips in outcomes:
+        for run, found in group_results.items():
+            identified[run].update(found)
+        for regime, entry_flags in group_flags.items():
+            flags[regime].update(entry_flags)
+        skips.update(group_skips)
 
-    for repo_name, fix, regime in sorted(all_skips):
+    for repo_name, fix, regime in sorted(skips):
         where = f" under {regime}" if len(regimes) > 1 else ""
         print(
-            f"skipped {repo_name} {fix}{where}: {all_skips[repo_name, fix, regime]}",
+            f"skipped {repo_name} {fix}{where}: {skips[repo_name, fix, regime]}",
             file=sys.stderr,
         )
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     skipped = {
-        regime: sorted(key[:2] for key in all_skips if key[2] == regime)
+        regime: sorted(key[:2] for key in skips if key[2] == regime)
         for regime in regimes
     }
-    for (name, regime), run in runs.items():
-        run.skipped = skipped[regime]
-        target = out_dir / f"{name.lower()}_{regime}.json"
-        evaluate.save_run(run, target)
-        print(f"wrote {target}", file=sys.stderr)
+    for regime in regimes:
+        for name in names:
+            run = evaluate.DetectionRun(
+                name, regime, identified[name, regime], flags[regime], skipped[regime]
+            )
+            target = out_dir / f"{name.lower()}_{regime}.json"
+            evaluate.save_run(run, target)
+            print(f"wrote {target}", file=sys.stderr)
 
     # the worst status one call per regime would give: 1, then 2, then 0
     status = 0

@@ -79,6 +79,10 @@ RENAME_THRESHOLD = "50%"
 # seconds a git process may spend on one request before its entry is given up
 GIT_TIMEOUT_S = 600
 
+# bytes the -L ranges of one git blame may take: half the system's
+# argument limit, leaving the rest to its environment and other arguments
+_RANGES_BUDGET = os.sysconf("SC_ARG_MAX") // 2
+
 # repository config that would change what git prints
 PINNED_CONFIG = (
     "core.quotePath=false",
@@ -153,15 +157,6 @@ def _unquote_path(raw: str) -> str:
         out.append(ch)
         i += 1
     return "".join(out)
-
-
-def _strip_prefix(path: str, prefix: str) -> str | None:
-    path = _unquote_path(path)
-    if path == "/dev/null":
-        return None
-    if path.startswith(prefix):
-        return path[len(prefix) :]
-    return path
 
 
 def _named(argv: list[str]) -> str:
@@ -529,21 +524,24 @@ class GitRepo:
         writer where one exists."""
         full = self.resolve(revision)
         # an empty --ignore-revs-file drops those the config names
-        args = ["blame", "--porcelain", "--no-textconv", "--ignore-revs-file", ""]
-        # one -L per run of consecutive lines keeps a huge fix within
-        # the argument limit; git merges adjacent ranges itself
+        head = ["blame", "--porcelain", "--no-textconv", "--ignore-revs-file", ""]
+        ignored = [arg for sha in sorted(ignore_commits) for arg in ("--ignore-rev", sha)]
+        # one -L per run of consecutive lines, as many runs per call as keep
+        # the argument list within the system's limit; git merges adjacent
+        # ranges itself
         runs: list[list[int]] = []
         for ln in sorted(set(lines)):
             if runs and runs[-1][1] == ln - 1:
                 runs[-1][1] = ln
             else:
                 runs.append([ln, ln])
-        for start, end in runs:
-            args += ["-L", f"{start},{end}"]
-        for sha in sorted(ignore_commits):
-            args += ["--ignore-rev", sha]
-        args += [full, "--", file]
-        origins = parse_porcelain_blame(self._git(*args).decode("utf-8", "replace"))
+        # a range takes "-L<start>,<end>", its NUL and its pointer
+        per_call = _RANGES_BUDGET // (2 * len(str(max(lines, default=0))) + 12)
+        origins: dict[int, str] = {}
+        for i in range(0, len(runs), per_call):
+            ranges = [f"-L{start},{end}" for start, end in runs[i : i + per_call]]
+            out = self._git(*head, *ranges, *ignored, full, "--", file)
+            origins.update(parse_porcelain_blame(out.decode("utf-8", "replace")))
         for sha in origins.values():
             self._resolve_cache[sha] = sha
         return origins
@@ -551,10 +549,11 @@ class GitRepo:
 
 def parse_unified_diff(text: str) -> tuple[DiffHunk, ...]:
     """Parse ``git diff -U0`` output into hunks carrying 1-based pre/post
-    line numbers. A hunk body is read by the line counts of its ``@@``
-    header, so a removed ``-- x`` or an added ``++ x`` is content, never a
-    file header. Lines flagged "No newline at end of file" are markers,
-    not content."""
+    line numbers. Git prints a file's ``---`` and ``+++`` lines before its
+    hunks, so file names come from those alone. A hunk body is read by the
+    line counts of its ``@@`` header, so a removed ``-- x`` or an added
+    ``++ x`` is content, never a file header. Lines flagged "No newline at
+    end of file" are markers, not content."""
     hunks: list[DiffHunk] = []
     file_pre: str | None = None
     file_post: str | None = None
@@ -563,16 +562,15 @@ def parse_unified_diff(text: str) -> tuple[DiffHunk, ...]:
     while i < len(lines):
         line = lines[i]
         i += 1
-        if line.startswith("diff --git "):
-            file_pre = file_post = None
-        elif line.startswith("--- "):
-            file_pre = _strip_prefix(line[4:], "a/")
-        elif line.startswith("+++ "):
-            file_post = _strip_prefix(line[4:], "b/")
-        elif line.startswith("rename from "):
-            file_pre = _unquote_path(line[len("rename from ") :])
-        elif line.startswith("rename to "):
-            file_post = _unquote_path(line[len("rename to ") :])
+        if line[:4] in ("--- ", "+++ "):
+            # git ends a name that holds a space with a tab; a name whose own
+            # last character is a tab is C-quoted
+            name = _unquote_path(line[4:].removesuffix("\t"))
+            name = None if name == "/dev/null" else name[2:]  # past "a/" or "b/"
+            if line[0] == "-":
+                file_pre = name
+            else:
+                file_post = name
         elif m := _HUNK_RE.match(line):
             pre_no, post_no = int(m.group(1)), int(m.group(3))
             pre_left = int(m.group(2) or 1)

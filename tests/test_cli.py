@@ -605,6 +605,61 @@ def test_detect_blames_a_fix_too_large_for_one_range_per_line(tmp_path, capsys):
     assert run.identified == {("big", fix): frozenset({bic})}
 
 
+def test_detect_blames_a_sparse_fix_too_large_for_one_call(tmp_path, capsys, git_subcommands):
+    # every other line of a file of unique lines: one "-L n,n" per fixed
+    # line, more than one argument list can hold
+    lines = os.sysconf("SC_ARG_MAX") // 8
+    s = GitScripter(tmp_path / "clones" / "big")
+    s.write("table.c", "".join(f"int v{i};\n" for i in range(lines)))
+    bic = s.commit("add the table")
+    s.write("table.c", "".join(f"int v{i}{' = 1' * (i % 2)};\n" for i in range(lines)))
+    fix = s.commit("set every other entry")
+    s.finish()
+    dataset_path = tmp_path / "oracle.json"
+    save_oracle(OracleDataset(entries=[OracleEntry("big", fix, (bic,))]), dataset_path)
+    argv = ["detect", "--dataset", str(dataset_path), "--clones-root", str(tmp_path / "clones"),
+            "--presets", "B", "--workers", "1", "--out-dir", str(tmp_path / "runs")]
+    assert main(argv) == 0, capsys.readouterr().err
+    run = load_run(tmp_path / "runs" / "b_none.json")
+    assert run.identified == {("big", fix): frozenset({bic})}
+    assert git_subcommands.count("blame") > 1
+
+
+def test_detect_finds_the_inducer_of_a_fix_in_a_path_with_a_space(tmp_path, capsys):
+    s = GitScripter(tmp_path / "clones" / "app")
+    s.write("src/x y.c", "int a;\nint b;\n")
+    bic = s.commit("add x y")
+    s.write("src/x y.c", "int a;\nint b = 1;\n")
+    fix = s.commit("fix b")
+    s.finish()
+    dataset_path = tmp_path / "oracle.json"
+    save_oracle(OracleDataset(entries=[OracleEntry("app", fix, (bic,))]), dataset_path)
+    argv = ["detect", "--dataset", str(dataset_path), "--clones-root", str(tmp_path / "clones"),
+            "--presets", "B,MA", "--workers", "1", "--out-dir", str(tmp_path / "runs")]
+    assert main(argv) == 0, capsys.readouterr().err
+    for name in ("b_none.json", "ma_none.json"):
+        assert load_run(tmp_path / "runs" / name).identified == {("app", fix): frozenset({bic})}
+
+
+def test_detect_tells_a_missing_clone_from_one_git_refuses(tmp_path, capsys):
+    # a directory that is no repository is git's to explain; only a clone
+    # directory that does not exist is missing
+    (tmp_path / "clones" / "empty").mkdir(parents=True)
+    entries = [OracleEntry(repo, "f" * 40, ("b" * 40,)) for repo in ("empty", "gone")]
+    dataset_path = tmp_path / "oracle.json"
+    save_oracle(OracleDataset(entries=entries), dataset_path)
+    argv = ["detect", "--dataset", str(dataset_path), "--clones-root", str(tmp_path / "clones"),
+            "--presets", "B", "--out-dir", str(tmp_path / "runs")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    empty = tmp_path / "clones" / "empty"
+    refused = f"NotARepositoryError: {empty}: fatal: not a git repository"
+    assert f"skipped empty {'f' * 40}: {refused}" in err
+    assert f"skipped gone {'f' * 40}: clone-missing\n" in err
+    run = load_run(tmp_path / "runs" / "b_none.json")
+    assert run.skipped == [("empty", "f" * 40), ("gone", "f" * 40)]
+
+
 def _git(path, *args: str, stdin: str = "") -> str:
     return subprocess.run(
         ["git", "-C", str(path), *args], input=stdin, capture_output=True, text=True, check=True

@@ -717,6 +717,35 @@ def test_paths_with_octal_quoted_characters(tmp_path):
     assert [c.commit for c in found] == [root]
 
 
+def test_paths_git_ends_with_a_tab_or_quotes(tmp_path):
+    # git ends a ---/+++ name that holds a space with a tab, and C-quotes a
+    # name with a quote, a backslash or a tab in it; every hunk names the
+    # path as written
+    edited = ["x y.c", "src dir/x.c", "ends in a space ", 'q"uote.c', "back\\slash.c",
+              "tab\there.c", "ends in a tab\t", "ünï cödé.c"]
+    names = [*edited, "old name.c", "dead file.c"]
+    bodies = {name: "".join(f"int v{n}_{i};\n" for i in range(10)) for n, name in enumerate(names)}
+    s = GitScripter(tmp_path)
+    for name in names:
+        s.write(name, bodies[name])
+    root = s.commit("add files")
+    for name in edited:
+        s.write(name, bodies[name].replace("_3;", "_3 = 1;"))
+    s.rename("old name.c", "new name.c")
+    s.write("new name.c", bodies["old name.c"].replace("_3;", "_3 = 1;"))
+    s.delete("dead file.c")
+    fix = s.commit("fix files")
+    s.finish()
+    assert b"+++ b/x y.c\t\n" in _git_out(tmp_path, "diff", root, fix)
+    with GitRepo(tmp_path) as repo:
+        hunks = repo.diff_against_parent(fix, root)
+    assert sorted((h.file_pre, h.file_post) for h in hunks if len(h.removed) == 1) == sorted(
+        [(name, name) for name in edited] + [("old name.c", "new name.c")]
+    )
+    [dead] = [h for h in hunks if len(h.removed) == 10]
+    assert (dead.file_pre, dead.file_post) == ("dead file.c", None)
+
+
 def test_parse_unified_diff_shapes():
     text = (
         "diff --git a/x.c b/x.c\n"
@@ -1037,9 +1066,10 @@ def _line_porcelain_origins(path, revision, file, ignore) -> dict[int, str]:
     return origins
 
 
-def test_blame_equals_line_porcelain(suite):
+def test_blame_equals_line_porcelain(suite, monkeypatch):
     """Differential: every line of every file in each fix's pre-image,
-    blamed plainly and with the scenario's cosmetic commits ignored."""
+    blamed plainly and with the scenario's cosmetic commits ignored, and
+    every other line with at most two ranges per call."""
     for sc in suite.values():
         with GitRepo(sc.path) as repo:
             parent = repo.commit_meta(sc.fix).parents[0]
@@ -1053,6 +1083,10 @@ def test_blame_equals_line_porcelain(suite):
                     assert len(want) == count, (sc.name, file)
                     got = repo.blame(parent, file, range(1, count + 1), ignore)
                     assert got == want, (sc.name, file, sorted(ignore))
+                    with monkeypatch.context() as m:
+                        m.setattr(gitrepo, "_RANGES_BUDGET", 30)
+                        got = repo.blame(parent, file, range(1, count + 1, 2), ignore)
+                    assert got == {n: want[n] for n in range(1, count + 1, 2)}, (sc.name, file)
 
 
 def test_diff_and_blame_are_deterministic(shop):

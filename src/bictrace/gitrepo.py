@@ -28,7 +28,12 @@ fixed 50% similarity threshold so results are reproducible).
 Git sees only the clone: it runs with the caller's environment less
 every ``GIT_*`` variable (one such as ``GIT_DIR`` would name another
 repository), without user or system config and attributes, and in the C
-locale, so that its error messages read as ``_raise_for`` expects. Every
+locale, so that its error messages read as ``_raise_for`` expects.
+``GIT_CEILING_DIRECTORIES`` names the clone directory's parent, so a
+directory that is no repository is refused rather than read as part of
+an enclosing work tree. ``GIT_ALLOW_PROTOCOL`` is set and empty, so git
+uses no transport: a partial clone never fetches a missing object from
+its promisor remote, and a read that needs one fails. Every
 call pins the repository config settings that change diff or blame
 output, and turns off external diff drivers, textconv filters and
 ignore-revs files. The clone's own attributes (``info/attributes``, a
@@ -324,7 +329,8 @@ class GitRepo:
         self.path = str(path)
         self._env = {k: v for k, v in os.environ.items() if not k.startswith("GIT_")}
         self._env.update(GIT_CONFIG_NOSYSTEM="1", GIT_CONFIG_GLOBAL="/dev/null",
-                         GIT_ATTR_NOSYSTEM="1", LC_ALL="C")
+                         GIT_ATTR_NOSYSTEM="1", LC_ALL="C", GIT_ALLOW_PROTOCOL="",
+                         GIT_CEILING_DIRECTORIES=str(Path(self.path).resolve().parent))
         self._cat_file = _Batch(self._argv("cat-file", "--batch", "-z"), self._env)
         self._diff_tree = _Batch(
             self._argv("diff-tree", "--stdin", "-r", "-p", *_DIFF_ARGS), self._env

@@ -18,9 +18,13 @@ word stems in a six-token window before each hash.
 
 Parsed sentences wait in an unlinked temporary file, and each record is
 written to another as it is decided, so memory holds where things are, not
-the things. Accepted records that forks push again collapse to the one
-from the lexicographically first repository, flagged, as a push stream
-names no main repository.
+the things: arrays of integers, with no Python object per commit. Per
+parsed commit, each run of its sentences keeps its place and the commit's
+hash; per accepted record, its place and its commit's hash. A hash only
+picks candidates, and each is confirmed by the commit written in the
+file, so two commits that hash alike never merge. Accepted records that
+forks push again collapse to the one from the lexicographically first
+repository, flagged, as a push stream names no main repository.
 """
 
 from __future__ import annotations
@@ -396,11 +400,29 @@ def analyze_events(
             yield MessageAnalysis(repo, sha, "rejected", reason)
 
 
-def _add_place(places: dict, key: str, place: int) -> None:
-    """Note ``place`` under ``key``: the place alone, a list once ``key`` repeats."""
-    held = places.setdefault(key, place)
-    if held != place:
-        places[key] = [*held, place] if isinstance(held, list) else [held, place]
+def _hash_index(hashes: array):
+    """The positions in ``hashes`` that hold a given hash, found through a
+    bucket index over the hashes' low bits, about one bucket per hash,
+    built by one counting sort into two arrays, so no Python object is kept
+    per position. Returns ``alike(h)``: the positions holding ``h``, in
+    ascending order."""
+    mask = (1 << max(len(hashes).bit_length() - 1, 0)) - 1
+    starts = array("q", bytes(8 * (mask + 2)))  # bucket b is order[starts[b]:starts[b + 1]]
+    for h in hashes:
+        starts[h & mask] += 1
+    for b in range(1, mask + 2):
+        starts[b] += starts[b - 1]  # now the end of each bucket
+    order = array("q", bytes(8 * len(hashes)))
+    for p in range(len(hashes) - 1, -1, -1):  # filled from each bucket's end
+        b = hashes[p] & mask
+        starts[b] -= 1
+        order[starts[b]] = p
+
+    def alike(h: int) -> list[int]:
+        b = h & mask
+        return [p for p in order[starts[b] : starts[b + 1]] if hashes[p] == h]
+
+    return alike
 
 
 def write_mined(analyses: Iterable[MessageAnalysis], out: str | None, proximity: bool = False) -> RunSummary:
@@ -415,7 +437,7 @@ def write_mined(analyses: Iterable[MessageAnalysis], out: str | None, proximity:
     flagged ``duplicate-unresolved`` as the stream names no main
     repository. Rejected records all stay."""
     summary = RunSummary(proximity_mode=proximity)
-    accepted: dict[str, int | list[int]] = {}  # commit -> its place, or places if repeated
+    places, hashes = array("q"), array("q")  # each accepted record's place and commit hash
     with tempfile.TemporaryFile("w+", encoding="ascii", newline="\n") as spill:
         for i, a in enumerate(analyses):
             spill.write(a.json_line())
@@ -426,18 +448,26 @@ def write_mined(analyses: Iterable[MessageAnalysis], out: str | None, proximity:
             summary.accepted += 1
             summary.h2_matches += sum(m.heuristic == "h2" for m in a.matches)
             summary.h3_matches += sum(m.heuristic == "h3" for m in a.matches)
-            _add_place(accepted, a.commit, i)
+            places.append(i)
+            hashes.append(hash(a.commit))
 
-        repeated = [places for places in accepted.values() if isinstance(places, list)]
-        wanted = {place for places in repeated for place in places}
+        # only the records whose commit hash another's shares are read
+        # back, and grouped by the commit they hold
+        alike = _hash_index(hashes)
+        wanted = {places[k] for k, h in enumerate(hashes) if len(alike(h)) > 1}
         spill.seek(0)
-        repo_at = {i: json.loads(line)["repo"] for i, line in enumerate(spill) if i in wanted}
+        by_commit: dict[str, list[tuple[str, int]]] = {}  # commit -> (repository, place)s
+        for i, line in enumerate(spill):
+            if i in wanted:
+                rec = json.loads(line)
+                by_commit.setdefault(rec["commit"], []).append((rec["repo"], i))
         fate: dict[int, bool] = {}  # place -> True: stays flagged, False: dropped
-        for places in repeated:
-            fate.update(dict.fromkeys(places, False))
-            # the lexicographically first repository stays, the earlier on a tie
-            fate[min(places, key=lambda p: (repo_at[p], p))] = True
-            summary.duplicates_removed += len(places) - 1
+        for repeated in by_commit.values():
+            if len(repeated) > 1:
+                fate.update((i, False) for _, i in repeated)
+                # the lexicographically first repository stays, the earlier on a tie
+                fate[min(repeated)[1]] = True
+                summary.duplicates_removed += len(repeated) - 1
         summary.accepted -= summary.duplicates_removed
 
         spill.seek(0)
@@ -459,43 +489,68 @@ def write_mined(analyses: Iterable[MessageAnalysis], out: str | None, proximity:
 
 class Parses(Mapping):
     """Dependency parses by commit, spilled by ``load_parses`` to an unlinked
-    temporary file that ``close()``, or collecting the mapping, closes. Only
-    where each commit's sentences lie is held: a lookup reads them back and
-    builds its trees in file order, or gives None when one fails validation."""
+    temporary file that ``close()``, or collecting the mapping, closes. Each
+    run of sentences lies in the spill after a line naming its commit; only
+    where each run lies and its commit's hash are held. A lookup takes the
+    runs whose hash matches, keeps those whose line names the commit, reads
+    them back and builds their trees in file order, or gives None when one
+    fails validation."""
 
-    def __init__(self, spill, bounds: array, runs: dict[str, int | list[int]]):
+    def __init__(self, spill, bounds: array, hashes: array):
         self._spill = spill
         self._bounds = bounds  # run r lies at bounds[r]:bounds[r + 1] in the spill
-        self._runs = runs  # commit -> its run, or its runs if it comes back
+        self._hashes = hashes  # hash(run r's commit)
+        self._alike = _hash_index(hashes)
+        self._len = sum(map(self._first, range(len(hashes))))  # bool(parses) is asked per event
         weakref.finalize(self, spill.close)
 
     def close(self) -> None:
         self._spill.close()
 
-    def __getitem__(self, commit: str) -> list[SentenceTree] | None:
-        runs = self._runs[commit]
-        trees = []
-        for r in runs if isinstance(runs, list) else [runs]:
+    def _head(self, r: int) -> str:
+        """Run ``r``'s commit."""
+        self._spill.seek(self._bounds[r])
+        return self._spill.readline()[:-1].decode()
+
+    def _runs(self, commit: object) -> list[str]:
+        """The sentences of each run of ``commit``, in file order."""
+        runs = []
+        for r in self._alike(hash(commit)) if isinstance(commit, str) else ():
             lo, hi = self._bounds[r : r + 2]
             self._spill.seek(lo)
-            for block in self._spill.read(hi - lo).decode().split("\r")[:-1]:
-                text, *rows = block.split("\n")  # not splitlines(): forms may hold "\x85"
-                tokens = [Token(int(i), form, lemma, int(h))
-                          for i, form, lemma, h, _ in (row.split("\t") for row in rows)]
-                try:
-                    trees.append(SentenceTree(text, tokens))
-                except SchemaError:
-                    return None
+            head, _, sentences = self._spill.read(hi - lo).decode().partition("\n")
+            if head == commit:
+                runs.append(sentences)
+        return runs
+
+    def _first(self, r: int) -> bool:
+        """Whether run ``r`` is the first of its commit."""
+        earlier = [q for q in self._alike(self._hashes[r]) if q < r]
+        return not earlier or self._head(r) not in map(self._head, earlier)
+
+    def __getitem__(self, commit: str) -> list[SentenceTree] | None:
+        runs = self._runs(commit)
+        if not runs:
+            raise KeyError(commit)
+        trees = []
+        for block in "".join(runs).split("\r")[:-1]:
+            text, *rows = block.split("\n")  # not splitlines(): forms may hold "\x85"
+            tokens = [Token(int(i), form, lemma, int(h))
+                      for i, form, lemma, h, _ in (row.split("\t") for row in rows)]
+            try:
+                trees.append(SentenceTree(text, tokens))
+            except SchemaError:
+                return None
         return trees
 
     def __contains__(self, commit: object) -> bool:
-        return commit in self._runs
+        return bool(self._runs(commit))
 
     def __iter__(self):
-        return iter(self._runs)
+        return (self._head(r) for r in range(len(self._hashes)) if self._first(r))
 
     def __len__(self) -> int:
-        return len(self._runs)
+        return self._len
 
 
 def load_parses(path) -> Parses:
@@ -505,8 +560,7 @@ def load_parses(path) -> Parses:
     here and spilled as text; a commit whose block fails tree validation
     maps to None on lookup so callers can report it as unparsed."""
     spill = tempfile.TemporaryFile()
-    bounds = array("q", [0])
-    runs: dict[str, int | list[int]] = {}
+    bounds, hashes = array("q", [0]), array("q")
     commit = last = None  # last: the commit of the sentence spilled last
     text = ""
     rows: list[str] = []
@@ -515,9 +569,9 @@ def load_parses(path) -> Parses:
         nonlocal rows, text, last
         if not rows:
             return
-        if commit != last:  # a new run
-            _add_place(runs, commit, len(bounds) - 1)
-            bounds.append(bounds[-1])
+        if commit != last:  # a new run, headed by its commit
+            hashes.append(hash(commit))
+            bounds.append(bounds[-1] + spill.write(commit.encode() + b"\n"))
             last = commit
         # text, then rows, a line each; lines read with universal newlines hold no "\r"
         bounds[-1] += spill.write(("\n".join([text, *rows]) + "\r").encode())
@@ -555,7 +609,7 @@ def load_parses(path) -> Parses:
     except BaseException:
         spill.close()
         raise
-    return Parses(spill, bounds, runs)
+    return Parses(spill, bounds, hashes)
 
 
 def _numbered_lines(path):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import errno
+import hashlib
 import json
 import os
 import shutil
@@ -1051,6 +1052,124 @@ def test_detect_sees_only_the_clone(corpus, suite, suite_ranges_path, tmp_path, 
     assert names == sorted(p.name for p in hostile.glob("*.json"))
     for name in names:
         assert (clean / name).read_bytes() == (hostile / name).read_bytes(), name
+
+
+@pytest.fixture(scope="module")
+def full_clone_runs(suite, suite_dataset, suite_ranges_path, tmp_path_factory):
+    """The desk dataset's path and the directory of its run files over
+    every preset and regime, traced in the desk repositories themselves."""
+    tmp = tmp_path_factory.mktemp("full")
+    dataset_path = tmp / "oracle.json"
+    save_oracle(suite_dataset, dataset_path)
+    clones_root = next(iter(suite.values())).path.parent
+    regimes = ",".join(ALL_REGIMES)
+    assert _detect_all_presets(dataset_path, clones_root, suite_ranges_path, regimes, tmp / "runs") == 0
+    return dataset_path, tmp / "runs"
+
+
+def _run_files(runs: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in runs.glob("*.json")}
+
+
+def _tree_digest(root: Path) -> dict[str, str]:
+    return {str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def _clone_in_shape(shape: str, source: Path, dest: Path, bases: Path) -> None:
+    if shape == "mirror":
+        _git(dest.parent, "clone", "-q", "--mirror", str(source), str(dest))
+    elif shape == "shared":
+        _git(dest.parent, "clone", "-q", "--shared", str(source), str(dest))
+    elif shape == "worktree":
+        # the worktree's .git is a file naming a directory in another clone
+        base = bases / dest.name
+        _git(bases, "clone", "-q", str(source), str(base))
+        _git(base, "worktree", "add", "-q", "--detach", str(dest))
+    else:
+        _git(dest.parent, "clone", "-q", str(source), str(dest))
+        if shape == "gc-aggressive":
+            _git(dest, "gc", "-q", "--aggressive")
+        else:
+            _git(dest, "commit-graph", "write", "--reachable", "--changed-paths")
+
+
+@pytest.mark.parametrize("shape", ["mirror", "gc-aggressive", "shared", "worktree", "commit-graph"])
+def test_detect_reads_every_clone_shape_alike_and_changes_none(
+    full_clone_runs, suite, suite_ranges_path, tmp_path, shape
+):
+    dataset_path, full_runs = full_clone_runs
+    clones_root, bases = tmp_path / "clones", tmp_path / "bases"
+    clones_root.mkdir()
+    bases.mkdir()
+    for name, scenario in suite.items():
+        _clone_in_shape(shape, scenario.path, clones_root / name, bases)
+    before = _tree_digest(clones_root), _tree_digest(bases)
+    regimes = ",".join(ALL_REGIMES)
+    assert _detect_all_presets(dataset_path, clones_root, suite_ranges_path, regimes, tmp_path / "runs") == 0
+    assert _run_files(tmp_path / "runs") == _run_files(full_runs)
+    assert (_tree_digest(clones_root), _tree_digest(bases)) == before
+
+
+def _missing_objects(clone: Path) -> int:
+    listed = _git(clone, "rev-list", "--objects", "--all", "--missing=print")
+    return sum(line.startswith("?") for line in listed.splitlines())
+
+
+def test_detect_fetches_nothing_into_a_partial_clone(
+    full_clone_runs, suite, suite_ranges_path, tmp_path, capsys
+):
+    # git may use no transport: a blob that a partial clone lacks stays
+    # missing, and only the entry that needs it is skipped
+    dataset_path, full_runs = full_clone_runs
+    clones_root = tmp_path / "clones"
+    clones_root.mkdir()
+    for name, scenario in suite.items():
+        partial = ["--filter=blob:none", "--upload-pack", "git -c uploadpack.allowFilter=true upload-pack"]
+        _git(clones_root, "clone", "-q", *partial * (name == "plain_bug_fix"),
+             f"file://{scenario.path}", name)
+    clone, fix = clones_root / "plain_bug_fix", suite["plain_bug_fix"].fix
+    missing = _missing_objects(clone)
+    assert missing > 0
+    regimes = ",".join(ALL_REGIMES)
+    assert _detect_all_presets(dataset_path, clones_root, suite_ranges_path, regimes, tmp_path / "runs") == 2
+    assert _missing_objects(clone) == missing
+    skips = [line for line in capsys.readouterr().err.splitlines() if line.startswith("skipped ")]
+    assert sorted(skips) == [
+        f"skipped plain_bug_fix {fix} under {regime}: CorruptRepositoryError: "
+        f"git diff-tree in {clone} could not diff {fix} against {suite['plain_bug_fix'].labels['c1']}"
+        for regime in sorted(ALL_REGIMES)
+    ]
+    assert _run_files(tmp_path / "runs").keys() == _run_files(full_runs).keys()
+    for name in _run_files(full_runs):
+        run, full = load_run(tmp_path / "runs" / name), load_run(full_runs / name)
+        assert run.skipped == [("plain_bug_fix", fix)]
+        assert run.identified == {
+            key: hashes for key, hashes in full.identified.items() if key != ("plain_bug_fix", fix)
+        }
+
+
+def test_detect_opens_no_enclosing_repository(tmp_path, capsys):
+    # a clone directory inside another work tree is no repository, even
+    # for a fix that the enclosing one holds
+    outer = GitScripter(tmp_path / "outer")
+    outer.write("core.c", "int a;\n")
+    bic = outer.commit("add a")
+    outer.write("core.c", "int a = 1;\n")
+    fix = outer.commit("fix a")
+    outer.finish()
+    app = tmp_path / "outer" / "clones" / "app"
+    app.mkdir(parents=True)
+    dataset_path = tmp_path / "oracle.json"
+    save_oracle(OracleDataset(entries=[OracleEntry("app", f, (bic,)) for f in (fix, "f" * 40)]), dataset_path)
+    argv = ["detect", "--dataset", str(dataset_path), "--clones-root", str(app.parent),
+            "--presets", "B", "--workers", "1", "--out-dir", str(tmp_path / "runs")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    for f in (fix, "f" * 40):
+        assert f"skipped app {f}: NotARepositoryError: {app}: fatal: not a git repository" in err
+    run = load_run(tmp_path / "runs" / "b_none.json")
+    assert run.identified == {} and run.skipped == sorted([("app", fix), ("app", "f" * 40)])
 
 
 def test_detect_rejects_unknown_regime(corpus, tmp_path, capsys):

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -792,6 +795,119 @@ def test_fork_dedupe_holds_no_repository_name(tmp_path):
     assert (summary.accepted, summary.duplicates_removed) == (2996, 4)
     long, _ = peak("x" * 1024)
     assert long - short < 16 * 1024
+
+
+def test_parses_hold_a_few_bytes_per_commit(tmp_path):
+    # a run of sentences is held as its place and its commit's hash, in arrays
+    def held(n):
+        path = tmp_path / f"parses{n}.txt"
+        path.write_text("".join(
+            f"# commit = {i:040x}\n# text = fix it\n1\tfix\tfix\t0\troot\n2\tit\tit\t1\tobj\n\n"
+            for i in range(n)))
+        size, parses = _held_bytes(lambda: load_parses(path))
+        assert len(parses) == n
+        parses.close()
+        return size
+
+    held(10)  # the first spill also sets up tempfile's own state
+    assert (held(8000) - held(4000)) / 4000 < 64
+
+
+def test_fork_dedupe_holds_a_few_bytes_per_accepted_commit(tmp_path):
+    # an accepted record is held as its place and its commit's hash, in arrays
+    def peak(n):
+        analyses = (_hit("org/app", f"{i:040x}") for i in range(n))
+        tracemalloc.start()
+        try:
+            summary = write_mined(analyses, str(tmp_path / "mined.ndjson"))
+            return tracemalloc.get_traced_memory()[1], summary
+        finally:
+            tracemalloc.stop()
+
+    peak(10)
+    small, summary = peak(4000)
+    assert summary.accepted == 4000
+    large, summary = peak(8000)
+    assert summary.accepted == 8000
+    assert (large - small) / 4000 < 64
+
+
+# a commit that comes back after another, a name that is a prefix of
+# another, an empty name, and a commit whose tree fails validation
+_COLLIDING_PARSES = "".join(
+    f"# commit = {sha}\n# text = {text}\n" + "".join(
+        f"{i}\t{form}\t{form}\t{head}\tdep\n" for i, (form, head) in enumerate(rows, 1)) + "\n"
+    for sha, text, rows in (
+        ("aa11", "fix bug 2508e12", (("fix", 0), ("bug", 1), ("2508e12", 2))),
+        ("aa1", "fix error 3c4d5e6", (("fix", 0), ("error", 1), ("3c4d5e6", 2))),
+        ("", "nothing", (("nothing", 0),)),
+        ("aa11", "then more", (("then", 0), ("more", 1))),
+        ("bad", "two roots", (("two", 0), ("roots", 0))),
+        ("aa1", "and again", (("and", 0), ("again", 1))),
+    )
+)
+_COLLIDING_EVENTS = [
+    _event(repo, sha, f"fix the bug: {message}")
+    for repo, sha, message in (
+        ("zeta/app", "aa11", "fix bug 2508e12"),
+        ("org/app", "aa1", "fix error 3c4d5e6"),
+        ("beta/app", "aa11", "fix bug 2508e12"),
+        ("org/app", "bad", "two roots"),
+        ("org/app", "cc", "update the docs"),
+        ("alpha/app", "aa1", "fix error 3c4d5e6"),
+        ("org/app", "", "nothing"),
+    )
+]
+
+
+def _lookups_and_mined(tmp_path, name):
+    path = tmp_path / "parses.txt"
+    path.write_text(_COLLIDING_PARSES)
+    parses = load_parses(path)
+    try:
+        seen = {
+            "keys": list(parses),
+            "len": len(parses),
+            "in": [sha in parses for sha in ("aa11", "aa1", "a", "aa111", "", "bad", "cc", None)],
+            "trees": {sha: trees and [(t.text, t.tokens) for t in trees]
+                      for sha in ("aa11", "aa1", "", "bad") for trees in [parses[sha]]},
+            "missing": [parses.get(sha, "none") for sha in ("a", "aa111", "cc")],
+        }
+        write_mined(analyze_events(_COLLIDING_EVENTS, parses, proximity=True), str(tmp_path / name))
+    finally:
+        parses.close()
+    return seen, (tmp_path / name).read_bytes()
+
+
+def test_commits_that_hash_alike_stay_apart(tmp_path, monkeypatch):
+    # hashes only pick candidates: each is confirmed by the commit in the spill
+    want = _lookups_and_mined(tmp_path, "plain.ndjson")
+    assert want[0]["keys"] == ["aa11", "aa1", "", "bad"] and want[0]["len"] == 4
+    assert [t[0] for t in want[0]["trees"]["aa11"]] == ["fix bug 2508e12", "then more"]
+    assert want[0]["trees"]["bad"] is None
+    assert want[1].count(b'"duplicate-unresolved"') == 2
+    monkeypatch.setattr(miner, "hash", lambda s: 0, raising=False)
+    assert _lookups_and_mined(tmp_path, "colliding.ndjson") == want
+
+
+def test_mine_writes_the_same_bytes_under_any_hash_seed(tmp_path):
+    (tmp_path / "parses.txt").write_text(_COLLIDING_PARSES * 3)
+    rng = random.Random(3)
+    events = [rng.choice(_COLLIDING_EVENTS) | {"repo": f"fork{rng.randrange(9)}/app"} for _ in range(300)]
+    (tmp_path / "events.ndjson").write_text("".join(json.dumps(e) + "\n" for e in events))
+    src = Path(miner.__file__).parents[1]
+    outputs = []
+    for seed in ("1", "2"):
+        out = tmp_path / f"mined{seed}.ndjson"
+        subprocess.run(
+            [sys.executable, "-c", "import sys; from bictrace.cli import main; sys.exit(main(sys.argv[1:]))",
+             "mine", str(tmp_path / "events.ndjson"), "--parses", str(tmp_path / "parses.txt"),
+             "--proximity", "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed},
+            check=True, capture_output=True,
+        )
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1] and outputs[0].count(b'"duplicate-unresolved"') == 2
 
 
 # --- lazy parses against eagerly built trees ---------------------------------------------
